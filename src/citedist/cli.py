@@ -2,7 +2,8 @@
 
 Subcommands: ingest, run, report, validate.  Exit codes: 0 success,
 1 usage error, 2 data error (including lossy ingestion), 3 incomplete
-workspace (a prerequisite stage has not run).
+workspace (a prerequisite stage has not run) or a damaged or foreign
+artifact.
 """
 
 from __future__ import annotations

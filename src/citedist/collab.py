@@ -182,52 +182,14 @@ class BFSSearcher:
         self._epoch = 0
         self._tgt_epoch = 0
 
-    def set_distance(self, sources: Iterable[int], targets: Iterable[int],
-                     cap: int | None = None) -> Distance:
-        """Minimum hop distance from any source to any target.
-
-        Expands level by level from the source side; returns on the
-        first target reached.  With a cap, at most ``cap`` levels are
-        explored: the result is exact when <= cap, EXCEEDS_CAP when the
-        frontier was still alive, and INFINITE only when the reachable
-        set was provably exhausted.
-        """
-        net = self.net
-        indptr, indices, seen, tgt = net._indptr, net._indices, self._seen, self._tgt
-        self._tgt_epoch += 1
-        tepoch = self._tgt_epoch
-        for t in targets:
-            tgt[t] = tepoch
-        self._epoch += 1
-        epoch = self._epoch
-        frontier: list[int] = []
-        for s in sources:
-            if seen[s] != epoch:
-                seen[s] = epoch
-                if tgt[s] == tepoch:
-                    return Distance.finite(0)
-                frontier.append(s)
-        level = 0
-        while frontier:
-            if cap is not None and level >= cap:
-                return Distance.exceeds(cap)
-            nxt: list[int] = []
-            for u in frontier:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
-                    if seen[v] == epoch:
-                        continue
-                    if tgt[v] == tepoch:
-                        return Distance.finite(level + 1)
-                    seen[v] = epoch
-                    nxt.append(v)
-            frontier = nxt
-            level += 1
-        return INFINITE
-
     def distances_to(self, sources: Iterable[int], targets: Iterable[int],
                      cap: int | None = None) -> tuple[dict[int, int], bool]:
         """Hop distance from the source set to each reachable target.
+
+        This is the package's single BFS kernel.  Set-distance callers
+        (:func:`shortest_distance`, and through it ``citation_distance``)
+        take the smallest hop count found, else INFINITE when the search
+        was exhausted, else "exceeds cap"; ``diameter`` takes the largest.
 
         Returns ``(found, exhausted)``.  The search stops once every
         target is found, the cap is hit, or the frontier dies; targets
@@ -293,7 +255,10 @@ def shortest_distance(net: CollabNetwork, source_set: Iterable[int],
         return Distance.finite(0)
     if len(targets) < len(sources):  # expand from the smaller side
         sources, targets = targets, sources
-    return BFSSearcher(net).set_distance(sources, targets, cap)
+    found, exhausted = BFSSearcher(net).distances_to(sources, targets, cap)
+    if found:
+        return Distance.finite(min(found.values()))
+    return INFINITE if exhausted else Distance.exceeds(cap)
 
 
 # -- network statistics ----------------------------------------------------
@@ -400,25 +365,12 @@ def connected_components(net: CollabNetwork) -> list[ComponentStats]:
 
 def diameter(net: CollabNetwork, members: Iterable[int]) -> int:
     """Longest shortest path within one component (quadratic; desk scale)."""
-    indptr, indices = net._indptr, net._indices
     members = list(members)
+    searcher = BFSSearcher(net)
     best = 0
     for source in members:
-        depth = {source: 0}
-        frontier = [source]
-        level = 0
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
-                    if v not in depth:
-                        depth[v] = level + 1
-                        nxt.append(v)
-            frontier = nxt
-            level += 1
-        if depth:
-            best = max(best, max(depth.values()))
+        found, _ = searcher.distances_to([source], members)
+        best = max(best, max(found.values()))
     return best
 
 

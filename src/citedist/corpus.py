@@ -152,13 +152,6 @@ class CorpusStore:
                     counts[ref] += 1
         return counts
 
-    def first_pub_years(self) -> list[int]:
-        """Earliest publication year per author."""
-        first = [0] * self.num_authors
-        for author, papers in enumerate(self.author_papers):
-            first[author] = min(self.paper_year[p] for p in papers)
-        return first
-
     # -- serialization -------------------------------------------------
 
     def dump(self, fp: IO[str]) -> None:

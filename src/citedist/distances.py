@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
-from .collab import BFSSearcher, CollabNetwork, Distance, build_window
+from .collab import BFSSearcher, CollabNetwork, Distance, build_window, shortest_distance
 from .config import Config
 from .corpus import CitationEvent, CorpusStore
 from .errors import IncompleteStateError
@@ -38,15 +38,6 @@ class DistanceTally:
     infinite: int = 0
     exceeds: int = 0
     cap: int | None = None
-
-    def add(self, dist: Distance, count: int = 1) -> None:
-        if dist.is_finite:
-            self.finite[dist.hops] = self.finite.get(dist.hops, 0) + count
-        elif dist.exceeds_cap:
-            self.exceeds += count
-            self.cap = dist.cap if self.cap is None else min(self.cap, dist.cap)
-        else:
-            self.infinite += count
 
     def add_code(self, code: int, count: int = 1) -> None:
         if code >= 0:
@@ -162,11 +153,8 @@ def _tally_obj(kind: str, label: str | None, tally: DistanceTally) -> dict:
 class LedgerSeries:
     """Ordered collection of yearly ledgers for multi-year lookups."""
 
-    def __init__(self, ledgers: Mapping[int, YearLedger] | Iterable[YearLedger]):
-        if isinstance(ledgers, Mapping):
-            self._by_year = dict(ledgers)
-        else:
-            self._by_year = {ledger.year: ledger for ledger in ledgers}
+    def __init__(self, ledgers: Mapping[int, YearLedger]):
+        self._by_year = dict(ledgers)
 
     @property
     def years(self) -> list[int]:
@@ -219,11 +207,7 @@ def citation_distance(net: CollabNetwork, event: CitationEvent,
         raise ValueError(
             f"network is for year {net.year}, event cites in {event.citing_year}"
         )
-    if not event.cited_authors or not event.citing_authors:
-        raise ValueError("citation event with empty author set")
-    if event.cited_authors & event.citing_authors:
-        return Distance.finite(0)
-    return BFSSearcher(net).set_distance(event.citing_authors, event.cited_authors, cap)
+    return shortest_distance(net, event.citing_authors, event.cited_authors, cap)
 
 
 def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
@@ -288,8 +272,13 @@ def batch_year_distances(store: CorpusStore, year: int, cfg: Config,
     if net is None:
         net = build_window(store, year, cfg.window_length)
     cap = cfg.distance_cap
+    return ledger_from_codes(store, year, cap, compute_event_distances(store, net, year, cap))
+
+
+def ledger_from_codes(store: CorpusStore, year: int, cap: int | None,
+                      codes: Iterable[tuple[int, int, int]]) -> YearLedger:
+    """Credit ``compute_event_distances`` output into a new year ledger."""
     ledger = YearLedger(year, cap=cap)
-    codes = compute_event_distances(store, net, year, cap)
     paper_authors = store.paper_authors
     for cited_pid, _citing_pid, code in codes:
         ledger.credit(paper_authors[cited_pid], code)
@@ -343,7 +332,7 @@ class HistogramResult:
         return rows
 
 
-def distance_histogram(ledgers: Mapping[int, YearLedger] | LedgerSeries,
+def distance_histogram(ledgers: Mapping[int, YearLedger],
                        years: Iterable[int], max_bin: int = 12) -> HistogramResult:
     """Per-year distribution of event distances, infinite bucket included.
 
@@ -351,8 +340,6 @@ def distance_histogram(ledgers: Mapping[int, YearLedger] | LedgerSeries,
     citations at finite distance <= ``max_bin``.  Years without
     citations are omitted with a notice.
     """
-    if isinstance(ledgers, LedgerSeries):
-        ledgers = {year: ledgers.ledger(year) for year in ledgers.years}
     per_year: dict[int, YearHistogram] = {}
     notices: list[str] = []
     for year in years:

@@ -31,13 +31,10 @@ from .errors import IncompleteStateError, SequencingError
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Knobs of the index computations (threshold n, c-index slope,
-    window length, and the distance cap policy; cap None = exact)."""
+    """Knobs of the index computations (threshold n, c-index slope)."""
 
     n: int = 6
     alpha: Fraction = Fraction(1)
-    window_length: int = 5
-    cap: int | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -124,7 +121,6 @@ class ScholarIndexState:
     scholar: int | str
     year: int
     x: Fraction
-    first_pub_year: int | None = None
 
     def __post_init__(self):
         if self.x < 0:
@@ -140,7 +136,7 @@ def update_x(state: ScholarIndexState, year: int, delta: Fraction) -> ScholarInd
         )
     if delta < 0:
         raise ValueError("yearly increment cannot be negative")
-    return ScholarIndexState(state.scholar, year, state.x + delta, state.first_pub_year)
+    return ScholarIndexState(state.scholar, year, state.x + delta)
 
 
 # -- classic indices ---------------------------------------------------------

@@ -21,14 +21,14 @@ from .collab import build_window
 from .config import Config
 from .corpus import CorpusStore
 from .distances import (
-    EXCEEDS_CODE,
-    INF_CODE,
     LedgerSeries,
     YearLedger,
+    batch_year_distances,
     compute_event_distances,
+    ledger_from_codes,
 )
 from .errors import IncompleteStateError, WorkspaceError
-from .indices import IndexRecord, WeightConfig, scholar_snapshot
+from .indices import IndexRecord, WeightConfig, scholar_snapshot, x_increment_scaled
 from .workspace import Workspace
 
 log = logging.getLogger("citedist")
@@ -42,14 +42,6 @@ def planned_years(store: CorpusStore, cfg: Config) -> list[int]:
     lo, hi = store.year_span()
     start = lo + cfg.window_length - 1 if cfg.strict_window else lo
     return list(range(start, hi + 1))
-
-
-def _scaled_code_weight(code: int, n: int) -> int:
-    if n == 0:
-        return 1
-    if code < 0:  # unreachable or beyond the cap: full weight
-        return n
-    return code if code < n else n
 
 
 def _mp_init(store, cfg_window, cap):
@@ -73,22 +65,15 @@ def year_ledger(store: CorpusStore, year: int, cfg: Config, jobs: int = 1,
                 pool=None) -> YearLedger:
     """Compute one year's ledger, optionally splitting the citing papers
     across a process pool.  Results are identical for any job count."""
-    cap = cfg.distance_cap
-    ledger = YearLedger(year, cap=cap)
     papers = [p for p in store.papers_in_year(year) if store.paper_refs[p]]
     if not papers:
-        return ledger
-    if pool is not None and jobs > 1 and len(papers) > jobs:
-        size = (len(papers) + jobs - 1) // jobs
-        chunks = [(year, papers[i:i + size]) for i in range(0, len(papers), size)]
-        results = pool.map(_mp_chunk, chunks)
-        codes = [item for chunk in results for item in chunk]
-    else:
-        net = build_window(store, year, cfg.window_length)
-        codes = compute_event_distances(store, net, year, cap, papers=papers)
-    for cited_pid, _citing_pid, code in codes:
-        ledger.credit(store.paper_authors[cited_pid], code)
-    return ledger
+        return YearLedger(year, cap=cfg.distance_cap)
+    if pool is None or jobs <= 1 or len(papers) <= jobs:
+        return batch_year_distances(store, year, cfg)
+    size = (len(papers) + jobs - 1) // jobs
+    chunks = [(year, papers[i:i + size]) for i in range(0, len(papers), size)]
+    codes = [item for chunk in pool.map(_mp_chunk, chunks) for item in chunk]
+    return ledger_from_codes(store, year, cfg.distance_cap, codes)
 
 
 @dataclass
@@ -101,6 +86,7 @@ def run_pipeline(ws: Workspace, cfg: Config, year_range: tuple[int, int] | None 
                  jobs: int = 1) -> RunResult:
     """Process (or resume) the yearly pipeline over the workspace corpus."""
     store = ws.load_store(cfg)
+    ws.ensure_dirs()
     cfg_hash = cfg.config_hash()
     years = planned_years(store, cfg)
     if year_range is not None:
@@ -133,13 +119,8 @@ def run_pipeline(ws: Workspace, cfg: Config, year_range: tuple[int, int] | None 
                 states = _load_chain_state(ws, store, cfg, cfg_hash, year, years)
             started = time.perf_counter()
             ledger = year_ledger(store, year, cfg, jobs=jobs, pool=pool)
-            n = cfg.n
             for author, tally in ledger.scholars.items():
-                delta = 0
-                for d, count in tally.finite.items():
-                    delta += _scaled_code_weight(d, n) * count
-                delta += _scaled_code_weight(INF_CODE, n) * tally.infinite
-                delta += _scaled_code_weight(EXCEEDS_CODE, n) * tally.exceeds
+                delta = x_increment_scaled(tally, cfg.n)
                 if delta:
                     states[author] = states.get(author, 0) + delta
             ws.write_ledger(ledger, store, cfg_hash)
@@ -200,8 +181,7 @@ def build_index_records(store: CorpusStore, series: LedgerSeries, year: int,
         raise IncompleteStateError(
             "index reports need exact distances; re-run with exact_distances = true"
         )
-    wcfg = WeightConfig(n=cfg.n, alpha=cfg.alpha, window_length=cfg.window_length,
-                        cap=cfg.distance_cap)
+    wcfg = WeightConfig(n=cfg.n, alpha=cfg.alpha)
     paper_counts = store.paper_citation_counts(year)
     records = []
     for scholar in sorted(series.scholars(year)):

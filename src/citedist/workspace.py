@@ -36,6 +36,20 @@ def _atomic_write(path: Path, writer) -> None:
     os.replace(tmp, path)
 
 
+def _read_artifact(path: Path, parse):
+    """``parse(fp)`` on an artifact; a file that is damaged, or names an
+    author the ingested corpus lacks, raises a WorkspaceError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return parse(fp)
+    except StopIteration:
+        raise WorkspaceError(f"cannot read {path}: the file is empty") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise WorkspaceError(
+            f"cannot read {path}: damaged or written for another corpus ({exc!r})"
+        ) from exc
+
+
 class Workspace:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -92,8 +106,7 @@ class Workspace:
         path = self.ledger_path(year)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fp:
-            ledger, recorded = YearLedger.read(fp, store)
+        ledger, recorded = _read_artifact(path, lambda fp: YearLedger.read(fp, store))
         if recorded != config_hash:
             return None
         return ledger
@@ -124,21 +137,22 @@ class Workspace:
         _atomic_write(self.state_path(year), writer)
 
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
+        """The year's x states, or None when absent or built by another config."""
         path = self.state_path(year)
         if not path.exists():
             return None
-        states: dict[int, int] = {}
-        with open(path, encoding="utf-8") as fp:
+
+        def parse(fp):
             head = json.loads(next(fp))
             if head.get("config") != config_hash:
                 return None
+            states: dict[int, int] = {}
             for line in fp:
                 obj = json.loads(line)
                 states[store.author_index[obj["id"]]] = obj["xn"]
-        return states
+            return states
 
-    def year_complete(self, year: int) -> bool:
-        return self.ledger_path(year).exists() and self.state_path(year).exists()
+        return _read_artifact(path, parse)
 
     def completed_years(self) -> list[int]:
         years = []

@@ -1,5 +1,6 @@
 """End-to-end CLI: ingest, run, report, exit codes, idempotence, resume."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -157,6 +158,57 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert tree_bytes(ws_part / "states") == tree_bytes(ws_full / "states")
 
 
+@pytest.mark.parametrize("missing", ["ledgers", "states"])
+def test_run_recreates_missing_artifact_dir(tmp_path, missing):
+    rng = random.Random(5)
+    lines = random_corpus_lines(rng, 40, 10, 2000, 2003)
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(src), "--workspace", str(ws)]) == 0
+    (ws / missing).rmdir()
+    assert main(["run", "--workspace", str(ws)]) == 0
+    assert Workspace(ws).completed_years() == [2000, 2001, 2002, 2003]
+
+
+def _empty_ledger(ws, src):
+    (ws / "ledgers" / "2003.jsonl").write_text("")
+    return ["report", "distance-histogram"], "2003.jsonl"
+
+
+def _truncated_state(ws, src):
+    path = ws / "states" / "2003.jsonl"
+    path.write_bytes(path.read_bytes()[:-2])  # cut the last line mid-object
+    return ["run"], "2003.jsonl"
+
+
+def _foreign_corpus(ws, src):
+    other = src.with_name("other.jsonl")
+    other.write_text("\n".join([
+        record_line("q0", 2000, ["zed"]),
+        record_line("q1", 2001, ["yan"], ["q0"]),
+    ]) + "\n")
+    assert main(["ingest", str(other), "--workspace", str(ws)]) == 0
+    return ["run"], "2000.jsonl"
+
+
+@pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus],
+                         ids=["empty-ledger", "truncated-state", "foreign-corpus"])
+def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
+    rng = random.Random(7)
+    lines = random_corpus_lines(rng, 60, 12, 2000, 2003)
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(src), "--workspace", str(ws)]) == 0
+    assert main(["run", "--workspace", str(ws)]) == 0
+    command, file_name = damage(ws, src)
+    capsys.readouterr()
+    assert main([*command, "--workspace", str(ws)]) == 3
+    err = capsys.readouterr().err
+    assert "error: cannot read " in err and file_name in err
+
+
 def test_run_gap_exits_3(tmp_path, capsys):
     rng = random.Random(3)
     lines = random_corpus_lines(rng, 60, 10, 2000, 2006)
@@ -290,19 +342,42 @@ def test_pipeline_states_match_index_records(tmp_path):
         assert record.x == Fraction(scaled, 6)
 
 
+def tree_digest(root, subdirs):
+    """sha256 over the relative paths and bytes of every file in ``subdirs``."""
+    h = hashlib.sha256()
+    for sub in subdirs:
+        for name, data in tree_bytes(root / sub).items():
+            h.update(f"{sub}/{name}".encode() + b"\0" + data)
+    return h.hexdigest()
+
+
+# Digests of ledgers/, states/ and reports/ (the distance-histogram report)
+# for the corpus below, pinned so that a change to the engine is shown to
+# leave every artifact byte-identical.
+PINNED_ARTIFACT_DIGESTS = {
+    False: "d8246a25b895dbedc574b4a46964c9ec302ed4b6885d5fe1397fcd7e30c23705",
+    True: "fb502b87396ce3c8bff40e835665eaa6307a9f5385600facdb2ea216b7ab3bd6",
+}
+
+
 def test_jobs_parallel_matches_serial(tmp_path):
     rng = random.Random(67)
     lines = random_corpus_lines(rng, 200, 30, 2000, 2005)
     src = tmp_path / "c.jsonl"
     src.write_text("\n".join(lines) + "\n")
-    ws1 = tmp_path / "ws1"
-    ws2 = tmp_path / "ws2"
-    main(["ingest", str(src), "--workspace", str(ws1)])
-    main(["ingest", str(src), "--workspace", str(ws2)])
-    assert main(["run", "--workspace", str(ws1), "--jobs", "1"]) == 0
-    assert main(["run", "--workspace", str(ws2), "--jobs", "3"]) == 0
-    assert tree_bytes(ws1 / "ledgers") == tree_bytes(ws2 / "ledgers")
-    assert tree_bytes(ws1 / "states") == tree_bytes(ws2 / "states")
+    for exact, pinned in PINNED_ARTIFACT_DIGESTS.items():
+        cfg = str(write_config(tmp_path, exact_distances=exact))
+        ws1 = tmp_path / f"ws1-{exact}"
+        ws2 = tmp_path / f"ws2-{exact}"
+        main(["ingest", str(src), "--workspace", str(ws1), "--config", cfg])
+        main(["ingest", str(src), "--workspace", str(ws2), "--config", cfg])
+        assert main(["run", "--workspace", str(ws1), "--config", cfg, "--jobs", "1"]) == 0
+        assert main(["run", "--workspace", str(ws2), "--config", cfg, "--jobs", "3"]) == 0
+        assert tree_bytes(ws1 / "ledgers") == tree_bytes(ws2 / "ledgers")
+        assert tree_bytes(ws1 / "states") == tree_bytes(ws2 / "states")
+        assert main(["report", "distance-histogram", "--workspace", str(ws1),
+                     "--config", cfg]) == 0
+        assert tree_digest(ws1, ("ledgers", "states", "reports")) == pinned
 
 
 def test_strict_window_skips_leading_years(tmp_path):

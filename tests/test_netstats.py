@@ -14,7 +14,13 @@ from citedist.collab import (
     network_report,
 )
 
-from synthcorpus import assortativity_oracle, clustering_oracle, random_graph, table1_store
+from synthcorpus import (
+    assortativity_oracle,
+    clustering_oracle,
+    floyd_warshall,
+    random_graph,
+    table1_store,
+)
 
 
 def star(leaves: int) -> CollabNetwork:
@@ -115,6 +121,23 @@ def test_diameter():
     net = CollabNetwork.from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
     comp = connected_components(net)[0]
     assert diameter(net, comp.members) == 4
+
+
+def test_diameter_matches_floyd_warshall():
+    rng = random.Random(4242)
+    multi_component = 0
+    for _ in range(50):
+        n = rng.randint(2, 40)
+        nodes, edges = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.3]))
+        net = CollabNetwork.from_edges(nodes, edges, num_slots=n)
+        dist = floyd_warshall(n, edges)
+        comps = connected_components(net)
+        multi_component += len(comps) > 1
+        for comp in comps:
+            members = sorted(comp.members)
+            expected = max(int(dist[u, v]) for u in members for v in members)
+            assert diameter(net, comp.members) == expected
+    assert multi_component >= 25
 
 
 def test_network_report_fixture():
