@@ -2,8 +2,8 @@
 
 Subcommands: ingest, run, report, validate.  Exit codes: 0 success,
 1 usage error, 2 data error (including lossy ingestion), 3 incomplete
-workspace (a prerequisite stage has not run) or a damaged or foreign
-artifact.
+workspace (a prerequisite stage has not run), a damaged or foreign
+artifact, or a workspace locked by another ingest or run.
 """
 
 from __future__ import annotations
@@ -153,7 +153,9 @@ def cmd_ingest(args) -> int:
     cfg = _load_cfg(args)
     store = load_corpus(args.input, cfg)
     ws = Workspace(args.workspace)
-    ws.write_corpus(store, cfg)
+    ws.ensure_dirs()
+    with ws.lock():
+        ws.write_corpus(store, cfg)
     s = store.summary
     print(f"{s.papers} papers, {s.authors} authors, {s.citations} citations")
     print(s.as_text())
@@ -164,7 +166,8 @@ def cmd_ingest(args) -> int:
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     ws = Workspace(args.workspace)
-    result = run_pipeline(ws, cfg, year_range=args.years, jobs=args.jobs)
+    with ws.lock():
+        result = run_pipeline(ws, cfg, year_range=args.years, jobs=args.jobs)
     print(f"processed {len(result.years_processed)} years, "
           f"skipped {len(result.years_skipped)} already complete")
     return 0

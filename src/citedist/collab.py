@@ -11,9 +11,15 @@ neighbour lists, indexed directly by interned author id, so windows over
 million-author corpora stay compact.  Networks are immutable after
 construction; queries are read-only.
 
-Hop distances come in three flavours: a finite count, INFINITE (no path,
-proven by exhausting the search), or "exceeds cap" when a capped search
-stopped while the frontier was still alive.
+Each network labels its connected components once, on first use.  A
+set-to-set distance (:meth:`BFSSearcher.pair_distance`) first drops the
+targets outside every source's component, so a query with no path
+answers INFINITE without searching; otherwise a bidirectional BFS runs
+until the two sides meet.  Hop distances come in three flavours: a
+finite count, INFINITE (no path exists, proven by the component labels
+or by the search), or "exceeds cap" (a path exists and is longer than
+the cap).  :meth:`BFSSearcher.distances_to` is the one-to-many kernel
+behind ``diameter`` and the repeated-citation heatmap.
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from .corpus import CorpusStore
 class Distance:
     """Result of a shortest-path query.
 
-    ``hops`` is set for finite results.  ``cap`` is set when a capped
-    search gave up with the frontier still alive (true distance > cap,
-    or no path at all).  Neither set means INFINITE: no path exists.
+    ``hops`` is set for finite results.  ``cap`` is set when a path
+    exists but is longer than the cap.  Neither set means INFINITE: no
+    path exists.
     """
 
     hops: int | None = None
@@ -74,6 +80,10 @@ class Distance:
 
 INFINITE = Distance()
 
+# Integer distance codes: hop counts are >= 0.
+INF_CODE = -1
+EXCEEDS_CODE = -2
+
 
 class CollabNetwork:
     def __init__(self, year: int, window_length: int, num_slots: int,
@@ -85,6 +95,7 @@ class CollabNetwork:
         self.edge_count = edge_count
         self._indptr = indptr
         self._indices = indices
+        self._labels: list[int] | None = None
 
     @classmethod
     def _from_parts(cls, year: int, window_length: int, num_slots: int,
@@ -150,6 +161,32 @@ class CollabNetwork:
     def average_degree(self) -> float:
         return 2.0 * self.edge_count / self.node_count if self.node_count else 0.0
 
+    def component_labels(self) -> list[int]:
+        """Component label per author slot, -1 for authors outside the window.
+
+        Labels count up from 0 in order of each component's smallest
+        author id.  Computed by one iterative DFS on first use and cached.
+        """
+        labels = self._labels
+        if labels is None:
+            labels = [-1] * self.num_slots
+            indptr, indices = self._indptr, self._indices
+            label = 0
+            for start in sorted(self.nodes):
+                if labels[start] >= 0:
+                    continue
+                labels[start] = label
+                stack = [start]
+                while stack:
+                    u = stack.pop()
+                    for v in indices[indptr[u]:indptr[u + 1]]:
+                        if labels[v] < 0:
+                            labels[v] = label
+                            stack.append(v)
+                label += 1
+            self._labels = labels
+        return labels
+
 
 def build_window(store: CorpusStore, year: int, window_length: int = 5) -> CollabNetwork:
     """Co-authorship network over papers published in the closed window
@@ -168,28 +205,104 @@ def build_window(store: CorpusStore, year: int, window_length: int = 5) -> Colla
 
 
 class BFSSearcher:
-    """Multi-source breadth-first search with reusable stamp buffers.
+    """Breadth-first searches with reusable stamp buffers.
 
     One searcher serves many queries on the same network without
-    reallocating visit arrays (epoch stamping).  Not thread-safe; create
-    one searcher per worker.
+    reallocating visit lists (epoch stamping); the lists are allocated
+    on the first search.  There is one kernel per query shape:
+    :meth:`pair_distance` (set to set) and :meth:`distances_to` (one set
+    to many targets).  Not thread-safe; create one searcher per worker.
     """
 
     def __init__(self, net: CollabNetwork):
         self.net = net
-        self._seen = [0] * net.num_slots
-        self._tgt = [0] * net.num_slots
+        self._seen: list[int] | None = None
+        self._hops: list[int] | None = None
+        self._tgt: list[int] | None = None
         self._epoch = 0
         self._tgt_epoch = 0
+
+    def pair_distance(self, sources: Iterable[int], targets: Iterable[int],
+                      cap: int | None = None) -> int:
+        """Distance code between two author sets.
+
+        0 when the sets share an author.  Targets outside every source's
+        component are dropped, and when none is left the answer is
+        INF_CODE without a search.  Otherwise both sides grow level by
+        level, each step expanding the whole level of the side whose
+        frontier has the smaller total degree, until they meet.  Returns
+        the hop count, or EXCEEDS_CODE once the levels of the two sides
+        add up to ``cap`` before meeting (a path exists, longer than cap).
+        """
+        net = self.net
+        labels = net.component_labels()
+        src = set(sources)
+        src_comps = {labels[s] for s in src}
+        tgt = set()
+        for t in targets:
+            if t in src:
+                return 0
+            if labels[t] >= 0 and labels[t] in src_comps:
+                tgt.add(t)
+        if not tgt:
+            return INF_CODE
+        tgt_comps = {labels[t] for t in tgt}
+        src = [s for s in src if labels[s] in tgt_comps]
+        indptr, indices = net._indptr, net._indices
+        seen, hops = self._seen, self._hops
+        if hops is None:
+            if seen is None:
+                seen = self._seen = [0] * net.num_slots
+            hops = self._hops = [0] * net.num_slots
+        # Each side stamps the nodes it reaches with its own epoch.
+        self._epoch += 2
+        mine, other = self._epoch - 1, self._epoch
+        front, back = [], list(tgt)
+        deg_front = deg_back = 0
+        for s in src:
+            seen[s] = mine
+            hops[s] = 0
+            front.append(s)
+            deg_front += indptr[s + 1] - indptr[s]
+        for t in back:
+            seen[t] = other
+            hops[t] = 0
+            deg_back += indptr[t + 1] - indptr[t]
+        level_front = level_back = 0
+        while front:
+            if cap is not None and level_front + level_back >= cap:
+                return EXCEEDS_CODE
+            if deg_back < deg_front:
+                front, back = back, front
+                deg_front, deg_back = deg_back, deg_front
+                level_front, level_back = level_back, level_front
+                mine, other = other, mine
+            # Neither side has met the other, so the distance exceeds
+            # level_front + level_back; the first meeting found while
+            # expanding this level is one hop longer than that, and exact.
+            level_front += 1
+            nxt = []
+            deg_front = 0
+            for u in front:
+                for v in indices[indptr[u]:indptr[u + 1]]:
+                    mark = seen[v]
+                    if mark == mine:
+                        continue
+                    if mark == other:
+                        return level_front + hops[v]
+                    seen[v] = mine
+                    hops[v] = level_front
+                    nxt.append(v)
+                    deg_front += indptr[v + 1] - indptr[v]
+            front = nxt
+        return INF_CODE  # not reached: both sides share a component
 
     def distances_to(self, sources: Iterable[int], targets: Iterable[int],
                      cap: int | None = None) -> tuple[dict[int, int], bool]:
         """Hop distance from the source set to each reachable target.
 
-        This is the package's single BFS kernel.  Set-distance callers
-        (:func:`shortest_distance`, and through it ``citation_distance``)
-        take the smallest hop count found, else INFINITE when the search
-        was exhausted, else "exceeds cap"; ``diameter`` takes the largest.
+        The one-to-many kernel: ``diameter`` takes the largest hop count
+        found, the repeated-citation heatmap reads every target's.
 
         Returns ``(found, exhausted)``.  The search stops once every
         target is found, the cap is hit, or the frontier dies; targets
@@ -197,7 +310,12 @@ class BFSSearcher:
         True, otherwise only known to be farther than explored.
         """
         net = self.net
-        indptr, indices, seen, tgt = net._indptr, net._indices, self._seen, self._tgt
+        indptr, indices = net._indptr, net._indices
+        seen, tgt = self._seen, self._tgt
+        if tgt is None:
+            if seen is None:
+                seen = self._seen = [0] * net.num_slots
+            tgt = self._tgt = [0] * net.num_slots
         self._tgt_epoch += 1
         tepoch = self._tgt_epoch
         remaining = 0
@@ -242,7 +360,8 @@ def shortest_distance(net: CollabNetwork, source_set: Iterable[int],
 
     0 when the sets share an author (an author is at distance 0 from
     themself, network membership notwithstanding); authors absent from
-    the window behave as isolated nodes.
+    the window behave as isolated nodes.  A thin wrapper over
+    :meth:`BFSSearcher.pair_distance`.
     """
     sources = set(source_set)
     targets = set(target_set)
@@ -251,14 +370,10 @@ def shortest_distance(net: CollabNetwork, source_set: Iterable[int],
     for a in sources | targets:
         if not (0 <= a < net.num_slots):
             raise ValueError(f"author id {a} outside the network's id space")
-    if sources & targets:
-        return Distance.finite(0)
-    if len(targets) < len(sources):  # expand from the smaller side
-        sources, targets = targets, sources
-    found, exhausted = BFSSearcher(net).distances_to(sources, targets, cap)
-    if found:
-        return Distance.finite(min(found.values()))
-    return INFINITE if exhausted else Distance.exceeds(cap)
+    code = BFSSearcher(net).pair_distance(sources, targets, cap)
+    if code >= 0:
+        return Distance.finite(code)
+    return INFINITE if code == INF_CODE else Distance.exceeds(cap)
 
 
 # -- network statistics ----------------------------------------------------
@@ -325,32 +440,20 @@ class ComponentStats:
 
 def connected_components(net: CollabNetwork) -> list[ComponentStats]:
     """Components sorted by node count descending, ties broken by the
-    smallest contained author id."""
-    indptr, indices = net._indptr, net._indices
-    seen: set[int] = set()
-    raw: list[tuple[list[int], int]] = []
-    for start in sorted(net.nodes):
-        if start in seen:
-            continue
-        members = [start]
-        seen.add(start)
-        stack = [start]
-        degree_sum = 0
-        while stack:
-            u = stack.pop()
-            degree_sum += indptr[u + 1] - indptr[u]
-            for j in range(indptr[u], indptr[u + 1]):
-                v = indices[j]
-                if v not in seen:
-                    seen.add(v)
-                    members.append(v)
-                    stack.append(v)
-        raw.append((members, degree_sum // 2))
-    raw.sort(key=lambda item: (-len(item[0]), min(item[0])))
+    smallest contained author id (grouped from the cached labels)."""
+    indptr = net._indptr
+    labels = net.component_labels()
+    groups: list[list[int]] = []  # ascending members, one list per label
+    for u in sorted(net.nodes):
+        if labels[u] == len(groups):  # labels count up in order of smallest member
+            groups.append([])
+        groups[labels[u]].append(u)
+    groups.sort(key=lambda members: (-len(members), members[0]))
     total_nodes = net.node_count
     total_edges = net.edge_count
     out = []
-    for members, edge_count in raw:
+    for members in groups:
+        edge_count = sum(indptr[u + 1] - indptr[u] for u in members) // 2
         out.append(
             ComponentStats(
                 members=frozenset(members),

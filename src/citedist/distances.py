@@ -9,8 +9,8 @@ distance.
 
 Ledgers store, per scholar and per year, how many credited citations
 fell at each finite distance, how many had no path at all (the infinite
-bucket), and, for capped runs, how many were only resolved as "farther
-than the cap".  A capped run (cap = n) is sufficient for the x-index,
+bucket), and, for capped runs, how many had a path longer than the
+cap.  A capped run (cap = n) is sufficient for the x-index,
 whose weights saturate at n; exact runs are required for the c-index,
 N_w, and the maximum finite distance.
 """
@@ -21,13 +21,18 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
-from .collab import BFSSearcher, CollabNetwork, Distance, build_window, shortest_distance
+from .collab import (
+    EXCEEDS_CODE,
+    INF_CODE,
+    BFSSearcher,
+    CollabNetwork,
+    Distance,
+    build_window,
+    shortest_distance,
+)
 from .config import Config
 from .corpus import CitationEvent, CorpusStore
 from .errors import IncompleteStateError
-
-INF_CODE = -1
-EXCEEDS_CODE = -2
 
 
 @dataclass
@@ -212,53 +217,27 @@ def citation_distance(net: CollabNetwork, event: CitationEvent,
 
 def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
                             cap: int | None = None,
-                            searcher: BFSSearcher | None = None,
                             papers: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
-    """(cited paper, citing paper, distance code) for the year's events.
+    """(cited paper, citing paper, distance code) for the year's events,
+    in citing-paper then reference order.
 
-    One breadth-first expansion per citing paper resolves all of its
-    references: the search runs from the citing author set and records
-    the level at which each needed cited author appears, stopping early
-    once every one is found.  Codes >= 0 are exact hop counts, INF_CODE
-    marks proven unreachability, EXCEEDS_CODE a capped give-up.
+    Each reference is one :meth:`BFSSearcher.pair_distance` query from
+    the citing authors to the cited authors: 0 for a shared author, and
+    INF_CODE at once when no cited author shares a component with a
+    citing author; otherwise a bidirectional search stops as soon as the
+    two sides meet.  Codes >= 0 are exact hop counts, INF_CODE means no
+    path exists, EXCEEDS_CODE a path longer than ``cap``.
     """
-    if searcher is None:
-        searcher = BFSSearcher(net)
-    out: list[tuple[int, int, int]] = []
+    pair_distance = BFSSearcher(net).pair_distance
     paper_authors = store.paper_authors
     paper_refs = store.paper_refs
     if papers is None:
         papers = store.papers_in_year(year)
+    out: list[tuple[int, int, int]] = []
     for pid in papers:
-        refs = paper_refs[pid]
-        if not refs:
-            continue
         citing = paper_authors[pid]
-        jset = set(citing)
-        pending: list[tuple[int, tuple[int, ...]]] = []
-        targets: set[int] = set()
-        for ref in refs:
-            cited = paper_authors[ref]
-            if jset.intersection(cited):
-                out.append((ref, pid, 0))
-            else:
-                pending.append((ref, cited))
-                targets.update(cited)
-        if not pending:
-            continue
-        found, exhausted = searcher.distances_to(citing, targets, cap)
-        for ref, cited in pending:
-            best = -1
-            for author in cited:
-                hops = found.get(author)
-                if hops is not None and (best < 0 or hops < best):
-                    best = hops
-            if best >= 0:
-                out.append((ref, pid, best))
-            elif exhausted:
-                out.append((ref, pid, INF_CODE))
-            else:
-                out.append((ref, pid, EXCEEDS_CODE))
+        for ref in paper_refs[pid]:
+            out.append((ref, pid, pair_distance(citing, paper_authors[ref], cap)))
     return out
 
 

@@ -7,6 +7,7 @@ Layout under the workspace root:
     ledgers/<year>.jsonl  per-year distance ledgers
     states/<year>.jsonl   per-year x-index state snapshots (append-only history)
     reports/              CSV reports with JSON manifests
+    .lock                 held (flock) by ingest and run while they write
 
 Artifacts embed the hash of the configuration that produced them and
 are written atomically (temp file + rename), so an interrupted stage
@@ -17,9 +18,11 @@ scaled by n as an exact integer.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import Config
@@ -62,6 +65,24 @@ class Workspace:
     def ensure_dirs(self) -> None:
         for d in (self.root, self.ledger_dir, self.state_dir, self.report_dir):
             d.mkdir(parents=True, exist_ok=True)
+
+    @contextmanager
+    def lock(self):
+        """Hold an exclusive lock on ``<root>/.lock`` for the block, so
+        two stages never write the same fixed temp paths at once.  Raises
+        WorkspaceError when another process holds it."""
+        try:
+            fp = open(self.root / ".lock", "a")
+        except FileNotFoundError:
+            raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first") from None
+        with fp:  # closing the file releases the lock
+            try:
+                fcntl.flock(fp, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise WorkspaceError(
+                    f"workspace {self.root} is in use: another ingest or run holds its lock"
+                ) from None
+            yield
 
     # -- corpus snapshot -------------------------------------------------
 

@@ -113,6 +113,54 @@ def floyd_warshall(num_slots: int, edges) -> "object":
     return d
 
 
+def reference_event_distances(store, net, year, cap=None):
+    """The per-paper engine that ``compute_event_distances`` replaced,
+    kept as a differential reference.
+
+    One multi-target BFS per citing paper (``BFSSearcher.distances_to``)
+    runs until every needed cited author is found, the cap is hit, or
+    the frontier dies; a reference with no author found is INF when the
+    search was exhausted and EXCEEDS (-2) otherwise.  Codes come out
+    self-citations first, then the rest, per citing paper.
+    """
+    from citedist.collab import BFSSearcher
+
+    searcher = BFSSearcher(net)
+    out = []
+    paper_authors = store.paper_authors
+    for pid in store.papers_in_year(year):
+        refs = store.paper_refs[pid]
+        if not refs:
+            continue
+        citing = paper_authors[pid]
+        jset = set(citing)
+        pending = []
+        targets = set()
+        for ref in refs:
+            cited = paper_authors[ref]
+            if jset.intersection(cited):
+                out.append((ref, pid, 0))
+            else:
+                pending.append((ref, cited))
+                targets.update(cited)
+        if not pending:
+            continue
+        found, exhausted = searcher.distances_to(citing, targets, cap)
+        for ref, cited in pending:
+            best = -1
+            for author in cited:
+                hops = found.get(author)
+                if hops is not None and (best < 0 or hops < best):
+                    best = hops
+            if best >= 0:
+                out.append((ref, pid, best))
+            elif exhausted:
+                out.append((ref, pid, -1))
+            else:
+                out.append((ref, pid, -2))
+    return out
+
+
 def oracle_set_distance(dist_matrix, sources, targets) -> float:
     """Brute-force min over all (source, target) pairs; math.inf if none."""
     best = float("inf")

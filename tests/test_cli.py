@@ -1,5 +1,6 @@
 """End-to-end CLI: ingest, run, report, exit codes, idempotence, resume."""
 
+import fcntl
 import hashlib
 import json
 import random
@@ -74,6 +75,20 @@ def test_ingest_malformed_line_exits_2(tmp_path, capsys):
 def test_missing_input_exits_2(tmp_path, capsys):
     assert main(["ingest", str(tmp_path / "absent.jsonl"), "--workspace", str(tmp_path / "ws")]) == 2
     assert "absent.jsonl" in capsys.readouterr().err
+
+
+def test_locked_workspace_exits_3(table1_file, tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(table1_file), "--workspace", str(ws)]) == 0
+    capsys.readouterr()
+    with open(ws / ".lock", "a") as held:  # another process mid-run
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        for argv in (["run", "--workspace", str(ws)],
+                     ["ingest", str(table1_file), "--workspace", str(ws)]):
+            assert main(argv) == 3
+            assert f"workspace {ws} is in use" in capsys.readouterr().err
+        assert not any((ws / "ledgers").iterdir())
+    assert main(["run", "--workspace", str(ws)]) == 0  # released with the file
 
 
 def test_usage_error_exits_1(capsys):

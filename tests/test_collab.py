@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from citedist.collab import CollabNetwork, Distance, INFINITE, build_window, shortest_distance
+from citedist.collab import (
+    EXCEEDS_CODE,
+    INF_CODE,
+    INFINITE,
+    BFSSearcher,
+    CollabNetwork,
+    Distance,
+    build_window,
+    shortest_distance,
+)
 
 from synthcorpus import (
     floyd_warshall,
@@ -116,6 +125,12 @@ def test_cap_results():
     # with an unreachable node the search proves exhaustion despite the cap
     net2 = CollabNetwork.from_edges(range(4), [(0, 1)])
     assert shortest_distance(net2, {0}, {3}, cap=2).is_infinite
+    # the source's component reaches past the cap and the target lies in
+    # another one: the component labels prove INF (a frontier-only search
+    # gave exceeds(2) here)
+    net3 = CollabNetwork.from_edges(range(7), [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+    assert shortest_distance(net3, {0}, {5}, cap=2).is_infinite
+    assert shortest_distance(net3, {5}, {0}, cap=2).is_infinite
 
 
 def test_absent_authors_behave_as_isolated():
@@ -186,6 +201,56 @@ def test_cap_soundness_random():
             if exact <= cap:
                 assert capped == Distance.finite(int(exact))
             elif capped.exceeds_cap:
-                assert exact > cap  # includes inf
+                assert cap < exact < math.inf  # a path exists, longer than the cap
             else:
                 assert capped.is_infinite and exact == math.inf
+
+
+def expected_code(exact, cap):
+    if exact == math.inf:
+        return INF_CODE
+    if cap is not None and exact > cap:
+        return EXCEEDS_CODE
+    return int(exact)
+
+
+def test_pair_distance_matches_floyd_warshall():
+    rng = random.Random(7070)
+    at_cap = exceeds = infinite = 0
+    for _ in range(40):
+        n = rng.randint(2, 50)
+        nodes, edges = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.25]))
+        net = CollabNetwork.from_edges(nodes, edges, num_slots=n)
+        dist = floyd_warshall(n, edges)
+        searcher = BFSSearcher(net)  # one searcher: stamps are reused across queries
+        for _ in range(15):
+            a = set(rng.sample(nodes, rng.randint(1, min(3, n))))
+            b = set(rng.sample(nodes, rng.randint(1, min(3, n))))
+            exact = oracle_set_distance(dist, a, b)
+            for cap in (None, *range(7)):
+                want = expected_code(exact, cap)
+                assert searcher.pair_distance(a, b, cap) == want
+                assert searcher.pair_distance(b, a, cap) == want
+                at_cap += cap is not None and exact == cap
+                exceeds += want == EXCEEDS_CODE
+                infinite += want == INF_CODE
+            # the one-to-many kernel shares the stamp list
+            found, _ = searcher.distances_to(a, b)
+            assert min(found.values(), default=math.inf) == exact
+    assert at_cap > 20 and exceeds > 20 and infinite > 20
+
+
+def test_pair_distance_deep_source_component_target_elsewhere():
+    # a path 0-1-...-9 deeper than every cap, and a target component {10, 11};
+    # slot 12 is an author outside the window
+    path = [(i, i + 1) for i in range(9)]
+    net = CollabNetwork.from_edges(range(12), path + [(10, 11)], num_slots=13)
+    searcher = BFSSearcher(net)
+    for cap in (None, *range(7)):
+        for src, tgt in (({0}, {10}), ({0, 5}, {11, 12}), ({12}, {0})):
+            assert searcher.pair_distance(src, tgt, cap) == INF_CODE
+            assert searcher.pair_distance(tgt, src, cap) == INF_CODE
+        # a cited author in the source's component is still found, or
+        # proven farther than the cap
+        assert searcher.pair_distance({0}, {10, 9}, cap) == expected_code(9, cap)
+    assert searcher.pair_distance({12}, {12, 10}) == 0  # a shared author, even off the window

@@ -1,24 +1,35 @@
 """Citation distances, yearly ledgers, and distributions."""
 
+import math
 import random
 
 import pytest
 
 from citedist.config import Config
 from citedist.corpus import CitationEvent, citations_in_year, parse_records
-from citedist.collab import Distance, build_window
+from citedist.collab import Distance, build_window, connected_components
 from citedist.distances import (
+    EXCEEDS_CODE,
+    INF_CODE,
     DistanceTally,
     LedgerSeries,
     YearLedger,
     batch_year_distances,
     citation_distance,
+    compute_event_distances,
     distance_histogram,
     paper_distance_tallies,
 )
 from citedist.errors import IncompleteStateError
 
-from synthcorpus import random_corpus_lines, record_line, table1_store
+from synthcorpus import (
+    floyd_warshall,
+    oracle_set_distance,
+    random_corpus_lines,
+    record_line,
+    reference_event_distances,
+    table1_store,
+)
 
 
 def make_event(store, cited_labels, citing_labels, year):
@@ -206,6 +217,43 @@ def test_paper_tallies_match_scholar_ledgers():
                 merged.update(by_paper[pid])
         assert merged.finite == pooled.finite
         assert merged.infinite == pooled.infinite
+
+
+def test_event_distances_match_replaced_engine():
+    """Per-reference search against the per-paper engine it replaced:
+    identical in exact mode; with a cap every finite code is identical,
+    and the only change is exceeds -> INF where no path exists."""
+    rng = random.Random(3030)
+    several_components = proven_inf = 0
+    for _ in range(30):
+        n_authors = rng.choice([12, 40, 100])
+        lines = random_corpus_lines(rng, rng.randint(40, 150), n_authors, 2000, 2009,
+                                    max_authors=rng.choice([2, 3, 4]))
+        store = parse_records(lines, Config())
+        window = rng.choice([1, 3, 5])
+        lo, hi = store.year_span()
+        for year in range(lo, hi + 1):
+            net = build_window(store, year, window)
+            several_components += len(connected_components(net)) > 1
+            dist = floyd_warshall(store.num_authors, list(net.edges()))
+            got = compute_event_distances(store, net, year)
+            assert sorted(got) == sorted(reference_event_distances(store, net, year))
+            for cap in range(5):
+                new = {(r, p): c for r, p, c in compute_event_distances(store, net, year, cap)}
+                old = {(r, p): c for r, p, c in reference_event_distances(store, net, year, cap)}
+                assert new.keys() == old.keys()
+                for (ref, pid), code in new.items():
+                    exact = oracle_set_distance(
+                        dist, store.paper_authors[pid], store.paper_authors[ref]
+                    )
+                    if code != old[ref, pid]:
+                        assert (old[ref, pid], code) == (EXCEEDS_CODE, INF_CODE)
+                        assert exact == math.inf
+                        proven_inf += 1
+                    if code == EXCEEDS_CODE:
+                        assert cap < exact < math.inf
+    assert several_components > 100
+    assert proven_inf > 0  # the exceeds -> INF change was exercised
 
 
 def test_series_coverage_check():
