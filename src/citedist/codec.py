@@ -1,0 +1,123 @@
+"""Line format of the per-year artifacts ``ledgers/<year>.jsonl`` and
+``states/<year>.jsonl``.
+
+Each artifact is a header line followed by one line per record, and
+every line is byte-identical to ``json.dumps(obj, sort_keys=True)`` of
+the object it holds.  The encoder formats the lines directly from the
+store's cached JSON-escaped author labels and from integers; the
+decoder parses all record lines of a file with one ``json.loads``.
+
+Ledger::
+
+    {"cap": 6, "config": "<hash>", "kind": "header", "year": 2000}
+    {"counts": {"1": 3, "10": 1, "2": 5}, "exceeds": 0, "infinite": 2, "kind": "events"}
+    {"counts": {"0": 1}, "exceeds": 0, "id": "<author>", "infinite": 0, "kind": "scholar"}
+
+State (x scaled by ``scale``, scholars with x = 0 omitted)::
+
+    {"config": "<hash>", "kind": "header", "n": 6, "scale": 6, "year": 2000}
+    {"id": "<author>", "kind": "state", "xn": 4}
+
+Decoding raises ValueError, KeyError, TypeError or AttributeError on a
+damaged file, and KeyError on an author label the store lacks.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .corpus import CorpusStore
+from .distances import DistanceTally, YearLedger
+from .indices import x_scale
+
+
+def _counts(finite: dict[int, int]) -> str:
+    if not finite:
+        return ""
+    # sort_keys orders the distance keys as strings ("1" < "10" < "2").
+    # Sorting the formatted '"<d>": <c>' entries gives the same order,
+    # because the closing quote sorts below every digit.
+    return ", ".join(sorted([f'"{d}": {c}' for d, c in finite.items()]))
+
+
+def encode_ledger(ledger: YearLedger, store: CorpusStore, config_hash: str) -> str:
+    head = {"kind": "header", "year": ledger.year, "cap": ledger.cap, "config": config_hash}
+    events = ledger.events
+    labels = store.json_labels
+    scholars = ledger.scholars
+    lines = [
+        json.dumps(head, sort_keys=True) + "\n",
+        f'{{"counts": {{{_counts(events.finite)}}}, "exceeds": {events.exceeds}, '
+        f'"infinite": {events.infinite}, "kind": "events"}}\n',
+    ]
+    for author in sorted(scholars):
+        t = scholars[author]
+        lines.append(
+            f'{{"counts": {{{_counts(t.finite)}}}, "exceeds": {t.exceeds}, '
+            f'"id": {labels[author]}, "infinite": {t.infinite}, "kind": "scholar"}}\n'
+        )
+    return "".join(lines)
+
+
+def encode_states(year: int, states: dict[int, int], store: CorpusStore, n: int,
+                  config_hash: str) -> str:
+    head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n), "config": config_hash}
+    labels = store.json_labels
+    lines = [json.dumps(head, sort_keys=True) + "\n"]
+    lines += [
+        f'{{"id": {labels[author]}, "kind": "state", "xn": {xn}}}\n'
+        for author, xn in sorted(states.items()) if xn
+    ]
+    return "".join(lines)
+
+
+def _records(body: str) -> list:
+    """The objects of an artifact's record lines (the text after its header).
+
+    A blank, truncated or garbled line makes the one ``json.loads`` over
+    the joined lines fail, or makes the number of values it finds differ
+    from the number of lines; both raise ValueError.  Record lines hold
+    no raw newline, since ``json.dumps`` escapes it inside strings.
+    """
+    if not body:
+        return []
+    if body.endswith("\n"):
+        body = body[:-1]
+    records = json.loads("[" + body.replace("\n", ",") + "]")
+    if len(records) != body.count("\n") + 1:
+        raise ValueError("a record line does not hold exactly one JSON value")
+    return records
+
+
+def decode_ledger(text: str, store: CorpusStore) -> tuple[YearLedger, str]:
+    """The ledger in ``text`` and the config hash its header records."""
+    head_line, _, body = text.partition("\n")
+    head = json.loads(head_line)
+    if head.get("kind") != "header":
+        raise ValueError("ledger file missing header line")
+    cap = head["cap"]
+    ledger = YearLedger(year=head["year"], cap=cap)
+    index = store.author_index
+    scholars = ledger.scholars
+    for obj in _records(body):
+        counts = obj["counts"].items()
+        exceeds = obj["exceeds"]
+        tally = DistanceTally(
+            {int(k): v for k, v in counts} if counts else {},
+            obj["infinite"], exceeds, cap if exceeds else None,
+        )
+        if obj["kind"] == "events":
+            tally.cap = cap
+            ledger.events = tally
+        else:
+            scholars[index[obj["id"]]] = tally
+    return ledger, head["config"]
+
+
+def decode_states(text: str, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
+    """The x states in ``text``, or None when its header records another config."""
+    head_line, _, body = text.partition("\n")
+    if json.loads(head_line).get("config") != config_hash:
+        return None
+    index = store.author_index
+    return {index[obj["id"]]: obj["xn"] for obj in _records(body)}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -134,6 +135,11 @@ class CorpusStore:
 
     def author_id(self, label: str) -> int:
         return self.author_index[label]
+
+    @cached_property
+    def json_labels(self) -> list[str]:
+        """Each author label as ``json.dumps`` writes it, built on first use."""
+        return [json.dumps(label) for label in self.author_labels]
 
     def iter_citations(self, year: int) -> Iterator[tuple[int, int]]:
         """(cited paper, citing paper) pairs with citing year = ``year``."""

@@ -17,9 +17,8 @@ N_w, and the maximum finite distance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .collab import (
     EXCEEDS_CODE,
@@ -110,49 +109,6 @@ class YearLedger:
 
     def total_credited(self) -> int:
         return sum(t.total() for t in self.scholars.values())
-
-    # -- persistence (line-delimited JSON) ------------------------------
-
-    def write(self, fp: IO[str], store: CorpusStore, config_hash: str) -> None:
-        head = {"kind": "header", "year": self.year, "cap": self.cap, "config": config_hash}
-        fp.write(json.dumps(head, sort_keys=True) + "\n")
-        fp.write(json.dumps(_tally_obj("events", None, self.events), sort_keys=True) + "\n")
-        for author in sorted(self.scholars):
-            obj = _tally_obj("scholar", store.author_labels[author], self.scholars[author])
-            fp.write(json.dumps(obj, sort_keys=True) + "\n")
-
-    @classmethod
-    def read(cls, fp: IO[str], store: CorpusStore) -> tuple["YearLedger", str]:
-        head = json.loads(next(fp))
-        if head.get("kind") != "header":
-            raise ValueError("ledger file missing header line")
-        ledger = cls(year=head["year"], cap=head["cap"])
-        for line in fp:
-            obj = json.loads(line)
-            tally = DistanceTally(
-                finite={int(k): v for k, v in obj["counts"].items()},
-                infinite=obj["infinite"],
-                exceeds=obj["exceeds"],
-                cap=ledger.cap if obj["exceeds"] else None,
-            )
-            if obj["kind"] == "events":
-                ledger.events = tally
-                ledger.events.cap = ledger.cap
-            else:
-                ledger.scholars[store.author_index[obj["id"]]] = tally
-        return ledger, head["config"]
-
-
-def _tally_obj(kind: str, label: str | None, tally: DistanceTally) -> dict:
-    obj = {
-        "kind": kind,
-        "counts": {str(d): c for d, c in sorted(tally.finite.items())},
-        "infinite": tally.infinite,
-        "exceeds": tally.exceeds,
-    }
-    if label is not None:
-        obj["id"] = label
-    return obj
 
 
 class LedgerSeries:

@@ -10,10 +10,11 @@ Layout under the workspace root:
     .lock                 held (flock) by ingest and run while they write
 
 Artifacts embed the hash of the configuration that produced them and
-are written atomically (temp file + rename), so an interrupted stage
-never leaves a half-written year behind and re-running a stage with the
-same inputs produces byte-identical files.  State snapshots store x
-scaled by n as an exact integer.
+are written atomically (per-process temp file + rename), so an
+interrupted stage never leaves a half-written year behind and re-running
+a stage with the same inputs produces byte-identical files.  State
+snapshots store x scaled by n as an exact integer.  ``citedist.codec``
+owns the line format of ledgers and states.
 """
 
 from __future__ import annotations
@@ -25,28 +26,35 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .codec import decode_ledger, decode_states, encode_ledger, encode_states
 from .config import Config
 from .corpus import CorpusStore, load_corpus
 from .distances import YearLedger
 from .errors import WorkspaceError
-from .indices import x_scale
 
 
 def _atomic_write(path: Path, writer) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fp:
-        writer(fp)
-    os.replace(tmp, path)
+    """Run ``writer(fp)`` on a temp file of this process, then rename it
+    over ``path``; on any failure the temp file is removed and ``path``
+    keeps its previous content."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fp:
+            writer(fp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _read_artifact(path: Path, parse):
-    """``parse(fp)`` on an artifact; a file that is damaged, or names an
+def _read_artifact(path: Path, decode):
+    """``decode(text)`` on an artifact; a file that is damaged, or names an
     author the ingested corpus lacks, raises a WorkspaceError naming it."""
     try:
-        with open(path, encoding="utf-8") as fp:
-            return parse(fp)
-    except StopIteration:
-        raise WorkspaceError(f"cannot read {path}: the file is empty") from None
+        text = path.read_text(encoding="utf-8")
+        if not text:
+            raise WorkspaceError(f"cannot read {path}: the file is empty")
+        return decode(text)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise WorkspaceError(
             f"cannot read {path}: damaged or written for another corpus ({exc!r})"
@@ -69,7 +77,7 @@ class Workspace:
     @contextmanager
     def lock(self):
         """Hold an exclusive lock on ``<root>/.lock`` for the block, so
-        two stages never write the same fixed temp paths at once.  Raises
+        two stages never write the same artifacts at once.  Raises
         WorkspaceError when another process holds it."""
         try:
             fp = open(self.root / ".lock", "a")
@@ -120,14 +128,15 @@ class Workspace:
         return self.ledger_dir / f"{year}.jsonl"
 
     def write_ledger(self, ledger: YearLedger, store: CorpusStore, config_hash: str) -> None:
-        _atomic_write(self.ledger_path(ledger.year), lambda fp: ledger.write(fp, store, config_hash))
+        text = encode_ledger(ledger, store, config_hash)
+        _atomic_write(self.ledger_path(ledger.year), lambda fp: fp.write(text))
 
     def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
         path = self.ledger_path(year)
         if not path.exists():
             return None
-        ledger, recorded = _read_artifact(path, lambda fp: YearLedger.read(fp, store))
+        ledger, recorded = _read_artifact(path, lambda text: decode_ledger(text, store))
         if recorded != config_hash:
             return None
         return ledger
@@ -140,40 +149,15 @@ class Workspace:
     def write_states(self, year: int, states: dict[int, int], store: CorpusStore,
                      cfg: Config, config_hash: str) -> None:
         """Snapshot the running x of every scholar with x > 0 after ``year``."""
-
-        def writer(fp):
-            head = {
-                "kind": "header",
-                "year": year,
-                "n": cfg.n,
-                "scale": x_scale(cfg.n),
-                "config": config_hash,
-            }
-            fp.write(json.dumps(head, sort_keys=True) + "\n")
-            for author in sorted(states):
-                if states[author]:
-                    obj = {"kind": "state", "id": store.author_labels[author], "xn": states[author]}
-                    fp.write(json.dumps(obj, sort_keys=True) + "\n")
-
-        _atomic_write(self.state_path(year), writer)
+        text = encode_states(year, states, store, cfg.n, config_hash)
+        _atomic_write(self.state_path(year), lambda fp: fp.write(text))
 
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
         path = self.state_path(year)
         if not path.exists():
             return None
-
-        def parse(fp):
-            head = json.loads(next(fp))
-            if head.get("config") != config_hash:
-                return None
-            states: dict[int, int] = {}
-            for line in fp:
-                obj = json.loads(line)
-                states[store.author_index[obj["id"]]] = obj["xn"]
-            return states
-
-        return _read_artifact(path, parse)
+        return _read_artifact(path, lambda text: decode_states(text, store, config_hash))
 
     def completed_years(self) -> list[int]:
         years = []

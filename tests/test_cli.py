@@ -3,7 +3,9 @@
 import fcntl
 import hashlib
 import json
+import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,8 @@ from citedist.cli import main
 from citedist.config import Config
 from citedist.corpus import parse_records
 from citedist.pipeline import build_index_records, load_series, run_pipeline
-from citedist.workspace import Workspace
+from citedist import workspace as workspace_module
+from citedist.workspace import Workspace, _atomic_write
 
 from synthcorpus import random_corpus_lines, record_line, table1_lines
 
@@ -207,8 +210,35 @@ def _foreign_corpus(ws, src):
     return ["run"], "2000.jsonl"
 
 
-@pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus],
-                         ids=["empty-ledger", "truncated-state", "foreign-corpus"])
+def _truncated_ledger(ws, src):
+    path = ws / "ledgers" / "2002.jsonl"
+    data = path.read_bytes()
+    path.write_bytes(data[:data.index(b"\n") + 12])  # cut inside the events line
+    return ["report", "distance-histogram"], "2002.jsonl"
+
+
+def _blank_line_in_state(ws, src):
+    path = ws / "states" / "2003.jsonl"
+    head, first, rest = path.read_text().split("\n", 2)
+    assert rest  # the blank line goes between two records
+    path.write_text(f"{head}\n{first}\n\n{rest}")
+    return ["run"], "2003.jsonl"
+
+
+def _ledger_trailing_garbage(ws, src):
+    path = ws / "ledgers" / "2001.jsonl"
+    text = path.read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    path.write_text(text[:-1] + ", " + last + "\n")  # a second, valid value on the line
+    return ["run"], "2001.jsonl"
+
+
+@pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus,
+                                    _truncated_ledger, _blank_line_in_state,
+                                    _ledger_trailing_garbage],
+                         ids=["empty-ledger", "truncated-state", "foreign-corpus",
+                              "truncated-ledger", "blank-line-in-state",
+                              "ledger-trailing-garbage"])
 def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
     rng = random.Random(7)
     lines = random_corpus_lines(rng, 60, 12, 2000, 2003)
@@ -222,6 +252,49 @@ def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
     assert main([*command, "--workspace", str(ws)]) == 3
     err = capsys.readouterr().err
     assert "error: cannot read " in err and file_name in err
+
+
+def test_atomic_write_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "2000.jsonl"
+    _atomic_write(path, lambda fp: fp.write("previous\n"))
+
+    def failing(fp):
+        fp.write("half a line")
+        raise KeyError("unknown author")
+
+    with pytest.raises(KeyError):
+        _atomic_write(path, failing)
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["2000.jsonl"]
+
+
+def test_atomic_write_temp_file_is_per_process(tmp_path, monkeypatch):
+    path = tmp_path / "report.csv"
+    pids = iter([101, 202])
+    monkeypatch.setattr(workspace_module.os, "getpid", lambda: next(pids))
+
+    def first(fp):
+        fp.write("first\n")
+        # a second process writes the same file while the first is writing
+        _atomic_write(path, lambda other: other.write("second\n"))
+
+    _atomic_write(path, first)
+    assert path.read_text() == "first\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+
+def test_run_logs_compute_and_write_seconds(tmp_path, caplog):
+    rng = random.Random(11)
+    lines = random_corpus_lines(rng, 30, 8, 2000, 2002)
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(src), "--workspace", str(ws)]) == 0
+    with caplog.at_level(logging.INFO, logger="citedist"):
+        assert main(["run", "--workspace", str(ws)]) == 0
+    years = [r.getMessage() for r in caplog.records if r.getMessage().startswith("year ")]
+    assert len(years) == 3
+    assert all(re.search(r"\(compute \d+\.\d\ds, write \d+\.\d\ds\)$", m) for m in years)
 
 
 def test_run_gap_exits_3(tmp_path, capsys):

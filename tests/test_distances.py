@@ -1,10 +1,12 @@
 """Citation distances, yearly ledgers, and distributions."""
 
+import json
 import math
 import random
 
 import pytest
 
+from citedist.codec import decode_ledger, decode_states, encode_ledger, encode_states
 from citedist.config import Config
 from citedist.corpus import CitationEvent, citations_in_year, parse_records
 from citedist.collab import Distance, build_window, connected_components
@@ -262,3 +264,120 @@ def test_series_coverage_check():
         series.ensure_contiguous_through(2002)
     series2 = LedgerSeries({2000: YearLedger(2000), 2001: YearLedger(2001)})
     series2.ensure_contiguous_through(2001)
+
+
+# -- artifact line codec -------------------------------------------------------
+
+
+def _dumps_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def _tally_obj(kind, tally):
+    return {
+        "kind": kind,
+        "counts": {str(d): c for d, c in sorted(tally.finite.items())},
+        "infinite": tally.infinite,
+        "exceeds": tally.exceeds,
+    }
+
+
+def reference_ledger_text(ledger, store, config_hash):
+    """A ledger artifact written one ``json.dumps`` per line (the oracle)."""
+    out = [
+        _dumps_line({"kind": "header", "year": ledger.year, "cap": ledger.cap,
+                     "config": config_hash}),
+        _dumps_line(_tally_obj("events", ledger.events)),
+    ]
+    for author in sorted(ledger.scholars):
+        obj = _tally_obj("scholar", ledger.scholars[author])
+        obj["id"] = store.author_labels[author]
+        out.append(_dumps_line(obj))
+    return "".join(out)
+
+
+def reference_states_text(year, states, store, n, config_hash):
+    """A state artifact written one ``json.dumps`` per line (the oracle)."""
+    head = {"kind": "header", "year": year, "n": n, "scale": n if n > 0 else 1,
+            "config": config_hash}
+    out = [_dumps_line(head)]
+    for author in sorted(states):
+        if states[author]:
+            out.append(_dumps_line({"kind": "state", "id": store.author_labels[author],
+                                    "xn": states[author]}))
+    return "".join(out)
+
+
+ODD_LABELS = [
+    "plain", "café", "日本語", "😀", 'say "hi"', "back\\slash", "tab\tnew\nline\rend",
+    "nul\x00bell\x07esc\x1b", "\u2028sep\u2029", "del\x7f", "/slash", "1",
+]
+
+
+def _tallies_equal(a, b):
+    return (a.finite, a.infinite, a.exceeds) == (b.finite, b.infinite, b.exceeds)
+
+
+@pytest.mark.parametrize("cap", [None, 6])
+def test_codec_matches_json_dumps_and_round_trips(cap):
+    lines = [record_line(f"p{k}", 2000, [label]) for k, label in enumerate(ODD_LABELS)]
+    store = parse_records(lines, Config())
+    assert store.author_labels == ODD_LABELS
+    rng = random.Random(31 if cap is None else 37)
+    codes = [INF_CODE] + ([EXCEEDS_CODE] if cap else []) + list(range(25))
+    seen_infinite = seen_exceeds = 0
+    for trial in range(40):
+        ledger = YearLedger(2000, cap=cap)
+        if trial == 1:  # keys 1, 10, 2 sort as strings
+            for code in (2, 10, 1, INF_CODE):
+                ledger.credit([0], code)
+        for _ in range(0 if trial < 2 else rng.randint(1, 60)):
+            authors = rng.sample(range(len(ODD_LABELS)), rng.randint(1, 3))
+            ledger.credit(authors, rng.choice(codes))
+        seen_infinite += ledger.events.infinite
+        seen_exceeds += ledger.events.exceeds
+        text = encode_ledger(ledger, store, "cfg")
+        assert text == reference_ledger_text(ledger, store, "cfg")
+        back, recorded = decode_ledger(text, store)
+        assert recorded == "cfg" and (back.year, back.cap) == (2000, cap)
+        assert _tallies_equal(back.events, ledger.events) and back.events.cap == cap
+        assert back.scholars.keys() == ledger.scholars.keys()
+        for author, tally in ledger.scholars.items():
+            assert _tallies_equal(back.scholars[author], tally)
+        if trial == 0:
+            assert text.count("\n") == 2  # header and events, no scholars
+        if trial == 1:
+            assert text.endswith('{"counts": {"1": 1, "10": 1, "2": 1}, "exceeds": 0, '
+                                 '"id": "plain", "infinite": 1, "kind": "scholar"}\n')
+
+        n = rng.choice([0, 1, 6])
+        states = {a: rng.choice([0, 0, 1, 5, 123456789012]) for a in
+                  rng.sample(range(len(ODD_LABELS)), rng.randint(0, len(ODD_LABELS)))}
+        text = encode_states(2000 + trial, states, store, n, "cfg")
+        assert text == reference_states_text(2000 + trial, states, store, n, "cfg")
+        assert decode_states(text, store, "cfg") == {a: v for a, v in states.items() if v}
+        assert decode_states(text, store, "other") is None
+    assert seen_infinite and (seen_exceeds or cap is None)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines[:-1] + [lines[-1][:-5]],  # truncated
+    lambda lines: lines[:2] + [""] + lines[2:],  # blank line in the middle
+    lambda lines: lines + [""],  # blank line at the end
+    lambda lines: lines[:-1] + [lines[-1] + "x"],  # trailing garbage
+    lambda lines: lines[:-1] + [lines[-1] + ", " + lines[-1]],  # two values on a line
+    lambda lines: lines[:1] + [lines[1] + lines[2]] + lines[3:],  # lost newline
+], ids=["truncated", "blank-middle", "blank-end", "garbage", "two-values", "joined"])
+def test_codec_rejects_damaged_lines(damage):
+    store = parse_records([record_line("p0", 2000, ["a", "b", "c"])], Config())
+    ledger = YearLedger(2000, cap=None)
+    ledger.credit([0, 1, 2], 3)
+    states = {0: 1, 1: 2, 2: 3}
+    for text, decode in (
+        (encode_ledger(ledger, store, "cfg"), lambda t: decode_ledger(t, store)),
+        (encode_states(2000, states, store, 6, "cfg"), lambda t: decode_states(t, store, "cfg")),
+    ):
+        decode(text)
+        lines = text.split("\n")[:-1]
+        with pytest.raises(ValueError):
+            decode("\n".join(damage(lines)) + "\n")
