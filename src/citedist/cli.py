@@ -25,7 +25,7 @@ from .analytics import (
 )
 from .collab import build_window, network_report
 from .config import Config, ConfigError, load_config
-from .corpus import load_corpus
+from .corpus import CorpusStore, load_corpus
 from .distances import distance_histogram
 from .errors import (
     CiteDistError,
@@ -102,7 +102,8 @@ def build_parser() -> _Parser:
                        help="run (or resume) the yearly distance/index pipeline")
     p.add_argument("--workspace", type=Path, required=True)
     p.add_argument("--years", type=_years_pair, default=None, metavar="A:B")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="accepted for compatibility and ignored: years always run serially")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", parents=[common], help="emit a CSV report")
@@ -167,16 +168,18 @@ def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     ws = Workspace(args.workspace)
     with ws.lock():
-        result = run_pipeline(ws, cfg, year_range=args.years, jobs=args.jobs)
+        result = run_pipeline(ws, cfg, year_range=args.years)
     print(f"processed {len(result.years_processed)} years, "
           f"skipped {len(result.years_skipped)} already complete")
     return 0
 
 
-def _report_year(args, ws: Workspace) -> int:
+def _report_year(args, store: CorpusStore) -> int:
+    """``--year``, else the last year of the store loaded with the report's
+    config (which may narrow the ingested span)."""
     if args.year is not None:
         return args.year
-    return ws.load_meta()["year_max"]
+    return store.year_span()[1]
 
 
 def cmd_report(args) -> int:
@@ -192,14 +195,14 @@ def cmd_report(args) -> int:
     name = args.name
 
     if name == "network-stats":
-        year = _report_year(args, ws)
+        year = _report_year(args, store)
         net = build_window(store, year, cfg.window_length)
         stats = network_report(net, with_diameter=args.with_diameter)
         rows = [stats.CSV_HEADER, stats.csv_row(year)]
         manifest["params"] = {"year": year, "with_diameter": args.with_diameter}
 
     elif name == "edges":
-        year = _report_year(args, ws)
+        year = _report_year(args, store)
         net = build_window(store, year, cfg.window_length)
         rows = ["author_a,author_b"]
         labels = store.author_labels
@@ -209,7 +212,7 @@ def cmd_report(args) -> int:
 
     elif name == "distance-histogram":
         lo, hi = args.years if args.years else (min(ws.completed_years() or [0]),
-                                                _report_year(args, ws))
+                                                _report_year(args, store))
         series = load_series(ws, store, cfg, hi)
         result = distance_histogram(
             {y: series.ledger(y) for y in series.years}, range(lo, hi + 1), args.max_bin
@@ -220,11 +223,7 @@ def cmd_report(args) -> int:
         manifest["params"] = {"years": [lo, hi], "max_bin": args.max_bin}
 
     elif name == "heatmap":
-        if args.years:
-            lo, hi = args.years
-        else:
-            meta = ws.load_meta()
-            lo, hi = meta["year_min"], meta["year_max"]
+        lo, hi = args.years if args.years else store.year_span()
         net_year = args.net_year if args.net_year is not None else hi
         net = build_window(store, net_year, cfg.window_length)
         matrix = repeated_citation_matrix(
@@ -242,7 +241,7 @@ def cmd_report(args) -> int:
         }
 
     else:  # index-derived reports need exact ledgers
-        year = _report_year(args, ws)
+        year = _report_year(args, store)
         series = load_series(ws, store, cfg, year)
         records = build_index_records(store, series, year, cfg)
         manifest["params"] = {"year": year}

@@ -59,9 +59,8 @@ class DistanceTally:
             self.finite[d] = self.finite.get(d, 0) + c
         self.infinite += other.infinite
         self.exceeds += other.exceeds
-        if other.exceeds or other.cap is not None:
-            if other.cap is not None:
-                self.cap = other.cap if self.cap is None else min(self.cap, other.cap)
+        if other.cap is not None:
+            self.cap = other.cap if self.cap is None else min(self.cap, other.cap)
 
     def total(self) -> int:
         return sum(self.finite.values()) + self.infinite + self.exceeds
@@ -172,8 +171,7 @@ def citation_distance(net: CollabNetwork, event: CitationEvent,
 
 
 def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
-                            cap: int | None = None,
-                            papers: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
+                            cap: int | None = None) -> list[tuple[int, int, int]]:
     """(cited paper, citing paper, distance code) for the year's events,
     in citing-paper then reference order.
 
@@ -187,10 +185,8 @@ def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
     pair_distance = BFSSearcher(net).pair_distance
     paper_authors = store.paper_authors
     paper_refs = store.paper_refs
-    if papers is None:
-        papers = store.papers_in_year(year)
     out: list[tuple[int, int, int]] = []
-    for pid in papers:
+    for pid in store.papers_in_year(year):
         citing = paper_authors[pid]
         for ref in paper_refs[pid]:
             out.append((ref, pid, pair_distance(citing, paper_authors[ref], cap)))
@@ -207,15 +203,9 @@ def batch_year_distances(store: CorpusStore, year: int, cfg: Config,
     if net is None:
         net = build_window(store, year, cfg.window_length)
     cap = cfg.distance_cap
-    return ledger_from_codes(store, year, cap, compute_event_distances(store, net, year, cap))
-
-
-def ledger_from_codes(store: CorpusStore, year: int, cap: int | None,
-                      codes: Iterable[tuple[int, int, int]]) -> YearLedger:
-    """Credit ``compute_event_distances`` output into a new year ledger."""
     ledger = YearLedger(year, cap=cap)
     paper_authors = store.paper_authors
-    for cited_pid, _citing_pid, code in codes:
+    for cited_pid, _citing_pid, code in compute_event_distances(store, net, year, cap):
         ledger.credit(paper_authors[cited_pid], code)
     return ledger
 

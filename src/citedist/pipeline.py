@@ -1,11 +1,10 @@
 """Year-by-year pipeline: network build, distance batch, x-index update.
 
 For each year the pipeline builds the window network, distances every
-citation event of the year (optionally fanned out over worker
-processes), credits the ledger, and advances each cited scholar's
-running x by the year's weighted count.  Ledger and state snapshots are
-persisted per year, so an interrupted run resumes at the first
-incomplete year and replays to the same final state.
+citation event of the year, credits the ledger, and advances each cited
+scholar's running x by the year's weighted count.  Ledger and state
+snapshots are persisted per year, so an interrupted run resumes at the
+first incomplete year and replays to the same final state.
 
 Years must be processed consecutively: the x state of year y is defined
 in terms of year y-1 plus year y's ledger alone.
@@ -17,23 +16,14 @@ import logging
 import time
 from dataclasses import dataclass
 
-from .collab import build_window
 from .config import Config
 from .corpus import CorpusStore
-from .distances import (
-    LedgerSeries,
-    YearLedger,
-    batch_year_distances,
-    compute_event_distances,
-    ledger_from_codes,
-)
+from .distances import LedgerSeries, YearLedger, batch_year_distances
 from .errors import IncompleteStateError, WorkspaceError
 from .indices import IndexRecord, WeightConfig, scholar_snapshot, x_increment_scaled
 from .workspace import Workspace
 
 log = logging.getLogger("citedist")
-
-_MP_STATE: dict = {}
 
 
 def planned_years(store: CorpusStore, cfg: Config) -> list[int]:
@@ -44,36 +34,12 @@ def planned_years(store: CorpusStore, cfg: Config) -> list[int]:
     return list(range(start, hi + 1))
 
 
-def _mp_init(store, cfg_window, cap):
-    _MP_STATE["store"] = store
-    _MP_STATE["window"] = cfg_window
-    _MP_STATE["cap"] = cap
-    _MP_STATE["nets"] = {}
-
-
-def _mp_chunk(args):
-    year, papers = args
-    store = _MP_STATE["store"]
-    net = _MP_STATE["nets"].get(year)
-    if net is None:
-        net = build_window(store, year, _MP_STATE["window"])
-        _MP_STATE["nets"] = {year: net}
-    return compute_event_distances(store, net, year, _MP_STATE["cap"], papers=papers)
-
-
-def year_ledger(store: CorpusStore, year: int, cfg: Config, jobs: int = 1,
-                pool=None) -> YearLedger:
-    """Compute one year's ledger, optionally splitting the citing papers
-    across a process pool.  Results are identical for any job count."""
-    papers = [p for p in store.papers_in_year(year) if store.paper_refs[p]]
-    if not papers:
+def year_ledger(store: CorpusStore, year: int, cfg: Config) -> YearLedger:
+    """Compute one year's ledger; a year without citing papers gets an
+    empty one without building its window."""
+    if not any(store.paper_refs[p] for p in store.papers_in_year(year)):
         return YearLedger(year, cap=cfg.distance_cap)
-    if pool is None or jobs <= 1 or len(papers) <= jobs:
-        return batch_year_distances(store, year, cfg)
-    size = (len(papers) + jobs - 1) // jobs
-    chunks = [(year, papers[i:i + size]) for i in range(0, len(papers), size)]
-    codes = [item for chunk in pool.map(_mp_chunk, chunks) for item in chunk]
-    return ledger_from_codes(store, year, cfg.distance_cap, codes)
+    return batch_year_distances(store, year, cfg)
 
 
 @dataclass
@@ -82,8 +48,8 @@ class RunResult:
     years_skipped: list[int]
 
 
-def run_pipeline(ws: Workspace, cfg: Config, year_range: tuple[int, int] | None = None,
-                 jobs: int = 1) -> RunResult:
+def run_pipeline(ws: Workspace, cfg: Config,
+                 year_range: tuple[int, int] | None = None) -> RunResult:
     """Process (or resume) the yearly pipeline over the workspace corpus."""
     store = ws.load_store(cfg)
     ws.ensure_dirs()
@@ -95,48 +61,35 @@ def run_pipeline(ws: Workspace, cfg: Config, year_range: tuple[int, int] | None 
     if not years:
         return RunResult([], [])
 
-    pool = None
-    if jobs > 1:
-        import multiprocessing as mp
-
-        pool = mp.get_context("fork").Pool(
-            jobs, initializer=_mp_init, initargs=(store, cfg.window_length, cfg.distance_cap)
-        )
-
     processed: list[int] = []
     skipped: list[int] = []
     states: dict[int, int] | None = None
-    try:
-        for year in years:
-            if (
-                ws.read_ledger(year, store, cfg_hash) is not None
-                and ws.read_states(year, store, cfg_hash) is not None
-            ):
-                skipped.append(year)
-                states = None  # reload lazily from the last completed snapshot
-                continue
-            if states is None:
-                states = _load_chain_state(ws, store, cfg, cfg_hash, year, years)
-            started = time.perf_counter()
-            ledger = year_ledger(store, year, cfg, jobs=jobs, pool=pool)
-            for author, tally in ledger.scholars.items():
-                delta = x_increment_scaled(tally, cfg.n)
-                if delta:
-                    states[author] = states.get(author, 0) + delta
-            computed = time.perf_counter()
-            ws.write_ledger(ledger, store, cfg_hash)
-            ws.write_states(year, states, store, cfg, cfg_hash)
-            processed.append(year)
-            log.info(
-                "year %d: %d citation events, %d scholars credited "
-                "(compute %.2fs, write %.2fs)",
-                year, ledger.events.total(), len(ledger.scholars),
-                computed - started, time.perf_counter() - computed,
-            )
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for year in years:
+        if (
+            ws.read_ledger(year, store, cfg_hash) is not None
+            and ws.read_states(year, store, cfg_hash) is not None
+        ):
+            skipped.append(year)
+            states = None  # reload lazily from the last completed snapshot
+            continue
+        if states is None:
+            states = _load_chain_state(ws, store, cfg, cfg_hash, year, years)
+        started = time.perf_counter()
+        ledger = year_ledger(store, year, cfg)
+        for author, tally in ledger.scholars.items():
+            delta = x_increment_scaled(tally, cfg.n)
+            if delta:
+                states[author] = states.get(author, 0) + delta
+        computed = time.perf_counter()
+        ws.write_ledger(ledger, store, cfg_hash)
+        ws.write_states(year, states, store, cfg, cfg_hash)
+        processed.append(year)
+        log.info(
+            "year %d: %d citation events, %d scholars credited "
+            "(compute %.2fs, write %.2fs)",
+            year, ledger.events.total(), len(ledger.scholars),
+            computed - started, time.perf_counter() - computed,
+        )
     return RunResult(processed, skipped)
 
 

@@ -4,6 +4,8 @@ import fcntl
 import hashlib
 import json
 import logging
+import multiprocessing
+import os
 import random
 import re
 from fractions import Fraction
@@ -466,6 +468,59 @@ def test_jobs_parallel_matches_serial(tmp_path):
         assert main(["report", "distance-histogram", "--workspace", str(ws1),
                      "--config", cfg]) == 0
         assert tree_digest(ws1, ("ledgers", "states", "reports")) == pinned
+
+
+def test_jobs_starts_no_process(tmp_path, monkeypatch):
+    """``--jobs`` is accepted and ignored: a run forks nothing and writes
+    the same artifacts for any job count."""
+    def no_process(*args, **kwargs):
+        raise AssertionError("run started a process")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
+    rng = random.Random(71)
+    lines = random_corpus_lines(rng, 120, 20, 2000, 2004)
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    ws1, ws3 = tmp_path / "ws1", tmp_path / "ws3"
+    for ws, jobs in ((ws1, "1"), (ws3, "3")):
+        main(["ingest", str(src), "--workspace", str(ws)])
+        assert main(["run", "--workspace", str(ws), "--jobs", jobs]) == 0
+    assert tree_bytes(ws1 / "ledgers") == tree_bytes(ws3 / "ledgers")
+    assert tree_bytes(ws1 / "states") == tree_bytes(ws3 / "states")
+    assert len(tree_bytes(ws1 / "ledgers")) == 5
+
+
+def test_report_years_default_to_report_config_span(tmp_path, capsys):
+    """A config that narrows the ingested span sets the default report
+    year and heatmap range, as it sets the years that ``run`` processes."""
+    rng = random.Random(73)
+    lines = random_corpus_lines(rng, 120, 20, 2000, 2005)
+    assert {json.loads(line)["year"] for line in lines} >= {2000, 2005}
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    (tmp_path / "ingest").mkdir()
+    (tmp_path / "narrow").mkdir()
+    ingest_cfg = str(write_config(tmp_path / "ingest", exact_distances=True))
+    cfg = str(write_config(tmp_path / "narrow", exact_distances=True, year_end=2003))
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(src), "--workspace", str(ws), "--config", ingest_cfg]) == 0
+    assert main(["run", "--workspace", str(ws), "--config", cfg]) == 0
+    assert Workspace(ws).completed_years() == [2000, 2001, 2002, 2003]
+    capsys.readouterr()
+
+    def params(name):
+        assert main(["report", name, "--workspace", str(ws), "--config", cfg]) == 0
+        manifest = ws / "reports" / f"{name}.manifest.json"
+        return json.loads(manifest.read_text())["params"]
+
+    assert params("index-table")["year"] == 2003
+    assert params("network-stats")["year"] == 2003
+    assert params("edges")["year"] == 2003
+    assert params("distance-histogram")["years"] == [2000, 2003]
+    heatmap = params("heatmap")
+    assert heatmap["years"] == [2000, 2003] and heatmap["net_year"] == 2003
+    assert "no citations" not in capsys.readouterr().err
 
 
 def test_strict_window_skips_leading_years(tmp_path):
