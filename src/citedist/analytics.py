@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .collab import BFSSearcher, CollabNetwork, build_window
+from .collab import INF_CODE, BFSSearcher, CollabNetwork, build_window
 from .corpus import CorpusStore
 from .errors import InsufficientCohortError
 from .indices import IndexRecord
@@ -84,6 +84,11 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
     pair's repeat count is its total minus one.  Distances default to
     the network of the range's final year.  Repeat bins are 0..max-1
     then "max+"; distance bins 0..max then "(max+1)+" and "INF".
+
+    Each counted pair is one :meth:`BFSSearcher.pair_distance` query
+    capped at ``max_distance``: a pair split across components is INF
+    from the component labels alone, and any other stops as soon as the
+    two sides meet or their levels pass the cap ("(max+1)+").
     """
     lo, hi = year_range
     if lo > hi:
@@ -91,22 +96,19 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
     if net is None:
         net = build_window(store, hi, window_length)
 
+    paper_authors = store.paper_authors
     pair_counts: dict[tuple[int, int], int] = {}
     total_citations = 0
     for year in range(lo, hi + 1):
         for cited_pid, citing_pid in store.iter_citations(year):
-            cited = store.paper_authors[cited_pid]
-            citing = store.paper_authors[citing_pid]
-            seen_pairs = set()
-            for m in cited:
-                for n in citing:
-                    if m == n:
-                        continue
-                    pair = (m, n) if m < n else (n, m)
-                    seen_pairs.add(pair)
-            for pair in seen_pairs:
+            citing = paper_authors[citing_pid]
+            pairs = {
+                (m, n) if m < n else (n, m)
+                for m in paper_authors[cited_pid] for n in citing if m != n
+            }
+            for pair in pairs:
                 pair_counts[pair] = pair_counts.get(pair, 0) + 1
-                total_citations += 1
+            total_citations += len(pairs)
 
     repeat_labels = tuple(str(i) for i in range(max_repeat)) + (f"{max_repeat}+",)
     distance_labels = (
@@ -114,23 +116,17 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
     )
     cells = [[0] * len(distance_labels) for _ in repeat_labels]
 
-    # One full expansion per distinct first endpoint serves all its pairs.
-    by_source: dict[int, list[tuple[int, int]]] = {}
+    inf_bin = len(distance_labels) - 1
+    pair_distance = BFSSearcher(net).pair_distance
     for (a, b), count in pair_counts.items():
-        by_source.setdefault(a, []).append((b, count))
-    searcher = BFSSearcher(net)
-    for a, partners in sorted(by_source.items()):
-        found, _ = searcher.distances_to([a], [b for b, _ in partners], cap=None)
-        for b, count in partners:
-            repeat_bin = min(count - 1, max_repeat)
-            hops = found.get(b)
-            if hops is None:
-                dist_bin = len(distance_labels) - 1  # INF
-            elif hops > max_distance:
-                dist_bin = len(distance_labels) - 2
-            else:
-                dist_bin = hops
-            cells[repeat_bin][dist_bin] += 1
+        code = pair_distance((a,), (b,), max_distance)
+        if code >= 0:
+            dist_bin = code
+        elif code == INF_CODE:
+            dist_bin = inf_bin
+        else:  # EXCEEDS_CODE: a path longer than max_distance
+            dist_bin = inf_bin - 1
+        cells[min(count - 1, max_repeat)][dist_bin] += 1
     return RepeatMatrix(
         repeat_labels=repeat_labels,
         distance_labels=distance_labels,

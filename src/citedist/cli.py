@@ -35,7 +35,13 @@ from .errors import (
     SequencingError,
     WorkspaceError,
 )
-from .pipeline import build_index_records, load_series, run_pipeline
+from .pipeline import (
+    build_index_records,
+    load_event_ledgers,
+    load_series,
+    planned_years,
+    run_pipeline,
+)
 from .workspace import Workspace
 
 REPORT_NAMES = (
@@ -67,6 +73,16 @@ def _years_pair(text: str) -> tuple[int, int]:
     if lo_i > hi_i:
         raise argparse.ArgumentTypeError(f"year range {text!r} is empty")
     return lo_i, hi_i
+
+
+def _bin_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _fix_pair(text: str) -> tuple[str, int]:
@@ -114,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--years", type=_years_pair, default=None, metavar="A:B")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--with-diameter", action="store_true")
-    p.add_argument("--max-bin", type=int, default=12)
+    p.add_argument("--max-bin", type=_bin_count, default=12)
     p.add_argument("--index", choices=INDEX_NAMES, default="x")
     p.add_argument("--index-a", choices=INDEX_NAMES, default="c")
     p.add_argument("--index-b", choices=INDEX_NAMES, default="x")
@@ -129,8 +145,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=float, default=0.1, help="closeness threshold factor")
     p.add_argument("--net-year", type=int, default=None,
                    help="heatmap: year of the distance network (default: range end)")
-    p.add_argument("--max-repeat", type=int, default=10)
-    p.add_argument("--max-distance", type=int, default=12)
+    p.add_argument("--max-repeat", type=_bin_count, default=10)
+    p.add_argument("--max-distance", type=_bin_count, default=12)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -211,12 +227,11 @@ def cmd_report(args) -> int:
         manifest["params"] = {"year": year}
 
     elif name == "distance-histogram":
-        lo, hi = args.years if args.years else (min(ws.completed_years() or [0]),
+        planned = planned_years(store, cfg)
+        lo, hi = args.years if args.years else (planned[0] if planned else 0,
                                                 _report_year(args, store))
-        series = load_series(ws, store, cfg, hi)
-        result = distance_histogram(
-            {y: series.ledger(y) for y in series.years}, range(lo, hi + 1), args.max_bin
-        )
+        ledgers = load_event_ledgers(ws, store, cfg, lo, hi)
+        result = distance_histogram(ledgers, range(lo, hi + 1), args.max_bin)
         for notice in result.notices:
             print(notice, file=sys.stderr)
         rows = result.csv_rows()

@@ -20,6 +20,7 @@ State (x scaled by ``scale``, scholars with x = 0 omitted)::
 
 Decoding raises ValueError, KeyError, TypeError or AttributeError on a
 damaged file, and KeyError on an author label the store lacks.
+``decode_ledger_events`` reads the header and the events line alone.
 """
 
 from __future__ import annotations
@@ -89,12 +90,17 @@ def _records(body: str) -> list:
     return records
 
 
+def _ledger_head(line: str) -> dict:
+    head = json.loads(line)
+    if head.get("kind") != "header":
+        raise ValueError("ledger file missing header line")
+    return head
+
+
 def decode_ledger(text: str, store: CorpusStore) -> tuple[YearLedger, str]:
     """The ledger in ``text`` and the config hash its header records."""
     head_line, _, body = text.partition("\n")
-    head = json.loads(head_line)
-    if head.get("kind") != "header":
-        raise ValueError("ledger file missing header line")
+    head = _ledger_head(head_line)
     cap = head["cap"]
     ledger = YearLedger(year=head["year"], cap=cap)
     index = store.author_index
@@ -111,6 +117,26 @@ def decode_ledger(text: str, store: CorpusStore) -> tuple[YearLedger, str]:
             ledger.events = tally
         else:
             scholars[index[obj["id"]]] = tally
+    return ledger, head["config"]
+
+
+def decode_ledger_events(text: str) -> tuple[YearLedger, str]:
+    """The ledger whose header and ``events`` line are the first two lines
+    of ``text``, with no scholars, and the config hash its header records.
+
+    Lines after the second are not read: this is the decoder for reports
+    that bin events only.  A missing or damaged events line raises.
+    """
+    head_line, _, rest = text.partition("\n")
+    head = _ledger_head(head_line)
+    obj = json.loads(rest.partition("\n")[0])
+    if obj.get("kind") != "events":
+        raise ValueError("ledger file missing events line")
+    cap = head["cap"]
+    ledger = YearLedger(year=head["year"], cap=cap)
+    ledger.events = DistanceTally(
+        {int(k): v for k, v in obj["counts"].items()}, obj["infinite"], obj["exceeds"], cap,
+    )
     return ledger, head["config"]
 
 

@@ -18,8 +18,10 @@ answers INFINITE without searching; otherwise a bidirectional BFS runs
 until the two sides meet.  Hop distances come in three flavours: a
 finite count, INFINITE (no path exists, proven by the component labels
 or by the search), or "exceeds cap" (a path exists and is longer than
-the cap).  :meth:`BFSSearcher.distances_to` is the one-to-many kernel
-behind ``diameter`` and the repeated-citation heatmap.
+the cap).  Every citation event of ``run`` and every scholar pair of
+the repeated-citation heatmap is one such query.
+:meth:`BFSSearcher.distances_to` is the one-to-many kernel behind
+``diameter`` alone.
 """
 
 from __future__ import annotations
@@ -301,8 +303,9 @@ class BFSSearcher:
                      cap: int | None = None) -> tuple[dict[int, int], bool]:
         """Hop distance from the source set to each reachable target.
 
-        The one-to-many kernel: ``diameter`` takes the largest hop count
-        found, the repeated-citation heatmap reads every target's.
+        The one-to-many kernel behind ``diameter``, which takes the
+        largest hop count found; every other distance is a
+        :meth:`pair_distance` query.
 
         Returns ``(found, exhausted)``.  The search stops once every
         target is found, the cap is hit, or the frontier dies; targets

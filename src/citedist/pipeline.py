@@ -109,23 +109,46 @@ def _load_chain_state(ws: Workspace, store: CorpusStore, cfg: Config, cfg_hash: 
 # -- report assembly ---------------------------------------------------------
 
 
+def report_years(ws: Workspace, store: CorpusStore, cfg: Config,
+                 up_to_year: int) -> list[int]:
+    """The config's planned years up to a year that have a completed
+    ledger; ledgers that a run under another config left outside them
+    are not read."""
+    done = set(ws.completed_years())
+    years = [y for y in planned_years(store, cfg) if y <= up_to_year and y in done]
+    if not years:
+        raise WorkspaceError("no ledgers in workspace; run the pipeline first")
+    return years
+
+
+def _verified(ledger: YearLedger | None, year: int) -> YearLedger:
+    if ledger is None:
+        raise WorkspaceError(
+            f"ledger for year {year} was produced by a different configuration; re-run"
+        )
+    return ledger
+
+
 def load_series(ws: Workspace, store: CorpusStore, cfg: Config,
                 up_to_year: int) -> LedgerSeries:
-    """All persisted ledgers up to a year, verified against the config."""
+    """The ledgers of :func:`report_years`, verified against the config."""
     cfg_hash = cfg.config_hash()
-    ledgers = {}
-    for year in ws.completed_years():
-        if year > up_to_year:
-            continue
-        ledger = ws.read_ledger(year, store, cfg_hash)
-        if ledger is None:
-            raise WorkspaceError(
-                f"ledger for year {year} was produced by a different configuration; re-run"
-            )
-        ledgers[year] = ledger
-    if not ledgers:
-        raise WorkspaceError("no ledgers in workspace; run the pipeline first")
-    return LedgerSeries(ledgers)
+    return LedgerSeries({
+        year: _verified(ws.read_ledger(year, store, cfg_hash), year)
+        for year in report_years(ws, store, cfg, up_to_year)
+    })
+
+
+def load_event_ledgers(ws: Workspace, store: CorpusStore, cfg: Config,
+                       lo: int, hi: int) -> dict[int, YearLedger]:
+    """The ledgers of :func:`report_years` in ``[lo, hi]``, verified
+    against the config, with their events tallies only (what
+    ``distance_histogram`` bins)."""
+    cfg_hash = cfg.config_hash()
+    return {
+        year: _verified(ws.read_ledger_events(year, cfg_hash), year)
+        for year in report_years(ws, store, cfg, hi) if year >= lo
+    }
 
 
 def build_index_records(store: CorpusStore, series: LedgerSeries, year: int,

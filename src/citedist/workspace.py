@@ -24,9 +24,16 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
-from .codec import decode_ledger, decode_states, encode_ledger, encode_states
+from .codec import (
+    decode_ledger,
+    decode_ledger_events,
+    decode_states,
+    encode_ledger,
+    encode_states,
+)
 from .config import Config
 from .corpus import CorpusStore, load_corpus
 from .distances import YearLedger
@@ -47,11 +54,16 @@ def _atomic_write(path: Path, writer) -> None:
         raise
 
 
-def _read_artifact(path: Path, decode):
-    """``decode(text)`` on an artifact; a file that is damaged, or names an
-    author the ingested corpus lacks, raises a WorkspaceError naming it."""
+def _read_artifact(path: Path, decode, lines: int | None = None):
+    """``decode(text)`` on an artifact, or on its first ``lines`` lines
+    only; a file that is damaged, or names an author the ingested corpus
+    lacks, raises a WorkspaceError naming it."""
     try:
-        text = path.read_text(encoding="utf-8")
+        if lines is None:
+            text = path.read_text(encoding="utf-8")
+        else:
+            with open(path, encoding="utf-8") as fp:
+                text = "".join(islice(fp, lines))
         if not text:
             raise WorkspaceError(f"cannot read {path}: the file is empty")
         return decode(text)
@@ -133,13 +145,21 @@ class Workspace:
 
     def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
+        return self._read_ledger(year, config_hash, lambda text: decode_ledger(text, store))
+
+    def read_ledger_events(self, year: int, config_hash: str) -> YearLedger | None:
+        """The year's ledger with its events tally and no scholars, read
+        from the first two lines of the file; None when absent or built
+        by another config."""
+        return self._read_ledger(year, config_hash, decode_ledger_events, lines=2)
+
+    def _read_ledger(self, year: int, config_hash: str, decode,
+                     lines: int | None = None) -> YearLedger | None:
         path = self.ledger_path(year)
         if not path.exists():
             return None
-        ledger, recorded = _read_artifact(path, lambda text: decode_ledger(text, store))
-        if recorded != config_hash:
-            return None
-        return ledger
+        ledger, recorded = _read_artifact(path, decode, lines)
+        return ledger if recorded == config_hash else None
 
     # -- x-index states ---------------------------------------------------
 

@@ -161,6 +161,51 @@ def reference_event_distances(store, net, year, cap=None):
     return out
 
 
+def reference_repeat_cells(store, year_range, net, max_repeat=10, max_distance=12):
+    """The per-source engine that ``repeated_citation_matrix`` replaced,
+    kept as a differential reference: ``(cells, total_citations,
+    pair_count)``.
+
+    Pairs are grouped by their smaller author, and one uncapped
+    ``BFSSearcher.distances_to`` from that author finds all its
+    partners; a partner not found is INF, one farther than
+    ``max_distance`` goes to the "(max+1)+" bin.
+    """
+    from citedist.collab import BFSSearcher
+
+    lo, hi = year_range
+    pair_counts = {}
+    total_citations = 0
+    for year in range(lo, hi + 1):
+        for cited_pid, citing_pid in store.iter_citations(year):
+            seen_pairs = set()
+            for m in store.paper_authors[cited_pid]:
+                for n in store.paper_authors[citing_pid]:
+                    if m != n:
+                        seen_pairs.add((m, n) if m < n else (n, m))
+            for pair in seen_pairs:
+                pair_counts[pair] = pair_counts.get(pair, 0) + 1
+                total_citations += 1
+    width = max_distance + 3  # 0..max, "(max+1)+", "INF"
+    cells = [[0] * width for _ in range(max_repeat + 1)]
+    by_source = {}
+    for (a, b), count in pair_counts.items():
+        by_source.setdefault(a, []).append((b, count))
+    searcher = BFSSearcher(net)
+    for a, partners in sorted(by_source.items()):
+        found, _ = searcher.distances_to([a], [b for b, _ in partners], cap=None)
+        for b, count in partners:
+            hops = found.get(b)
+            if hops is None:
+                col = width - 1
+            elif hops > max_distance:
+                col = width - 2
+            else:
+                col = hops
+            cells[min(count - 1, max_repeat)][col] += 1
+    return cells, total_citations, len(pair_counts)
+
+
 def oracle_set_distance(dist_matrix, sources, targets) -> float:
     """Brute-force min over all (source, target) pairs; math.inf if none."""
     best = float("inf")

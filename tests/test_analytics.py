@@ -20,7 +20,12 @@ from citedist.corpus import parse_records
 from citedist.errors import InsufficientCohortError
 from citedist.indices import IndexRecord
 
-from synthcorpus import random_corpus_lines, record_line
+from synthcorpus import (
+    floyd_warshall,
+    random_corpus_lines,
+    record_line,
+    reference_repeat_cells,
+)
 
 # The 20-scholar cohort of the c-index comparison experiment:
 # (id, Q, N_w, c, x as printed); h = 8 and g = 13 throughout.
@@ -198,6 +203,23 @@ class TestDegeneracy:
         assert rows[0].scholars == 0 and rows[1].scholars == 1
 
 
+def _pair_totals(store, lo, hi):
+    """Independent recount: citations per unordered (cited, citing) author
+    pair, each event counted once per pair it connects."""
+    pair_totals = {}
+    for year in range(lo, hi + 1):
+        for pid in store.papers_in_year(year):
+            for ref in store.paper_refs[pid]:
+                seen = set()
+                for m in store.paper_authors[ref]:
+                    for n in store.paper_authors[pid]:
+                        if m != n:
+                            seen.add((min(m, n), max(m, n)))
+                for pair in seen:
+                    pair_totals[pair] = pair_totals.get(pair, 0) + 1
+    return pair_totals
+
+
 class TestRepeatedCitations:
     def test_mutual_pair_counts_two(self):
         lines = [
@@ -229,18 +251,7 @@ class TestRepeatedCitations:
         net = build_window(store, hi, 5)
         matrix = repeated_citation_matrix(store, (lo, hi), net=net)
 
-        # independent recount
-        pair_totals = {}
-        for year in range(lo, hi + 1):
-            for pid in store.papers_in_year(year):
-                for ref in store.paper_refs[pid]:
-                    seen = set()
-                    for m in store.paper_authors[ref]:
-                        for n in store.paper_authors[pid]:
-                            if m != n:
-                                seen.add((min(m, n), max(m, n)))
-                    for pair in seen:
-                        pair_totals[pair] = pair_totals.get(pair, 0) + 1
+        pair_totals = _pair_totals(store, lo, hi)
         assert matrix.total_citations == sum(pair_totals.values())
         assert matrix.pair_count == len(pair_totals)
         cells = [[0] * len(matrix.distance_labels) for _ in matrix.repeat_labels]
@@ -254,6 +265,55 @@ class TestRepeatedCitations:
                 col = d.hops
             cells[min(total - 1, 10)][col] += 1
         assert [list(row) for row in matrix.cells] == cells
+
+    def test_matrix_matches_floyd_warshall_and_per_source_engine(self):
+        """Differential test on 32 seeded corpora against all-pairs
+        distances and against the per-source ``distances_to`` engine the
+        pair queries replaced.  Caps of 0, 1 and 2 fill the "(max+1)+"
+        bin, a repeat cap of 2 fills "2+", and a network for a year
+        before the range end leaves some authors outside the window."""
+        filled = {"exceeds": 0, "inf": 0, "top_repeat": 0, "outside": 0}
+        for seed in range(32):
+            rng = random.Random(1000 + seed)
+            n_authors = rng.randint(12, 40)
+            lines = random_corpus_lines(rng, rng.randint(40, 110), n_authors, 2000, 2008,
+                                        max_authors=3)
+            store = parse_records(lines, Config())
+            lo, hi = 2002, 2008
+            pair_totals = _pair_totals(store, lo, hi)
+            for net_year, window in ((hi, 5), (hi - 3, 3)):
+                net = build_window(store, net_year, window)
+                dist = floyd_warshall(net.num_slots, list(net.edges()))
+                filled["outside"] += sum(
+                    1 for a, b in pair_totals if not (net.has_node(a) and net.has_node(b))
+                )
+                for max_distance in (0, 1, 2, 12):
+                    for max_repeat in (2, 10):
+                        matrix = repeated_citation_matrix(
+                            store, (lo, hi), net=net,
+                            max_repeat=max_repeat, max_distance=max_distance,
+                        )
+                        cells = [list(row) for row in matrix.cells]
+                        width = max_distance + 3
+                        expected = [[0] * width for _ in range(max_repeat + 1)]
+                        for (a, b), total in pair_totals.items():
+                            d = dist[a, b]
+                            if d == float("inf"):
+                                col = width - 1
+                            elif d > max_distance:
+                                col = width - 2
+                            else:
+                                col = int(d)
+                            expected[min(total - 1, max_repeat)][col] += 1
+                        assert cells == expected, (seed, net_year, max_distance, max_repeat)
+                        reference = reference_repeat_cells(
+                            store, (lo, hi), net, max_repeat, max_distance)
+                        assert (cells, matrix.total_citations, matrix.pair_count) == reference
+                        assert matrix.pair_count == len(pair_totals)
+                        filled["exceeds"] += sum(row[-2] for row in cells)
+                        filled["inf"] += sum(row[-1] for row in cells)
+                        filled["top_repeat"] += sum(cells[-1])
+        assert all(filled.values()), filled
 
 
 class TestScatter:

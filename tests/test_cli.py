@@ -227,6 +227,12 @@ def _blank_line_in_state(ws, src):
     return ["run"], "2003.jsonl"
 
 
+def _header_only_ledger(ws, src):
+    path = ws / "ledgers" / "2002.jsonl"
+    path.write_text(path.read_text().split("\n", 1)[0] + "\n")
+    return ["report", "distance-histogram"], "2002.jsonl"
+
+
 def _ledger_trailing_garbage(ws, src):
     path = ws / "ledgers" / "2001.jsonl"
     text = path.read_text()
@@ -237,10 +243,10 @@ def _ledger_trailing_garbage(ws, src):
 
 @pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus,
                                     _truncated_ledger, _blank_line_in_state,
-                                    _ledger_trailing_garbage],
+                                    _ledger_trailing_garbage, _header_only_ledger],
                          ids=["empty-ledger", "truncated-state", "foreign-corpus",
                               "truncated-ledger", "blank-line-in-state",
-                              "ledger-trailing-garbage"])
+                              "ledger-trailing-garbage", "header-only-ledger"])
 def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
     rng = random.Random(7)
     lines = random_corpus_lines(rng, 60, 12, 2000, 2003)
@@ -360,6 +366,29 @@ def test_index_reports_need_exact_mode(tmp_path, capsys):
     main(["run", "--workspace", str(ws)])  # default capped mode
     assert main(["report", "index-table", "--workspace", str(ws), "--year", "2004"]) == 3
     assert "exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,report", [("--max-bin", "distance-histogram"),
+                                         ("--max-repeat", "heatmap"),
+                                         ("--max-distance", "heatmap")])
+def test_negative_report_bin_is_a_usage_error(tmp_path, capsys, flag, report):
+    assert main(["report", report, "--workspace", str(tmp_path), flag, "-4"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= 0, got -4" in err
+
+
+def test_histogram_of_another_config_exits_3(tmp_path, capsys):
+    rng = random.Random(79)
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(random_corpus_lines(rng, 60, 12, 2000, 2003)) + "\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(src), "--workspace", str(ws)]) == 0
+    assert main(["run", "--workspace", str(ws)]) == 0
+    cfg = write_config(tmp_path, exact_distances=True)
+    capsys.readouterr()
+    assert main(["report", "distance-histogram", "--workspace", str(ws),
+                 "--config", str(cfg)]) == 3
+    assert "produced by a different configuration; re-run" in capsys.readouterr().err
 
 
 def test_report_before_run_exits_3(table1_file, tmp_path, capsys):
@@ -521,6 +550,44 @@ def test_report_years_default_to_report_config_span(tmp_path, capsys):
     heatmap = params("heatmap")
     assert heatmap["years"] == [2000, 2003] and heatmap["net_year"] == 2003
     assert "no citations" not in capsys.readouterr().err
+
+
+def test_reports_read_only_their_config_years(tmp_path, capsys):
+    """Ledgers that a run under another config left before ``year_start``
+    are not read: the index and histogram reports of the narrowed config
+    succeed and equal those of a workspace that only ever ran it."""
+    rng = random.Random(83)
+    lines = random_corpus_lines(rng, 120, 20, 2000, 2005)
+    assert {json.loads(line)["year"] for line in lines} >= {2000, 2005}
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    (tmp_path / "wide").mkdir()
+    (tmp_path / "narrow").mkdir()
+    wide = str(write_config(tmp_path / "wide", exact_distances=True))
+    narrow = str(write_config(tmp_path / "narrow", exact_distances=True, year_start=2002))
+    ws, fresh = tmp_path / "ws", tmp_path / "fresh"
+    for root, configs in ((ws, (wide, narrow)), (fresh, (narrow,))):
+        assert main(["ingest", str(src), "--workspace", str(root), "--config", wide]) == 0
+        for cfg in configs:
+            assert main(["run", "--workspace", str(root), "--config", cfg]) == 0
+    assert Workspace(ws).completed_years() == list(range(2000, 2006))
+    capsys.readouterr()
+
+    for root in (ws, fresh):
+        assert main(["report", "index-table", "--workspace", str(root),
+                     "--config", narrow]) == 0
+        assert main(["report", "distance-histogram", "--workspace", str(root),
+                     "--config", narrow, "--years", "2002:2005"]) == 0
+    assert tree_bytes(ws / "reports") == tree_bytes(fresh / "reports")
+    assert "no citations" not in capsys.readouterr().err
+
+    assert main(["report", "distance-histogram", "--workspace", str(ws),
+                 "--config", narrow]) == 0
+    manifest = ws / "reports" / "distance-histogram.manifest.json"
+    assert json.loads(manifest.read_text())["params"]["years"] == [2002, 2005]
+    assert main(["report", "distance-histogram", "--workspace", str(ws),
+                 "--config", narrow, "--years", "2002:2006"]) == 0
+    assert "year 2006: no citations; omitted" in capsys.readouterr().err
 
 
 def test_strict_window_skips_leading_years(tmp_path):
