@@ -2,14 +2,16 @@
 
 Subcommands: ingest, run, report, validate.  Exit codes: 0 success,
 1 usage error, 2 data error (including lossy ingestion), 3 incomplete
-workspace (a prerequisite stage has not run), a damaged or foreign
-artifact, or a workspace locked by another ingest or run.
+workspace (a prerequisite stage has not run), a damaged artifact or one
+written for another corpus, or a workspace locked by another stage,
+141 stdout closed early (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -199,8 +201,13 @@ def _report_year(args, store: CorpusStore) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _load_cfg(args)
     ws = Workspace(args.workspace)
+    with ws.lock(shared=True):
+        return _report(args, ws)
+
+
+def _report(args, ws: Workspace) -> int:
+    cfg = _load_cfg(args)
     store = ws.load_store(cfg)
     manifest = {
         "report": args.name,
@@ -321,7 +328,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits for usage errors and --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away.  Point stdout at /dev/null so
+        # that the flush at exit cannot raise again, and exit as a
+        # process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (WorkspaceError, IncompleteStateError, SequencingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

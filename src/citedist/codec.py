@@ -18,6 +18,13 @@ State (x scaled by ``scale``, scholars with x = 0 omitted)::
     {"config": "<hash>", "kind": "header", "n": 6, "scale": 6, "year": 2000}
     {"id": "<author>", "kind": "state", "xn": 4}
 
+A workspace writes each artifact through ``stamp``, which adds two keys
+to the header: ``corpus_sha256``, the sha256 of the ingested corpus
+snapshot, and ``records_sha256``, the sha256 of every byte after the
+header line.  The record lines stay as above.  ``read_header`` parses
+the header line alone and returns the record bytes, so a reader can
+check both stamps without decoding a record.
+
 Decoding raises ValueError, KeyError, TypeError or AttributeError on a
 damaged file, and KeyError on an author label the store lacks.
 ``decode_ledger_events`` reads the header and the events line alone.
@@ -25,6 +32,7 @@ damaged file, and KeyError on an author label the store lacks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from .corpus import CorpusStore
@@ -70,6 +78,32 @@ def encode_states(year: int, states: dict[int, int], store: CorpusStore, n: int,
         for author, xn in sorted(states.items()) if xn
     ]
     return "".join(lines)
+
+
+CORPUS_KEY = "corpus_sha256"
+RECORDS_KEY = "records_sha256"
+
+
+def stamp(text: str, corpus_sha256: str) -> bytes:
+    """The encoded artifact ``text`` as bytes, its header line extended by
+    the corpus hash and the sha256 of its record lines."""
+    data = text.encode("utf-8")
+    start = data.index(b"\n") + 1
+    records = memoryview(data)[start:]
+    head = json.loads(data[:start])
+    head[CORPUS_KEY] = corpus_sha256
+    head[RECORDS_KEY] = hashlib.sha256(records).hexdigest()
+    return (json.dumps(head, sort_keys=True) + "\n").encode("utf-8") + records
+
+
+def read_header(data: bytes) -> tuple[dict, bytes]:
+    """The header object of an artifact and its record bytes (all bytes
+    after the header line); raises ValueError when there is no header."""
+    head_line, _, records = data.partition(b"\n")
+    head = json.loads(head_line)
+    if not isinstance(head, dict) or head.get("kind") != "header":
+        raise ValueError("artifact missing header line")
+    return head, records
 
 
 def _records(body: str) -> list:

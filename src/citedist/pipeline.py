@@ -65,10 +65,7 @@ def run_pipeline(ws: Workspace, cfg: Config,
     skipped: list[int] = []
     states: dict[int, int] | None = None
     for year in years:
-        if (
-            ws.read_ledger(year, store, cfg_hash) is not None
-            and ws.read_states(year, store, cfg_hash) is not None
-        ):
+        if ws.year_complete(year, cfg_hash):
             skipped.append(year)
             states = None  # reload lazily from the last completed snapshot
             continue

@@ -7,14 +7,22 @@ Layout under the workspace root:
     ledgers/<year>.jsonl  per-year distance ledgers
     states/<year>.jsonl   per-year x-index state snapshots (append-only history)
     reports/              CSV reports with JSON manifests
-    .lock                 held (flock) by ingest and run while they write
+    .lock                 flock: exclusive for ingest and run, shared for report
 
-Artifacts embed the hash of the configuration that produced them and
-are written atomically (per-process temp file + rename), so an
+Artifacts are written atomically (per-process temp file + rename), so an
 interrupted stage never leaves a half-written year behind and re-running
 a stage with the same inputs produces byte-identical files.  State
 snapshots store x scaled by n as an exact integer.  ``citedist.codec``
 owns the line format of ledgers and states.
+
+Each artifact header records the hash of the configuration that
+produced it, the sha256 of the ingested corpus, and the sha256 of its
+record lines.  Every read checks the header first: an artifact of
+another configuration reads as absent; one stamped for another corpus,
+or whose record lines do not match their digest, raises a
+WorkspaceError that names the file.  ``year_complete`` stops there, so
+the resume check decodes no record; ``read_ledger_events`` reads two
+lines and checks the corpus stamp but not the digest.
 """
 
 from __future__ import annotations
@@ -28,11 +36,15 @@ from itertools import islice
 from pathlib import Path
 
 from .codec import (
+    CORPUS_KEY,
+    RECORDS_KEY,
     decode_ledger,
     decode_ledger_events,
     decode_states,
     encode_ledger,
     encode_states,
+    read_header,
+    stamp,
 )
 from .config import Config
 from .corpus import CorpusStore, load_corpus
@@ -40,37 +52,19 @@ from .distances import YearLedger
 from .errors import WorkspaceError
 
 
-def _atomic_write(path: Path, writer) -> None:
+def _atomic_write(path: Path, writer, binary: bool = False) -> None:
     """Run ``writer(fp)`` on a temp file of this process, then rename it
     over ``path``; on any failure the temp file is removed and ``path``
-    keeps its previous content."""
+    keeps its previous content.  ``fp`` takes str, or bytes if ``binary``."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fp:
+        with (open(tmp, "wb") if binary
+              else open(tmp, "w", encoding="utf-8", newline="\n")) as fp:
             writer(fp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _read_artifact(path: Path, decode, lines: int | None = None):
-    """``decode(text)`` on an artifact, or on its first ``lines`` lines
-    only; a file that is damaged, or names an author the ingested corpus
-    lacks, raises a WorkspaceError naming it."""
-    try:
-        if lines is None:
-            text = path.read_text(encoding="utf-8")
-        else:
-            with open(path, encoding="utf-8") as fp:
-                text = "".join(islice(fp, lines))
-        if not text:
-            raise WorkspaceError(f"cannot read {path}: the file is empty")
-        return decode(text)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise WorkspaceError(
-            f"cannot read {path}: damaged or written for another corpus ({exc!r})"
-        ) from exc
 
 
 class Workspace:
@@ -81,26 +75,30 @@ class Workspace:
         self.ledger_dir = self.root / "ledgers"
         self.state_dir = self.root / "states"
         self.report_dir = self.root / "reports"
+        self._corpus_sha256: str | None = None
 
     def ensure_dirs(self) -> None:
         for d in (self.root, self.ledger_dir, self.state_dir, self.report_dir):
             d.mkdir(parents=True, exist_ok=True)
 
     @contextmanager
-    def lock(self):
-        """Hold an exclusive lock on ``<root>/.lock`` for the block, so
-        two stages never write the same artifacts at once.  Raises
-        WorkspaceError when another process holds it."""
+    def lock(self, shared: bool = False):
+        """Hold a lock on ``<root>/.lock`` for the block: exclusive for a
+        stage that writes artifacts, so two stages never write them at
+        once, or ``shared`` for one that only reads them, so that no
+        stage replaces them mid-read.  Raises WorkspaceError when another
+        process holds a lock that excludes this one."""
         try:
             fp = open(self.root / ".lock", "a")
         except FileNotFoundError:
             raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first") from None
         with fp:  # closing the file releases the lock
             try:
-                fcntl.flock(fp, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                fcntl.flock(fp, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
             except BlockingIOError:
+                holder = "an ingest or run" if shared else "another ingest, run or report"
                 raise WorkspaceError(
-                    f"workspace {self.root} is in use: another ingest or run holds its lock"
+                    f"workspace {self.root} is in use: {holder} holds its lock"
                 ) from None
             yield
 
@@ -119,6 +117,7 @@ class Workspace:
             "year_max": hi,
         }
         _atomic_write(self.meta_path, lambda fp: fp.write(json.dumps(meta, indent=2, sort_keys=True) + "\n"))
+        self._corpus_sha256 = digest
         return meta
 
     def load_meta(self) -> dict:
@@ -132,7 +131,67 @@ class Workspace:
         return load_corpus(self.corpus_path, cfg)
 
     def corpus_hash(self) -> str:
-        return self.load_meta()["corpus_sha256"]
+        """The sha256 of the ingested corpus snapshot, read once."""
+        if self._corpus_sha256 is None:
+            self._corpus_sha256 = self.load_meta()["corpus_sha256"]
+        return self._corpus_sha256
+
+    # -- artifacts ---------------------------------------------------------
+
+    def _artifact(self, path: Path, config_hash: str, lines: int | None = None) -> bytes | None:
+        """The bytes of an artifact, or of its first ``lines`` lines; None
+        when it is absent or its header records another config.  Raises a
+        WorkspaceError naming the file when it is empty, has no header,
+        is stamped for another corpus or, read whole, its record lines do
+        not match the digest in its header.  No record is decoded."""
+        try:
+            if lines is None:
+                data = path.read_bytes()
+            else:
+                with open(path, "rb") as fp:
+                    data = b"".join(islice(fp, lines))
+        except FileNotFoundError:
+            return None
+        if not data:
+            raise WorkspaceError(f"cannot read {path}: the file is empty")
+        try:
+            head, records = read_header(data)
+        except ValueError as exc:
+            raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
+        if head.get("config") != config_hash:
+            return None
+        if head.get(CORPUS_KEY) != self.corpus_hash():
+            raise WorkspaceError(
+                f"cannot read {path}: it was not written for the ingested corpus; "
+                f"delete {self.ledger_dir} and {self.state_dir} and run again"
+            )
+        if lines is None and hashlib.sha256(records).hexdigest() != head.get(RECORDS_KEY):
+            raise WorkspaceError(
+                f"cannot read {path}: damaged (its record lines do not match "
+                f"the {RECORDS_KEY} in its header)"
+            )
+        return data
+
+    def _read(self, path: Path, config_hash: str, decode, lines: int | None = None):
+        """``decode(text)`` of a checked artifact (see ``_artifact``), or
+        None when it is absent or of another config; a file that fails to
+        decode raises a WorkspaceError naming it."""
+        data = self._artifact(path, config_hash, lines)
+        if data is None:
+            return None
+        try:
+            return decode(data.decode("utf-8"))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
+
+    def year_complete(self, year: int, config_hash: str) -> bool:
+        """Whether the year's ledger and state were both written under
+        ``config_hash``, judged from their headers and record digests
+        alone; raises as ``_artifact`` does."""
+        return all(
+            self._artifact(path, config_hash) is not None
+            for path in (self.ledger_path(year), self.state_path(year))
+        )
 
     # -- ledgers ---------------------------------------------------------
 
@@ -140,26 +199,20 @@ class Workspace:
         return self.ledger_dir / f"{year}.jsonl"
 
     def write_ledger(self, ledger: YearLedger, store: CorpusStore, config_hash: str) -> None:
-        text = encode_ledger(ledger, store, config_hash)
-        _atomic_write(self.ledger_path(ledger.year), lambda fp: fp.write(text))
+        data = stamp(encode_ledger(ledger, store, config_hash), self.corpus_hash())
+        _atomic_write(self.ledger_path(ledger.year), lambda fp: fp.write(data), binary=True)
 
     def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
-        return self._read_ledger(year, config_hash, lambda text: decode_ledger(text, store))
+        return self._read(self.ledger_path(year), config_hash,
+                          lambda text: decode_ledger(text, store)[0])
 
     def read_ledger_events(self, year: int, config_hash: str) -> YearLedger | None:
         """The year's ledger with its events tally and no scholars, read
         from the first two lines of the file; None when absent or built
         by another config."""
-        return self._read_ledger(year, config_hash, decode_ledger_events, lines=2)
-
-    def _read_ledger(self, year: int, config_hash: str, decode,
-                     lines: int | None = None) -> YearLedger | None:
-        path = self.ledger_path(year)
-        if not path.exists():
-            return None
-        ledger, recorded = _read_artifact(path, decode, lines)
-        return ledger if recorded == config_hash else None
+        return self._read(self.ledger_path(year), config_hash,
+                          lambda text: decode_ledger_events(text)[0], lines=2)
 
     # -- x-index states ---------------------------------------------------
 
@@ -169,15 +222,13 @@ class Workspace:
     def write_states(self, year: int, states: dict[int, int], store: CorpusStore,
                      cfg: Config, config_hash: str) -> None:
         """Snapshot the running x of every scholar with x > 0 after ``year``."""
-        text = encode_states(year, states, store, cfg.n, config_hash)
-        _atomic_write(self.state_path(year), lambda fp: fp.write(text))
+        data = stamp(encode_states(year, states, store, cfg.n, config_hash), self.corpus_hash())
+        _atomic_write(self.state_path(year), lambda fp: fp.write(data), binary=True)
 
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
-        path = self.state_path(year)
-        if not path.exists():
-            return None
-        return _read_artifact(path, lambda text: decode_states(text, store, config_hash))
+        return self._read(self.state_path(year), config_hash,
+                          lambda text: decode_states(text, store, config_hash))
 
     def completed_years(self) -> list[int]:
         years = []

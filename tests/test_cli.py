@@ -96,6 +96,41 @@ def test_locked_workspace_exits_3(table1_file, tmp_path, capsys):
     assert main(["run", "--workspace", str(ws)]) == 0  # released with the file
 
 
+def test_report_during_ingest_or_run_exits_3(tmp_path, capsys):
+    ws = _ran_workspace(tmp_path)
+    capsys.readouterr()
+    with open(ws / ".lock", "a") as held:  # an ingest or run mid-write
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(["report", "distance-histogram", "--workspace", str(ws)]) == 3
+        assert f"workspace {ws} is in use" in capsys.readouterr().err
+        assert not (ws / "reports" / "distance-histogram.csv").exists()
+    assert main(["report", "distance-histogram", "--workspace", str(ws)]) == 0
+
+
+def test_concurrent_reports_share_the_lock(tmp_path, capsys):
+    ws = _ran_workspace(tmp_path)
+    capsys.readouterr()
+    with open(ws / ".lock", "a") as held:  # another report mid-read
+        fcntl.flock(held, fcntl.LOCK_SH | fcntl.LOCK_NB)
+        assert main(["report", "distance-histogram", "--workspace", str(ws)]) == 0
+        assert main(["run", "--workspace", str(ws)]) == 3  # a run would replace what it reads
+        assert f"workspace {ws} is in use" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_141_without_traceback(table1_file, tmp_path, monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader went away, as in `citedist ... | head -1`
+    with open(write_end, "w", buffering=1) as stdout:  # each line is written at once
+        monkeypatch.setattr("sys.stdout", stdout)
+        with pytest.raises(BrokenPipeError):
+            print("probe")  # this stdout's writes raise BrokenPipeError
+        code = main(["ingest", str(table1_file), "--workspace", str(tmp_path / "ws")])
+        stdout.flush()  # stdout now points at the null device: nothing raises
+    assert code == 141
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "ws" / "corpus.jsonl").exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["report", "no-such-report", "--workspace", "x"]) == 1
     err = capsys.readouterr().err
@@ -191,6 +226,27 @@ def test_run_recreates_missing_artifact_dir(tmp_path, missing):
     assert Workspace(ws).completed_years() == [2000, 2001, 2002, 2003]
 
 
+def _ran_workspace(tmp_path, **config):
+    """A workspace after ingest and run of a random 2000-2003 corpus."""
+    lines = random_corpus_lines(random.Random(7), 60, 12, 2000, 2003)
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    ws = tmp_path / "ws"
+    cfg = ["--config", str(write_config(tmp_path, **config))] if config else []
+    assert main(["ingest", str(src), "--workspace", str(ws), *cfg]) == 0
+    assert main(["run", "--workspace", str(ws), *cfg]) == 0
+    return ws
+
+
+def _change_digit(path, pattern):
+    """Change the first digit that ``pattern`` (ending in a group for the
+    digit) finds in ``path``; the file stays valid JSON lines."""
+    text = path.read_text()
+    changed = re.sub(pattern, lambda m: m[0][:-1] + str(int(m[1]) % 9 + 1), text, count=1)
+    assert changed != text
+    path.write_text(changed)
+
+
 def _empty_ledger(ws, src):
     (ws / "ledgers" / "2003.jsonl").write_text("")
     return ["report", "distance-histogram"], "2003.jsonl"
@@ -241,25 +297,69 @@ def _ledger_trailing_garbage(ws, src):
     return ["run"], "2001.jsonl"
 
 
+def _ledger_count_digit(ws, src):
+    _change_digit(ws / "ledgers" / "2003.jsonl", r'"kind": "events"}\n\{"counts": \{"\d+": (\d)')
+    return ["run"], "2003.jsonl"
+
+
+def _state_xn_digit(ws, src):
+    _change_digit(ws / "states" / "2002.jsonl", r'"xn": (\d)')
+    return ["run"], "2002.jsonl"
+
+
 @pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus,
                                     _truncated_ledger, _blank_line_in_state,
-                                    _ledger_trailing_garbage, _header_only_ledger],
+                                    _ledger_trailing_garbage, _header_only_ledger,
+                                    _ledger_count_digit, _state_xn_digit],
                          ids=["empty-ledger", "truncated-state", "foreign-corpus",
                               "truncated-ledger", "blank-line-in-state",
-                              "ledger-trailing-garbage", "header-only-ledger"])
+                              "ledger-trailing-garbage", "header-only-ledger",
+                              "ledger-count-digit", "state-xn-digit"])
 def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
-    rng = random.Random(7)
-    lines = random_corpus_lines(rng, 60, 12, 2000, 2003)
-    src = tmp_path / "c.jsonl"
-    src.write_text("\n".join(lines) + "\n")
-    ws = tmp_path / "ws"
-    assert main(["ingest", str(src), "--workspace", str(ws)]) == 0
-    assert main(["run", "--workspace", str(ws)]) == 0
-    command, file_name = damage(ws, src)
+    ws = _ran_workspace(tmp_path)
+    command, file_name = damage(ws, tmp_path / "c.jsonl")
     capsys.readouterr()
     assert main([*command, "--workspace", str(ws)]) == 3
     err = capsys.readouterr().err
     assert "error: cannot read " in err and file_name in err
+
+
+def test_silently_damaged_ledger_fails_index_reports(tmp_path, capsys):
+    """A changed count keeps the ledger valid JSON; its record digest
+    still makes the index reports refuse it."""
+    ws = _ran_workspace(tmp_path, exact_distances=True)
+    cfg = str(tmp_path / "engine.cfg")
+    assert main(["report", "index-table", "--workspace", str(ws), "--config", cfg]) == 0
+    _ledger_count_digit(ws, None)
+    capsys.readouterr()
+    assert main(["report", "index-table", "--workspace", str(ws), "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "error: cannot read " in err and "2003.jsonl" in err
+
+
+def test_run_after_ingesting_another_corpus_exits_3(tmp_path, capsys):
+    """Artifacts of corpus A never answer for corpus B, even when B has
+    the same papers, authors and years and only its citations differ."""
+    lines_a = random_corpus_lines(random.Random(23), 120, 25, 2000, 2005)
+    lines_b = []
+    for line in lines_a:  # every paper drops its last reference
+        paper = json.loads(line)
+        lines_b.append(record_line(paper["id"], paper["year"], paper["authors"],
+                                   paper["references"][:-1]))
+    assert lines_b != lines_a
+    corpus_a, corpus_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    corpus_a.write_text("\n".join(lines_a) + "\n")
+    corpus_b.write_text("\n".join(lines_b) + "\n")
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(corpus_a), "--workspace", str(ws)]) == 0
+    assert main(["run", "--workspace", str(ws)]) == 0
+    assert main(["ingest", str(corpus_b), "--workspace", str(ws)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--workspace", str(ws)]) == 3
+    captured = capsys.readouterr()
+    assert "already complete" not in captured.out
+    assert re.search(r"error: cannot read \S*ledgers/2000\.jsonl", captured.err)
+    assert main(["report", "distance-histogram", "--workspace", str(ws)]) == 3
 
 
 def test_atomic_write_failure_keeps_previous_file(tmp_path):
@@ -474,8 +574,8 @@ def tree_digest(root, subdirs):
 # for the corpus below, pinned so that a change to the engine is shown to
 # leave every artifact byte-identical.
 PINNED_ARTIFACT_DIGESTS = {
-    False: "d8246a25b895dbedc574b4a46964c9ec302ed4b6885d5fe1397fcd7e30c23705",
-    True: "fb502b87396ce3c8bff40e835665eaa6307a9f5385600facdb2ea216b7ab3bd6",
+    False: "d8077bb95bb18a56c2383a6a2b4f29c454f5a901976a5fb1ee6ed721e613dfd0",
+    True: "8b26ca2e8f772cc3db0a85002c6187b024cda907a0ddec843339e04b5991b733",
 }
 
 
