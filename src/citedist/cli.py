@@ -27,7 +27,7 @@ from .analytics import (
 )
 from .collab import build_window, network_report
 from .config import Config, ConfigError, load_config
-from .corpus import CorpusStore, load_corpus
+from .corpus import load_corpus
 from .distances import distance_histogram
 from .errors import (
     CiteDistError,
@@ -41,8 +41,8 @@ from .pipeline import (
     build_index_records,
     load_event_ledgers,
     load_series,
-    planned_years,
     run_pipeline,
+    workspace_years,
 )
 from .workspace import Workspace
 
@@ -192,12 +192,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _report_year(args, store: CorpusStore) -> int:
-    """``--year``, else the last year of the store loaded with the report's
+def _report_year(args, span: tuple[int, int]) -> int:
+    """``--year``, else the last year of the snapshot under the report's
     config (which may narrow the ingested span)."""
     if args.year is not None:
         return args.year
-    return store.year_span()[1]
+    return span[1]
 
 
 def cmd_report(args) -> int:
@@ -208,24 +208,26 @@ def cmd_report(args) -> int:
 
 def _report(args, ws: Workspace) -> int:
     cfg = _load_cfg(args)
-    store = ws.load_store(cfg)
+    name = args.name
+    span = ws.year_span(cfg)
+    # The histogram bins the ledgers' events lines and needs no store.
+    store = None if name == "distance-histogram" else ws.load_store(cfg)
     manifest = {
         "report": args.name,
         "config": cfg.config_hash(),
         "corpus_sha256": ws.corpus_hash(),
         "seed": args.seed,
     }
-    name = args.name
 
     if name == "network-stats":
-        year = _report_year(args, store)
+        year = _report_year(args, span)
         net = build_window(store, year, cfg.window_length)
         stats = network_report(net, with_diameter=args.with_diameter)
         rows = [stats.CSV_HEADER, stats.csv_row(year)]
         manifest["params"] = {"year": year, "with_diameter": args.with_diameter}
 
     elif name == "edges":
-        year = _report_year(args, store)
+        year = _report_year(args, span)
         net = build_window(store, year, cfg.window_length)
         rows = ["author_a,author_b"]
         labels = store.author_labels
@@ -234,10 +236,10 @@ def _report(args, ws: Workspace) -> int:
         manifest["params"] = {"year": year}
 
     elif name == "distance-histogram":
-        planned = planned_years(store, cfg)
+        planned = workspace_years(ws, cfg)
         lo, hi = args.years if args.years else (planned[0] if planned else 0,
-                                                _report_year(args, store))
-        ledgers = load_event_ledgers(ws, store, cfg, lo, hi)
+                                                _report_year(args, span))
+        ledgers = load_event_ledgers(ws, cfg, lo, hi)
         result = distance_histogram(ledgers, range(lo, hi + 1), args.max_bin)
         for notice in result.notices:
             print(notice, file=sys.stderr)
@@ -245,7 +247,7 @@ def _report(args, ws: Workspace) -> int:
         manifest["params"] = {"years": [lo, hi], "max_bin": args.max_bin}
 
     elif name == "heatmap":
-        lo, hi = args.years if args.years else store.year_span()
+        lo, hi = args.years if args.years else span
         net_year = args.net_year if args.net_year is not None else hi
         net = build_window(store, net_year, cfg.window_length)
         matrix = repeated_citation_matrix(
@@ -263,7 +265,7 @@ def _report(args, ws: Workspace) -> int:
         }
 
     else:  # index-derived reports need exact ledgers
-        year = _report_year(args, store)
+        year = _report_year(args, span)
         series = load_series(ws, store, cfg, year)
         records = build_index_records(store, series, year, cfg)
         manifest["params"] = {"year": year}

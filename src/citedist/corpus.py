@@ -12,6 +12,11 @@ that never appear in the corpus are "dangling": they are reported but
 excluded from every distance and index computation, because the author
 sets of both endpoints must be known.
 
+A workspace snapshot, written by :meth:`CorpusStore.dump`, is read back
+with :func:`parse_snapshot`, which trusts its lines instead of validating
+them.  Both front ends hand their records to one store builder, which
+applies the config's year filter, interns ids and resolves references.
+
 Aminer/DBLP V12 records can be converted with :func:`canonical_from_dblp_v12`.
 """
 
@@ -21,11 +26,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .config import Config
 from .errors import EmptyCorpusError, IngestError
+
+_NO_PAPERS = "no valid paper records in input"
 
 
 @dataclass(frozen=True)
@@ -104,17 +112,6 @@ class CorpusStore:
         self.cited_by: list[list[int]] = []
         self.author_papers: list[list[int]] = []
         self.summary = ValidationSummary()
-
-    # -- interning -----------------------------------------------------
-
-    def _intern_author(self, label: str) -> int:
-        idx = self.author_index.get(label)
-        if idx is None:
-            idx = len(self.author_labels)
-            self.author_index[label] = idx
-            self.author_labels.append(label)
-            self.author_papers.append([])
-        return idx
 
     # -- basic access --------------------------------------------------
 
@@ -207,70 +204,71 @@ def _normalize_record(obj) -> PaperRecord:
     return PaperRecord(paper_id, year, tuple(seen), tuple(kept))
 
 
-def parse_records(lines: Iterable[str | bytes], config: Config) -> CorpusStore:
-    """Parse canonical line-delimited records into an indexed store.
+def _build_store(records: Iterable[tuple[str, int, Sequence[str], Sequence[str]]],
+                 config: Config, skipped: Counter) -> CorpusStore:
+    """Intern ``(id, year, authors, references)`` records into a store.
 
-    Malformed lines (bad JSON, missing fields, empty author list, year
-    outside the configured range) are skipped and counted by reason.
-    Duplicate paper ids keep the first occurrence.
+    The records must hold distinct authors and distinct references other
+    than the paper itself.  A record whose year lies outside the config's
+    range is skipped and counted in ``skipped``; a repeated paper id keeps
+    its first record.  References are resolved once the paper table is
+    complete: one to a paper not in it is counted as dangling and dropped.
     """
     store = CorpusStore()
-    raw_refs: list[tuple[str, ...]] = []
-    skipped = Counter()
+    author_index, author_labels = store.author_index, store.author_labels
+    author_papers = store.author_papers
+    paper_index, paper_labels = store.paper_index, store.paper_labels
+    paper_year, paper_authors = store.paper_year, store.paper_authors
+    years_index = store.years_index
+    year_start, year_end = config.year_start, config.year_end
+    raw_refs: list[tuple[str, ...] | None] = []
     duplicates = 0
 
-    for raw in lines:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            skipped["bad_json"] += 1
-            continue
-        try:
-            rec = _normalize_record(obj)
-        except ValueError as exc:
-            skipped[str(exc)] += 1
-            continue
-        if not (config.year_start <= rec.year <= config.year_end):
+    for paper_id, year, authors, refs in records:
+        if not (year_start <= year <= year_end):
             skipped["year_out_of_range"] += 1
             continue
-        if rec.paper_id in store.paper_index:
+        if paper_id in paper_index:
             duplicates += 1
             continue
+        pid = len(paper_labels)
+        paper_index[paper_id] = pid
+        paper_labels.append(paper_id)
+        paper_year.append(year)
+        ids = []
+        for label in authors:
+            a = author_index.get(label)
+            if a is None:
+                a = author_index[label] = len(author_labels)
+                author_labels.append(label)
+                author_papers.append([])
+            author_papers[a].append(pid)
+            ids.append(a)
+        paper_authors.append(tuple(ids))
+        years_index.setdefault(year, []).append(pid)
+        raw_refs.append(tuple(refs))  # smaller than a decoded JSON list
 
-        pid = len(store.paper_labels)
-        store.paper_index[rec.paper_id] = pid
-        store.paper_labels.append(rec.paper_id)
-        store.paper_year.append(rec.year)
-        authors = tuple(store._intern_author(a) for a in rec.author_ids)
-        store.paper_authors.append(authors)
-        for a in authors:
-            store.author_papers[a].append(pid)
-        store.years_index.setdefault(rec.year, []).append(pid)
-        raw_refs.append(rec.reference_ids)
+    if not paper_labels:
+        raise EmptyCorpusError(_NO_PAPERS)
 
-    if not store.paper_labels:
-        raise EmptyCorpusError("no valid paper records in input")
-
-    # Resolve references now that the full paper table is known.
+    # Resolve references now that the full paper table is known.  Each
+    # raw tuple is dropped as its resolved tuple is made, which can reuse
+    # its memory, so the peak stays near one table of references.
     dangling = 0
     citations = 0
-    store.cited_by = [[] for _ in range(store.num_papers)]
+    cited_by = store.cited_by = [[] for _ in range(len(paper_labels))]
     for pid, refs in enumerate(raw_refs):
         resolved = []
         for label in refs:
-            target = store.paper_index.get(label)
+            target = paper_index.get(label)
             if target is None:
                 dangling += 1
             else:
                 resolved.append(target)
-                store.cited_by[target].append(pid)
+                cited_by[target].append(pid)
                 citations += 1
         store.paper_refs.append(tuple(resolved))
+        raw_refs[pid] = None
 
     store.summary = ValidationSummary(
         papers=store.num_papers,
@@ -282,6 +280,61 @@ def parse_records(lines: Iterable[str | bytes], config: Config) -> CorpusStore:
         skipped_reasons=dict(skipped),
     )
     return store
+
+
+def parse_records(lines: Iterable[str | bytes], config: Config) -> CorpusStore:
+    """Parse canonical line-delimited records into an indexed store.
+
+    Malformed lines (bad JSON, missing fields, empty author list, year
+    outside the configured range) are skipped and counted by reason.
+    Duplicate paper ids keep the first occurrence.
+    """
+    skipped = Counter()
+
+    def records():
+        for raw in lines:
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8", errors="replace")
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError:
+                skipped["bad_json"] += 1
+                continue
+            try:
+                rec = _normalize_record(obj)
+            except ValueError as exc:
+                skipped[str(exc)] += 1
+                continue
+            yield rec.paper_id, rec.year, rec.author_ids, rec.reference_ids
+
+    return _build_store(records(), config, skipped)
+
+
+_SNAPSHOT_FIELDS = itemgetter("id", "year", "authors", "references")
+
+
+def parse_snapshot(lines: Iterable[str], config: Config) -> CorpusStore:
+    """The store of the snapshot lines that :meth:`CorpusStore.dump`
+    wrote, with ``config``'s year filter applied.
+
+    The lines are trusted, not validated: each is decoded on its own and
+    its fields are taken as they stand.  The store equals
+    ``parse_records`` of the same lines and config.
+    """
+    return _build_store(map(_SNAPSHOT_FIELDS, map(json.loads, lines)), config, Counter())
+
+
+def config_span(paper_years: Iterable[int], config: Config) -> tuple[int, int]:
+    """The first and last of ``paper_years`` in the config's year range:
+    ``year_span()`` of a store built from papers of those years with that
+    config.  Raises EmptyCorpusError, as the build would, when none is."""
+    kept = [y for y in paper_years if config.year_start <= y <= config.year_end]
+    if not kept:
+        raise EmptyCorpusError(_NO_PAPERS)
+    return min(kept), max(kept)
 
 
 def load_corpus(path: str | Path, config: Config) -> CorpusStore:

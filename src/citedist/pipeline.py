@@ -26,12 +26,21 @@ from .workspace import Workspace
 log = logging.getLogger("citedist")
 
 
+def _window_years(lo: int, hi: int, cfg: Config) -> list[int]:
+    start = lo + cfg.window_length - 1 if cfg.strict_window else lo
+    return list(range(start, hi + 1))
+
+
 def planned_years(store: CorpusStore, cfg: Config) -> list[int]:
     """Years the pipeline processes: the corpus span, with the leading
     years dropped when strict windowing demands a full window."""
-    lo, hi = store.year_span()
-    start = lo + cfg.window_length - 1 if cfg.strict_window else lo
-    return list(range(start, hi + 1))
+    return _window_years(*store.year_span(), cfg)
+
+
+def workspace_years(ws: Workspace, cfg: Config) -> list[int]:
+    """:func:`planned_years` of the workspace snapshot loaded with
+    ``cfg``, from its meta alone."""
+    return _window_years(*ws.year_span(cfg), cfg)
 
 
 def year_ledger(store: CorpusStore, year: int, cfg: Config) -> YearLedger:
@@ -50,11 +59,15 @@ class RunResult:
 
 def run_pipeline(ws: Workspace, cfg: Config,
                  year_range: tuple[int, int] | None = None) -> RunResult:
-    """Process (or resume) the yearly pipeline over the workspace corpus."""
-    store = ws.load_store(cfg)
+    """Process (or resume) the yearly pipeline over the workspace corpus.
+
+    The snapshot is loaded at the first year that is not complete, so a
+    resume that finds every year complete reads only the meta and the
+    artifact headers."""
+    planned = workspace_years(ws, cfg)
     ws.ensure_dirs()
     cfg_hash = cfg.config_hash()
-    years = planned_years(store, cfg)
+    years = planned
     if year_range is not None:
         lo, hi = year_range
         years = [y for y in years if lo <= y <= hi]
@@ -63,14 +76,17 @@ def run_pipeline(ws: Workspace, cfg: Config,
 
     processed: list[int] = []
     skipped: list[int] = []
+    store: CorpusStore | None = None
     states: dict[int, int] | None = None
     for year in years:
         if ws.year_complete(year, cfg_hash):
             skipped.append(year)
             states = None  # reload lazily from the last completed snapshot
             continue
+        if store is None:
+            store = ws.load_store(cfg)
         if states is None:
-            states = _load_chain_state(ws, store, cfg, cfg_hash, year, years)
+            states = _load_chain_state(ws, store, cfg_hash, year, planned[0])
         started = time.perf_counter()
         ledger = year_ledger(store, year, cfg)
         for author, tally in ledger.scholars.items():
@@ -90,9 +106,9 @@ def run_pipeline(ws: Workspace, cfg: Config,
     return RunResult(processed, skipped)
 
 
-def _load_chain_state(ws: Workspace, store: CorpusStore, cfg: Config, cfg_hash: str,
-                      year: int, years: list[int]) -> dict[int, int]:
-    if year == years[0] and year == planned_years(store, cfg)[0]:
+def _load_chain_state(ws: Workspace, store: CorpusStore, cfg_hash: str,
+                      year: int, first_year: int) -> dict[int, int]:
+    if year == first_year:
         return {}
     prior = ws.read_states(year - 1, store, cfg_hash)
     if prior is None:
@@ -106,13 +122,12 @@ def _load_chain_state(ws: Workspace, store: CorpusStore, cfg: Config, cfg_hash: 
 # -- report assembly ---------------------------------------------------------
 
 
-def report_years(ws: Workspace, store: CorpusStore, cfg: Config,
-                 up_to_year: int) -> list[int]:
+def report_years(ws: Workspace, cfg: Config, up_to_year: int) -> list[int]:
     """The config's planned years up to a year that have a completed
     ledger; ledgers that a run under another config left outside them
     are not read."""
     done = set(ws.completed_years())
-    years = [y for y in planned_years(store, cfg) if y <= up_to_year and y in done]
+    years = [y for y in workspace_years(ws, cfg) if y <= up_to_year and y in done]
     if not years:
         raise WorkspaceError("no ledgers in workspace; run the pipeline first")
     return years
@@ -132,19 +147,18 @@ def load_series(ws: Workspace, store: CorpusStore, cfg: Config,
     cfg_hash = cfg.config_hash()
     return LedgerSeries({
         year: _verified(ws.read_ledger(year, store, cfg_hash), year)
-        for year in report_years(ws, store, cfg, up_to_year)
+        for year in report_years(ws, cfg, up_to_year)
     })
 
 
-def load_event_ledgers(ws: Workspace, store: CorpusStore, cfg: Config,
-                       lo: int, hi: int) -> dict[int, YearLedger]:
+def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int, YearLedger]:
     """The ledgers of :func:`report_years` in ``[lo, hi]``, verified
     against the config, with their events tallies only (what
     ``distance_histogram`` bins)."""
     cfg_hash = cfg.config_hash()
     return {
         year: _verified(ws.read_ledger_events(year, cfg_hash), year)
-        for year in report_years(ws, store, cfg, hi) if year >= lo
+        for year in report_years(ws, cfg, hi) if year >= lo
     }
 
 

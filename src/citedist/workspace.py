@@ -3,7 +3,7 @@
 Layout under the workspace root:
 
     corpus.jsonl          normalized corpus snapshot (canonical format)
-    corpus.meta.json      validation summary + corpus/config hashes
+    corpus.meta.json      validation summary, corpus/config hashes, paper years
     ledgers/<year>.jsonl  per-year distance ledgers
     states/<year>.jsonl   per-year x-index state snapshots (append-only history)
     reports/              CSV reports with JSON manifests
@@ -14,6 +14,14 @@ interrupted stage never leaves a half-written year behind and re-running
 a stage with the same inputs produces byte-identical files.  State
 snapshots store x scaled by n as an exact integer.  ``citedist.codec``
 owns the line format of ledgers and states.
+
+The meta lists ``paper_years``, the distinct years of the snapshot's
+papers, so the years a config plans come from the meta alone.  A step
+that needs the store hashes the snapshot and checks the digest against
+the ``corpus_sha256`` of the meta; a mismatch raises a WorkspaceError
+that names ``corpus.jsonl``.  The checked lines are
+built into a store without being validated again, and the store's year
+span must match the one the meta gives, else the meta is damaged.
 
 Each artifact header records the hash of the configuration that
 produced it, the sha256 of the ingested corpus, and the sha256 of its
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -47,7 +56,7 @@ from .codec import (
     stamp,
 )
 from .config import Config
-from .corpus import CorpusStore, load_corpus
+from .corpus import CorpusStore, config_span, parse_snapshot
 from .distances import YearLedger
 from .errors import WorkspaceError
 
@@ -75,7 +84,7 @@ class Workspace:
         self.ledger_dir = self.root / "ledgers"
         self.state_dir = self.root / "states"
         self.report_dir = self.root / "reports"
-        self._corpus_sha256: str | None = None
+        self._meta: dict | None = None
 
     def ensure_dirs(self) -> None:
         for d in (self.root, self.ledger_dir, self.state_dir, self.report_dir):
@@ -115,26 +124,70 @@ class Workspace:
             "config": cfg.config_hash(),
             "year_min": lo,
             "year_max": hi,
+            "paper_years": sorted(store.years_index),
         }
         _atomic_write(self.meta_path, lambda fp: fp.write(json.dumps(meta, indent=2, sort_keys=True) + "\n"))
-        self._corpus_sha256 = digest
+        self._meta = meta
         return meta
 
     def load_meta(self) -> dict:
-        if not self.meta_path.exists():
-            raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first")
-        return json.loads(self.meta_path.read_text(encoding="utf-8"))
-
-    def load_store(self, cfg: Config) -> CorpusStore:
-        if not self.corpus_path.exists():
-            raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first")
-        return load_corpus(self.corpus_path, cfg)
+        """The content of ``corpus.meta.json``, read once."""
+        if self._meta is None:
+            if not self.meta_path.exists():
+                raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first")
+            try:
+                self._meta = json.loads(self.meta_path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise WorkspaceError(
+                    f"cannot read {self.meta_path}: damaged ({exc!r}); run 'ingest' again"
+                ) from exc
+        return self._meta
 
     def corpus_hash(self) -> str:
-        """The sha256 of the ingested corpus snapshot, read once."""
-        if self._corpus_sha256 is None:
-            self._corpus_sha256 = self.load_meta()["corpus_sha256"]
-        return self._corpus_sha256
+        """The sha256 of the ingested corpus snapshot, as the meta records it."""
+        return self.load_meta()["corpus_sha256"]
+
+    def year_span(self, cfg: Config) -> tuple[int, int]:
+        """``year_span()`` of the snapshot loaded with ``cfg``, taken from
+        the ``paper_years`` of the meta; raises EmptyCorpusError when the
+        config's year range holds no paper, and a WorkspaceError when the
+        meta has no ``paper_years``."""
+        years = self.load_meta().get("paper_years")
+        if years is None:
+            raise WorkspaceError(
+                f"{self.meta_path} lists no paper_years: an older ingest wrote it; "
+                f"run 'ingest' again"
+            )
+        return config_span(years, cfg)
+
+    def load_store(self, cfg: Config) -> CorpusStore:
+        """The snapshot as a store, with ``cfg``'s year filter applied.  Its
+        bytes must match the ``corpus_sha256`` of the meta, else a
+        WorkspaceError names the file; its lines are then trusted and not
+        validated again.  The file is hashed in chunks and then decoded
+        line by line, so it is never held whole.  A store whose years do
+        not span what the ``paper_years`` of the meta say raises too."""
+        try:
+            fp = open(self.corpus_path, "rb")
+        except FileNotFoundError:
+            raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first") from None
+        with fp:
+            digest = hashlib.sha256()
+            while chunk := fp.read(io.DEFAULT_BUFFER_SIZE):
+                digest.update(chunk)
+            if digest.hexdigest() != self.corpus_hash():
+                raise WorkspaceError(
+                    f"cannot read {self.corpus_path}: damaged (its bytes do not match the "
+                    f"corpus_sha256 in {self.meta_path.name}); run 'ingest' again"
+                )
+            fp.seek(0)
+            store = parse_snapshot(io.TextIOWrapper(fp, encoding="ascii"), cfg)
+        if store.year_span() != self.year_span(cfg):
+            raise WorkspaceError(
+                f"cannot read {self.meta_path}: damaged (its paper_years do not match "
+                f"{self.corpus_path.name}); run 'ingest' again"
+            )
+        return store
 
     # -- artifacts ---------------------------------------------------------
 

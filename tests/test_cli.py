@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from citedist.cli import main
+from citedist import corpus as corpus_module
+from citedist.cli import REPORT_NAMES, main
 from citedist.config import Config
 from citedist.corpus import parse_records
 from citedist.pipeline import build_index_records, load_series, run_pipeline
@@ -249,13 +250,13 @@ def _change_digit(path, pattern):
 
 def _empty_ledger(ws, src):
     (ws / "ledgers" / "2003.jsonl").write_text("")
-    return ["report", "distance-histogram"], "2003.jsonl"
+    return [["report", "distance-histogram"]], "2003.jsonl"
 
 
 def _truncated_state(ws, src):
     path = ws / "states" / "2003.jsonl"
     path.write_bytes(path.read_bytes()[:-2])  # cut the last line mid-object
-    return ["run"], "2003.jsonl"
+    return [["run"]], "2003.jsonl"
 
 
 def _foreign_corpus(ws, src):
@@ -265,14 +266,14 @@ def _foreign_corpus(ws, src):
         record_line("q1", 2001, ["yan"], ["q0"]),
     ]) + "\n")
     assert main(["ingest", str(other), "--workspace", str(ws)]) == 0
-    return ["run"], "2000.jsonl"
+    return [["run"]], "2000.jsonl"
 
 
 def _truncated_ledger(ws, src):
     path = ws / "ledgers" / "2002.jsonl"
     data = path.read_bytes()
     path.write_bytes(data[:data.index(b"\n") + 12])  # cut inside the events line
-    return ["report", "distance-histogram"], "2002.jsonl"
+    return [["report", "distance-histogram"]], "2002.jsonl"
 
 
 def _blank_line_in_state(ws, src):
@@ -280,13 +281,13 @@ def _blank_line_in_state(ws, src):
     head, first, rest = path.read_text().split("\n", 2)
     assert rest  # the blank line goes between two records
     path.write_text(f"{head}\n{first}\n\n{rest}")
-    return ["run"], "2003.jsonl"
+    return [["run"]], "2003.jsonl"
 
 
 def _header_only_ledger(ws, src):
     path = ws / "ledgers" / "2002.jsonl"
     path.write_text(path.read_text().split("\n", 1)[0] + "\n")
-    return ["report", "distance-histogram"], "2002.jsonl"
+    return [["report", "distance-histogram"]], "2002.jsonl"
 
 
 def _ledger_trailing_garbage(ws, src):
@@ -294,34 +295,137 @@ def _ledger_trailing_garbage(ws, src):
     text = path.read_text()
     last = text.rstrip("\n").rsplit("\n", 1)[1]
     path.write_text(text[:-1] + ", " + last + "\n")  # a second, valid value on the line
-    return ["run"], "2001.jsonl"
+    return [["run"]], "2001.jsonl"
 
 
 def _ledger_count_digit(ws, src):
     _change_digit(ws / "ledgers" / "2003.jsonl", r'"kind": "events"}\n\{"counts": \{"\d+": (\d)')
-    return ["run"], "2003.jsonl"
+    return [["run"]], "2003.jsonl"
 
 
 def _state_xn_digit(ws, src):
     _change_digit(ws / "states" / "2002.jsonl", r'"xn": (\d)')
-    return ["run"], "2002.jsonl"
+    return [["run"]], "2002.jsonl"
+
+
+def _steps_that_load_the_snapshot(ws, src):
+    """Make a resume and a run under another config load the snapshot:
+    the last year of the run is deleted, and no year is complete under
+    exact distances."""
+    (ws / "ledgers" / "2003.jsonl").unlink()
+    cfg = write_config(src.parent, exact_distances=True)
+    return [["run"], ["run", "--config", str(cfg)], ["report", "network-stats"]], "corpus.jsonl"
+
+
+def _snapshot_truncated_line(ws, src):
+    path = ws / "corpus.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    lines[10] = lines[10][:-3]
+    path.write_bytes(b"\n".join(lines))
+    return _steps_that_load_the_snapshot(ws, src)
+
+
+def _snapshot_digit(ws, src):
+    _change_digit(ws / "corpus.jsonl", r'"year":\d\d\d(\d)')
+    return _steps_that_load_the_snapshot(ws, src)
+
+
+def _meta_truncated(ws, src):
+    path = ws / "corpus.meta.json"
+    path.write_text(path.read_text()[:40])
+    return [["run"], ["report", "distance-histogram"]], "corpus.meta.json"
+
+
+def _meta_paper_years(ws, src):
+    """A later last year keeps the meta valid JSON; a run reaches it
+    and loads the snapshot, whose years do not match."""
+    path = ws / "corpus.meta.json"
+    meta = json.loads(path.read_text())
+    meta["paper_years"][-1] += 1
+    path.write_text(json.dumps(meta))
+    return [["run"], ["report", "network-stats"]], "corpus.meta.json"
 
 
 @pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus,
                                     _truncated_ledger, _blank_line_in_state,
                                     _ledger_trailing_garbage, _header_only_ledger,
-                                    _ledger_count_digit, _state_xn_digit],
+                                    _ledger_count_digit, _state_xn_digit,
+                                    _snapshot_truncated_line, _snapshot_digit,
+                                    _meta_truncated, _meta_paper_years],
                          ids=["empty-ledger", "truncated-state", "foreign-corpus",
                               "truncated-ledger", "blank-line-in-state",
                               "ledger-trailing-garbage", "header-only-ledger",
-                              "ledger-count-digit", "state-xn-digit"])
+                              "ledger-count-digit", "state-xn-digit",
+                              "snapshot-truncated-line", "snapshot-digit",
+                              "meta-truncated", "meta-paper-years"])
 def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
     ws = _ran_workspace(tmp_path)
-    command, file_name = damage(ws, tmp_path / "c.jsonl")
+    commands, file_name = damage(ws, tmp_path / "c.jsonl")
+    for command in commands:
+        capsys.readouterr()
+        assert main([*command, "--workspace", str(ws)]) == 3
+        err = capsys.readouterr().err
+        assert "error: cannot read " in err and file_name in err
+
+
+def test_workspace_of_an_older_ingest_exits_3(tmp_path, capsys):
+    """A meta without ``paper_years`` asks for a new ingest; nothing
+    falls back to parsing the snapshot for its years."""
+    ws = _ran_workspace(tmp_path)
+    meta_path = ws / "corpus.meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["paper_years"]
+    meta_path.write_text(json.dumps(meta))
     capsys.readouterr()
-    assert main([*command, "--workspace", str(ws)]) == 3
-    err = capsys.readouterr().err
-    assert "error: cannot read " in err and file_name in err
+    for command in (["run"], ["report", "distance-histogram"],
+                    ["report", "network-stats", "--year", "2003"]):
+        assert main([*command, "--workspace", str(ws)]) == 3
+        assert "run 'ingest' again" in capsys.readouterr().err
+
+
+def test_config_without_papers_exits_2(tmp_path, capsys):
+    """A config whose year range holds no paper stops a fresh run, a
+    resume and every report with the error of an empty corpus."""
+    ws = _ran_workspace(tmp_path)
+    fresh = tmp_path / "fresh"
+    assert main(["ingest", str(tmp_path / "c.jsonl"), "--workspace", str(fresh)]) == 0
+    cfg = str(write_config(tmp_path, year_start=1900, year_end=1950))
+    steps = [["run", "--workspace", str(fresh)], ["run", "--workspace", str(ws)]]
+    steps += [["report", name, "--workspace", str(ws)] for name in REPORT_NAMES]
+    capsys.readouterr()
+    for argv in steps:
+        assert main([*argv, "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: no valid paper records in input\n"
+
+
+def test_complete_resume_and_histogram_read_no_snapshot(tmp_path, monkeypatch, capsys):
+    """A resume that finds every year complete and the distance histogram
+    never load the corpus snapshot, and write what they wrote before."""
+    ws = _ran_workspace(tmp_path)
+    histograms = (["report", "distance-histogram", "--workspace", str(ws)],
+                  ["report", "distance-histogram", "--workspace", str(ws), "--years", "2001:2003"])
+
+    def reports():
+        out = []
+        for argv in histograms:
+            assert main(argv) == 0
+            out.append(tree_bytes(ws / "reports"))
+        return out
+
+    expected = reports()
+    artifacts = tree_bytes(ws)
+
+    def no_snapshot(*args, **kwargs):
+        raise AssertionError("the corpus snapshot was read")
+
+    monkeypatch.setattr(Workspace, "load_store", no_snapshot)
+    monkeypatch.setattr(corpus_module, "parse_snapshot", no_snapshot)
+    monkeypatch.setattr(corpus_module, "parse_records", no_snapshot)
+    capsys.readouterr()
+    assert main(["run", "--workspace", str(ws)]) == 0
+    assert "processed 0 years, skipped 4 already complete" in capsys.readouterr().out
+    assert tree_bytes(ws) == artifacts
+    assert reports() == expected
 
 
 def test_silently_damaged_ledger_fails_index_reports(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import pytest
 
@@ -14,8 +15,16 @@ from citedist.corpus import (
     yearly_counts,
 )
 from citedist.errors import EmptyCorpusError, IngestError
+from citedist.pipeline import planned_years, workspace_years
+from citedist.workspace import Workspace
 
-from synthcorpus import random_corpus_lines, record_line, table1_lines, table1_store
+from synthcorpus import (
+    random_corpus_lines,
+    record_line,
+    table1_lines,
+    table1_store,
+    write_scale_corpus,
+)
 
 
 def test_table1_counts():
@@ -157,6 +166,39 @@ def test_table1_round_trip():
     again = parse_records(buf.getvalue().splitlines(), Config())
     assert again.paper_labels == store.paper_labels
     assert again.paper_authors == store.paper_authors
+
+
+STORE_TABLES = ("author_labels", "author_index", "paper_labels", "paper_index",
+                "paper_year", "paper_authors", "paper_refs", "years_index",
+                "cited_by", "author_papers", "summary")
+
+
+def test_snapshot_loader_matches_parse_records(tmp_path):
+    """The workspace loader builds the same store from a snapshot as the
+    validating parser does from the same bytes, and the meta plans the
+    same years, for configs whose year range cuts references."""
+    corpora = [random_corpus_lines(random.Random(seed), 150, 30, 2000, 2011)
+               for seed in (31, 37, 41)]
+    scale = tmp_path / "scale.jsonl"
+    write_scale_corpus(scale, 3000, 1000, 12000, 1990, 2009, seed=43)
+    corpora.append(scale.read_text().splitlines())
+    configs = [Config(), Config(strict_window=True),
+               Config(year_start=2003, year_end=2007),
+               Config(year_start=2003, year_end=2007, strict_window=True),
+               Config(year_start=2006, window_length=3, strict_window=True)]
+    for k, lines in enumerate(corpora):
+        root = tmp_path / f"ws{k}"
+        Workspace(root).write_corpus(parse_records(lines, Config()), Config())
+        snapshot = (root / "corpus.jsonl").read_bytes()
+        for cfg in configs:
+            ws = Workspace(root)
+            loaded = ws.load_store(cfg)
+            parsed = parse_records(snapshot.splitlines(), cfg)
+            for table in STORE_TABLES:
+                assert getattr(loaded, table) == getattr(parsed, table), (k, cfg, table)
+            assert workspace_years(ws, cfg) == planned_years(parsed, cfg)
+        cut = parse_records(snapshot.splitlines(), configs[2]).summary
+        assert cut.dangling_references > 0 and cut.skipped_reasons["year_out_of_range"] > 0
 
 
 def test_missing_file_is_ingest_error(tmp_path):
