@@ -6,9 +6,10 @@ undirected and unweighted; collaboration multiplicity is ignored.  The
 node set contains every author of a window paper, including authors of
 single-author papers (degree 0).
 
-Adjacency is a CSR layout over plain ``array`` buffers with sorted
-neighbour lists, indexed directly by interned author id, so windows over
-million-author corpora stay compact.  Networks are immutable after
+Adjacency is one list indexed directly by interned author id that holds
+each author's sorted neighbours as a tuple; authors outside the window
+share one empty tuple, so a window costs one list slot per corpus author
+plus one tuple per window node.  Networks are immutable after
 construction; queries are read-only.
 
 Each network labels its connected components once, on first use.  A
@@ -26,7 +27,6 @@ the repeated-citation heatmap is one such query.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -89,14 +89,13 @@ EXCEEDS_CODE = -2
 
 class CollabNetwork:
     def __init__(self, year: int, window_length: int, num_slots: int,
-                 nodes: frozenset[int], indptr: array, indices: array, edge_count: int):
+                 nodes: frozenset[int], adj: list[tuple[int, ...]], edge_count: int):
         self.year = year
         self.window_length = window_length
         self.num_slots = num_slots
         self.nodes = nodes
         self.edge_count = edge_count
-        self._indptr = indptr
-        self._indices = indices
+        self._adj = adj
         self._labels: list[int] | None = None
 
     @classmethod
@@ -108,18 +107,11 @@ class CollabNetwork:
             adjacency.setdefault(a, []).append(b)
             adjacency.setdefault(b, []).append(a)
             edge_count += 1
-        indptr = array("q", [0] * (num_slots + 1))
-        flat: list[int] = []
-        cursor = 0
-        for u in range(num_slots):
-            neigh = adjacency.get(u)
-            if neigh:
-                neigh.sort()
-                flat.extend(neigh)
-                cursor += len(neigh)
-            indptr[u + 1] = cursor
-        return cls(year, window_length, num_slots, frozenset(nodes),
-                   indptr, array("i", flat), edge_count)
+        adj: list[tuple[int, ...]] = [()] * num_slots
+        for u, neigh in adjacency.items():
+            neigh.sort()
+            adj[u] = tuple(neigh)
+        return cls(year, window_length, num_slots, frozenset(nodes), adj, edge_count)
 
     @classmethod
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
@@ -136,6 +128,9 @@ class CollabNetwork:
             nodes.add(b)
         if num_slots is None:
             num_slots = max(nodes) + 1 if nodes else 0
+        for a in nodes:
+            if not (0 <= a < num_slots):
+                raise ValueError(f"author id {a} outside the network's id space")
         return cls._from_parts(year, window_length, num_slots, nodes, dedup)
 
     @property
@@ -146,16 +141,15 @@ class CollabNetwork:
         return author in self.nodes
 
     def degree(self, author: int) -> int:
-        return self._indptr[author + 1] - self._indptr[author]
+        return len(self._adj[author])
 
     def neighbors(self, author: int) -> list[int]:
-        return self._indices[self._indptr[author]:self._indptr[author + 1]].tolist()
+        return list(self._adj[author])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        indptr, indices = self._indptr, self._indices
-        for u in range(self.num_slots):
-            for j in range(indptr[u], indptr[u + 1]):
-                v = indices[j]
+        adj = self._adj
+        for u in sorted(self.nodes):
+            for v in adj[u]:
                 if u < v:
                     yield u, v
 
@@ -172,7 +166,7 @@ class CollabNetwork:
         labels = self._labels
         if labels is None:
             labels = [-1] * self.num_slots
-            indptr, indices = self._indptr, self._indices
+            adj = self._adj
             label = 0
             for start in sorted(self.nodes):
                 if labels[start] >= 0:
@@ -181,7 +175,7 @@ class CollabNetwork:
                 stack = [start]
                 while stack:
                     u = stack.pop()
-                    for v in indices[indptr[u]:indptr[u + 1]]:
+                    for v in adj[u]:
                         if labels[v] < 0:
                             labels[v] = label
                             stack.append(v)
@@ -213,7 +207,8 @@ class BFSSearcher:
     reallocating visit lists (epoch stamping); the lists are allocated
     on the first search.  There is one kernel per query shape:
     :meth:`pair_distance` (set to set) and :meth:`distances_to` (one set
-    to many targets).  Not thread-safe; create one searcher per worker.
+    to many targets).  Not thread-safe: the stamp lists belong to one
+    searcher, so concurrent searches each need their own.
     """
 
     def __init__(self, net: CollabNetwork):
@@ -250,7 +245,7 @@ class BFSSearcher:
             return INF_CODE
         tgt_comps = {labels[t] for t in tgt}
         src = [s for s in src if labels[s] in tgt_comps]
-        indptr, indices = net._indptr, net._indices
+        adj = net._adj
         seen, hops = self._seen, self._hops
         if hops is None:
             if seen is None:
@@ -265,11 +260,11 @@ class BFSSearcher:
             seen[s] = mine
             hops[s] = 0
             front.append(s)
-            deg_front += indptr[s + 1] - indptr[s]
+            deg_front += len(adj[s])
         for t in back:
             seen[t] = other
             hops[t] = 0
-            deg_back += indptr[t + 1] - indptr[t]
+            deg_back += len(adj[t])
         level_front = level_back = 0
         while front:
             if cap is not None and level_front + level_back >= cap:
@@ -286,7 +281,7 @@ class BFSSearcher:
             nxt = []
             deg_front = 0
             for u in front:
-                for v in indices[indptr[u]:indptr[u + 1]]:
+                for v in adj[u]:
                     mark = seen[v]
                     if mark == mine:
                         continue
@@ -295,7 +290,7 @@ class BFSSearcher:
                     seen[v] = mine
                     hops[v] = level_front
                     nxt.append(v)
-                    deg_front += indptr[v + 1] - indptr[v]
+                    deg_front += len(adj[v])
             front = nxt
         return INF_CODE  # not reached: both sides share a component
 
@@ -313,7 +308,7 @@ class BFSSearcher:
         True, otherwise only known to be farther than explored.
         """
         net = self.net
-        indptr, indices = net._indptr, net._indices
+        adj = net._adj
         seen, tgt = self._seen, self._tgt
         if tgt is None:
             if seen is None:
@@ -343,8 +338,7 @@ class BFSSearcher:
                 return found, False
             nxt: list[int] = []
             for u in frontier:
-                for j in range(indptr[u], indptr[u + 1]):
-                    v = indices[j]
+                for v in adj[u]:
                     if seen[v] == epoch:
                         continue
                     seen[v] = epoch
@@ -413,20 +407,21 @@ def avg_clustering(net: CollabNetwork) -> float:
     neighbours); nodes of degree < 2 contribute 0."""
     if net.node_count == 0:
         raise ValueError("clustering needs at least one node")
+    adj = net._adj
     neighbor_sets: dict[int, set[int]] = {}
     total = 0.0
     for u in net.nodes:
-        l = net.degree(u)
+        l = len(adj[u])
         if l < 2:
             continue
         su = neighbor_sets.get(u)
         if su is None:
-            su = neighbor_sets[u] = set(net.neighbors(u))
+            su = neighbor_sets[u] = set(adj[u])
         closed2 = 0  # twice the number of edges among u's neighbours
         for v in su:
             sv = neighbor_sets.get(v)
             if sv is None:
-                sv = neighbor_sets[v] = set(net.neighbors(v))
+                sv = neighbor_sets[v] = set(adj[v])
             closed2 += len(su & sv)
         total += closed2 / (l * (l - 1))
     return total / net.node_count
@@ -444,7 +439,7 @@ class ComponentStats:
 def connected_components(net: CollabNetwork) -> list[ComponentStats]:
     """Components sorted by node count descending, ties broken by the
     smallest contained author id (grouped from the cached labels)."""
-    indptr = net._indptr
+    adj = net._adj
     labels = net.component_labels()
     groups: list[list[int]] = []  # ascending members, one list per label
     for u in sorted(net.nodes):
@@ -456,7 +451,7 @@ def connected_components(net: CollabNetwork) -> list[ComponentStats]:
     total_edges = net.edge_count
     out = []
     for members in groups:
-        edge_count = sum(indptr[u + 1] - indptr[u] for u in members) // 2
+        edge_count = sum(len(adj[u]) for u in members) // 2
         out.append(
             ComponentStats(
                 members=frozenset(members),

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,12 +14,16 @@ from citedist.collab import (
     CollabNetwork,
     Distance,
     build_window,
+    connected_components,
     shortest_distance,
 )
+from citedist.config import Config
+from citedist.corpus import parse_records
 
 from synthcorpus import (
     floyd_warshall,
     oracle_set_distance,
+    random_corpus_lines,
     random_graph,
     record_line,
     table1_store,
@@ -254,3 +259,101 @@ def test_pair_distance_deep_source_component_target_elsewhere():
         # proven farther than the cap
         assert searcher.pair_distance({0}, {10, 9}, cap) == expected_code(9, cap)
     assert searcher.pair_distance({12}, {12, 10}) == 0  # a shared author, even off the window
+
+
+def test_from_edges_rejects_ids_outside_num_slots():
+    with pytest.raises(ValueError, match="author id 3 outside"):
+        CollabNetwork.from_edges([0, 1, 2, 3], [(0, 1), (1, 3), (2, 3)], num_slots=3)
+    with pytest.raises(ValueError, match="author id 5 outside"):
+        CollabNetwork.from_edges([0, 1], [(1, 5)], num_slots=5)
+    with pytest.raises(ValueError, match="author id -1 outside"):
+        CollabNetwork.from_edges([-1, 0], [])
+
+
+def test_edges_of_a_few_nodes_among_many_slots():
+    net = CollabNetwork.from_edges([3, 500_000], [(900_000, 7), (7, 3), (900_000, 3)],
+                                   num_slots=1_000_000)
+    assert list(net.edges()) == [(3, 7), (3, 900_000), (7, 900_000)]
+    assert net.degree(500_000) == 0 and net.degree(999_999) == 0
+
+
+def reference_window(store, year, window_length):
+    """Nodes and edges of a window from each paper's year and authors,
+    built without ``papers_in_year`` or any network code."""
+    lo = year - window_length + 1
+    nodes, edges = set(), set()
+    for pid, paper_year in enumerate(store.paper_year):
+        if lo <= paper_year <= year:
+            authors = store.paper_authors[pid]
+            nodes.update(authors)
+            edges.update(combinations(sorted(authors), 2))
+    return nodes, edges
+
+
+def union_find_partition(nodes, edges):
+    parent = {u: u for u in nodes}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups = {}
+    for u in nodes:
+        groups.setdefault(find(u), set()).add(u)
+    return {frozenset(g) for g in groups.values()}
+
+
+def window_cases():
+    yield table1_store(), ((2018, 5), (2016, 5), (2013, 5), (2012, 3))
+    for seed in range(8):
+        rng = random.Random(300 + seed)
+        lines = random_corpus_lines(rng, rng.randint(30, 90), rng.randint(10, 40), 2000, 2010)
+        yield parse_records(lines, Config()), ((2010, 5), (2006, 3), (2002, 5), (2000, 1))
+
+
+def test_build_window_matches_reference_from_papers():
+    """Differential test of the adjacency layout: every query on a built
+    window against a reference made from the papers alone, then the
+    pair query, capped and exact, against all-pairs distances over the
+    reference edges.  Windows cover the table 1 fixture and seeded random
+    corpora, some truncated at the corpus start."""
+    rng = random.Random(4242)
+    truncated = single_author = outside = 0
+    for store, windows in window_cases():
+        n = store.num_authors
+        for year, window_length in windows:
+            nodes, edges = reference_window(store, year, window_length)
+            net = build_window(store, year, window_length)
+            truncated += year - window_length + 1 < min(store.paper_year)
+            single_author += any(not any(u in e for e in edges) for u in nodes)
+            outside += n - len(nodes)
+            assert net.nodes == nodes
+            assert net.edge_count == len(edges)
+            assert list(net.edges()) == sorted(edges)
+            for u in range(n):
+                want = sorted({b for a, b in edges if a == u} | {a for a, b in edges if b == u})
+                assert sorted(net.neighbors(u)) == want
+                assert net.degree(u) == len(want)
+            partition = union_find_partition(nodes, edges)
+            labels = net.component_labels()
+            groups = {}
+            for u in nodes:
+                groups.setdefault(labels[u], set()).add(u)
+            assert {frozenset(g) for g in groups.values()} == partition
+            assert all(labels[u] == -1 for u in range(n) if u not in nodes)
+            assert {c.members: c.edge_count for c in connected_components(net)} == {
+                members: sum(1 for a, _ in edges if a in members) for members in partition
+            }
+            dist = floyd_warshall(n, edges)
+            searcher = BFSSearcher(net)
+            for _ in range(25):
+                a = set(rng.sample(range(n), rng.randint(1, min(3, n))))
+                b = set(rng.sample(range(n), rng.randint(1, min(3, n))))
+                exact = oracle_set_distance(dist, a, b)
+                for cap in (None, 0, 1, 2, 3):
+                    assert searcher.pair_distance(a, b, cap) == expected_code(exact, cap)
+    assert truncated >= 9 and single_author > 10 and outside > 10
