@@ -40,7 +40,7 @@ from .errors import (
 from .pipeline import (
     build_index_records,
     load_event_ledgers,
-    load_series,
+    report_ledgers,
     run_pipeline,
     workspace_years,
 )
@@ -266,8 +266,7 @@ def _report(args, ws: Workspace) -> int:
 
     else:  # index-derived reports need exact ledgers
         year = _report_year(args, span)
-        series = load_series(ws, store, cfg, year)
-        records = build_index_records(store, series, year, cfg)
+        records = build_index_records(store, report_ledgers(ws, store, cfg, year), year, cfg)
         manifest["params"] = {"year": year}
 
         if name == "index-table":
@@ -278,7 +277,9 @@ def _report(args, ws: Workspace) -> int:
             ranked = rank(records, args.index)
             rows = [f"rank,scholar,{args.index},Q"]
             rows.extend(
-                f"{r.position},{r.record.scholar},{r.value},{r.record.q}" for r in ranked
+                f"{r.position},{r.record.scholar},"
+                f"{r.record.c_display if args.index == 'c' else r.value},{r.record.q}"
+                for r in ranked
             )
             manifest["params"]["index"] = args.index
 

@@ -87,6 +87,11 @@ INF_CODE = -1
 EXCEEDS_CODE = -2
 
 
+def _check_id(author: int, num_slots: int) -> None:
+    if not (0 <= author < num_slots):
+        raise ValueError(f"author id {author} outside the network's id space")
+
+
 class CollabNetwork:
     def __init__(self, year: int, window_length: int, num_slots: int,
                  nodes: frozenset[int], adj: list[tuple[int, ...]], edge_count: int):
@@ -129,8 +134,7 @@ class CollabNetwork:
         if num_slots is None:
             num_slots = max(nodes) + 1 if nodes else 0
         for a in nodes:
-            if not (0 <= a < num_slots):
-                raise ValueError(f"author id {a} outside the network's id space")
+            _check_id(a, num_slots)
         return cls._from_parts(year, window_length, num_slots, nodes, dedup)
 
     @property
@@ -141,9 +145,11 @@ class CollabNetwork:
         return author in self.nodes
 
     def degree(self, author: int) -> int:
+        _check_id(author, self.num_slots)
         return len(self._adj[author])
 
     def neighbors(self, author: int) -> list[int]:
+        _check_id(author, self.num_slots)
         return list(self._adj[author])
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -230,6 +236,10 @@ class BFSSearcher:
         frontier has the smaller total degree, until they meet.  Returns
         the hop count, or EXCEEDS_CODE once the levels of the two sides
         add up to ``cap`` before meeting (a path exists, longer than cap).
+
+        Every id must lie in ``[0, net.num_slots)``.  This kernel does not
+        check it: a negative id would silently read another author's slot.
+        :func:`shortest_distance` is the checked entry point.
         """
         net = self.net
         labels = net.component_labels()
@@ -365,8 +375,7 @@ def shortest_distance(net: CollabNetwork, source_set: Iterable[int],
     if not sources or not targets:
         raise ValueError("author sets must be non-empty")
     for a in sources | targets:
-        if not (0 <= a < net.num_slots):
-            raise ValueError(f"author id {a} outside the network's id space")
+        _check_id(a, net.num_slots)
     code = BFSSearcher(net).pair_distance(sources, targets, cap)
     if code >= 0:
         return Distance.finite(code)
@@ -385,12 +394,13 @@ def assortativity(net: CollabNetwork) -> float | None:
     """
     if net.edge_count == 0:
         raise ValueError("assortativity needs at least one edge")
+    adj = net._adj
     sum_xy = 0
     sum_x = 0
     sum_x2 = 0
     for u, v in net.edges():
-        x = net.degree(u) - 1
-        y = net.degree(v) - 1
+        x = len(adj[u]) - 1
+        y = len(adj[v]) - 1
         sum_xy += x * y
         sum_x += x + y
         sum_x2 += x * x + y * y

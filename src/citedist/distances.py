@@ -18,7 +18,7 @@ N_w, and the maximum finite distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .collab import (
     EXCEEDS_CODE,
@@ -123,16 +123,12 @@ class LedgerSeries:
     def ledger(self, year: int) -> YearLedger | None:
         return self._by_year.get(year)
 
-    def ensure_contiguous_through(self, year: int) -> None:
-        if not self._by_year:
-            raise IncompleteStateError("no ledger years available")
-        start = min(self._by_year)
-        missing = [y for y in range(start, year + 1) if y not in self._by_year]
-        if missing:
-            raise IncompleteStateError(f"missing ledger years: {missing}")
+    def __iter__(self) -> Iterator[YearLedger]:
+        """The ledgers in year order."""
+        return (self._by_year[year] for year in self.years)
 
-    def is_exact(self) -> bool:
-        return all(ledger.cap is None for ledger in self._by_year.values())
+    def ensure_contiguous_through(self, year: int) -> None:
+        ensure_contiguous(self._by_year, year)
 
     def year_slices(self, scholar: int, up_to_year: int) -> Iterator[tuple[int, DistanceTally]]:
         for year in self.years:
@@ -148,13 +144,15 @@ class LedgerSeries:
             pooled.update(tally)
         return pooled
 
-    def scholars(self, up_to_year: int) -> set[int]:
-        out: set[int] = set()
-        for year in self.years:
-            if year > up_to_year:
-                break
-            out.update(self._by_year[year].scholars)
-        return out
+
+def ensure_contiguous(years: Collection[int], through: int) -> None:
+    """Raise IncompleteStateError unless ``years`` holds every year from
+    its first through ``through``."""
+    if not years:
+        raise IncompleteStateError("no ledger years available")
+    missing = [y for y in range(min(years), through + 1) if y not in years]
+    if missing:
+        raise IncompleteStateError(f"missing ledger years: {missing}")
 
 
 # -- distance computation ----------------------------------------------------

@@ -7,14 +7,17 @@ is the weighted citation total, maintained incrementally: the value for
 year y is the value for year y-1 plus the weighted count of year y's
 citations, so only the current year's distances ever need to be stored.
 
-All x arithmetic is exact (``fractions.Fraction``; every weight is a
-multiple of 1/n), which makes incremental replay, one-shot batch
-computation, and per-paper accumulation agree to the last bit.  Reports
+Every weight is a multiple of 1/n, so x is kept as an exact integer in
+units of 1/x_scale(n) (``x_increment_scaled``).  That count is linear in
+the distance counts, so incremental replay, one-shot batch computation
+over pooled counts, and per-paper accumulation agree to the last bit.
+``fractions.Fraction`` appears only where a value leaves as an
+:class:`IndexRecord` (and in the per-citation :func:`weight`).  Reports
 render x with 2 decimals.
 
 The c-index sorts a scholar's citation distances in decreasing order
 (unreachable counts as larger than every finite distance) and takes
-max over ranks v of min(alpha * v, d_v).
+max over ranks v of min(alpha * v, d_v), comparing in integers.
 """
 
 from __future__ import annotations
@@ -168,16 +171,25 @@ def g_index(citation_counts: Iterable[int]) -> int:
 
 
 def _c_from_counts(finite: dict[int, int], infinite: int, alpha) -> Fraction | int | float:
-    best = 0
-    v = infinite
-    if v:
-        best = alpha * v  # min(alpha * v, INFINITE) = alpha * v
+    """max over ranks v of min(alpha * v, d_v), compared in integers.
+
+    With alpha = p/q, alpha * v <= d exactly when p * v <= d * q.  Walking
+    the distances downwards, alpha * v grows while d_v falls, so the
+    maximum is at the step where d_v first becomes the smaller side, or
+    the step before it.  The result is ``alpha * v`` (alpha's type) when
+    that side wins or ties, else the int distance; 0 when empty.
+    """
+    p, q = alpha.as_integer_ratio()
+    v = best_v = infinite  # min(alpha * v, INFINITE) = alpha * v
     for d in sorted((d for d, c in finite.items() if c), reverse=True):
         v += finite[d]
-        candidate = min(alpha * v, d)
-        if candidate > best:
-            best = candidate
-    return best
+        if p * v <= d * q:
+            best_v = v
+        elif d * q > p * best_v:
+            return d
+        else:
+            break
+    return alpha * best_v if best_v else 0
 
 
 def c_index(distances: Iterable, alpha=1):
@@ -240,6 +252,12 @@ class IndexRecord:
     def x_display(self) -> str:
         return f"{float(self.x):.2f}"
 
+    @property
+    def c_display(self) -> str:
+        """c as an integer when it is whole, else with 2 decimals like x."""
+        c = self.c
+        return str(int(c)) if c == int(c) else f"{float(c):.2f}"
+
     def value(self, index: str):
         """Look an index value up by its report name (Q, h, g, c, N_w, x)."""
         key = {"Q": "q", "N_w": "n_w"}.get(index, index)
@@ -252,8 +270,31 @@ class IndexRecord:
     def csv_row(self) -> str:
         return (
             f"{self.scholar},{self.year},{self.q},{self.h},{self.g},"
-            f"{self.c},{self.n_w},{self.x_display}"
+            f"{self.c_display},{self.n_w},{self.x_display}"
         )
+
+
+def index_record(label: str, year: int, pooled: DistanceTally,
+                 per_paper_counts: Sequence[int], cfg: WeightConfig) -> IndexRecord:
+    """Q, h, g, c, N_w and x of one scholar from the exact distance
+    counts ``pooled`` over all years through ``year``.  x is the scaled
+    increment of the pooled counts, which equals the sum over the year
+    slices because the increment is linear in the counts."""
+    if not pooled.is_exact():
+        raise IncompleteStateError(
+            "snapshot needs exact distances; ledgers were computed with a cap"
+        )
+    return IndexRecord(
+        scholar=label,
+        year=year,
+        q=pooled.total(),
+        h=h_index(per_paper_counts),
+        g=g_index(per_paper_counts),
+        c=_c_from_counts(pooled.finite, pooled.infinite, cfg.alpha),
+        n_w=pooled.infinite,
+        x=Fraction(x_increment_scaled(pooled, cfg.n), x_scale(cfg.n)),
+        alpha=Fraction(cfg.alpha),
+    )
 
 
 def scholar_snapshot(scholar: int | str, year: int, ledgers: LedgerSeries,
@@ -268,20 +309,5 @@ def scholar_snapshot(scholar: int | str, year: int, ledgers: LedgerSeries,
     scholar's papers up to the same year.
     """
     ledgers.ensure_contiguous_through(year)
-    pooled = ledgers.pooled_tally(scholar, year)
-    if not pooled.is_exact():
-        raise IncompleteStateError(
-            "snapshot needs exact distances; ledgers were computed with a cap"
-        )
-    x = x_from_slices(ledgers.year_slices(scholar, year), cfg.n)
-    return IndexRecord(
-        scholar=label if label is not None else str(scholar),
-        year=year,
-        q=pooled.total(),
-        h=h_index(per_paper_counts),
-        g=g_index(per_paper_counts),
-        c=c_index_from_tally(pooled, cfg.alpha),
-        n_w=pooled.infinite,
-        x=x,
-        alpha=Fraction(cfg.alpha),
-    )
+    return index_record(label if label is not None else str(scholar), year,
+                        ledgers.pooled_tally(scholar, year), per_paper_counts, cfg)

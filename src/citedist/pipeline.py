@@ -12,15 +12,24 @@ in terms of year y-1 plus year y's ledger alone.
 
 from __future__ import annotations
 
+import gc
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .config import Config
 from .corpus import CorpusStore
-from .distances import LedgerSeries, YearLedger, batch_year_distances
+from .distances import (
+    DistanceTally,
+    LedgerSeries,
+    YearLedger,
+    batch_year_distances,
+    ensure_contiguous,
+)
 from .errors import IncompleteStateError, WorkspaceError
-from .indices import IndexRecord, WeightConfig, scholar_snapshot, x_increment_scaled
+from .indices import IndexRecord, WeightConfig, index_record, x_increment_scaled
 from .workspace import Workspace
 
 log = logging.getLogger("citedist")
@@ -141,14 +150,20 @@ def _verified(ledger: YearLedger | None, year: int) -> YearLedger:
     return ledger
 
 
+def report_ledgers(ws: Workspace, store: CorpusStore, cfg: Config,
+                   up_to_year: int) -> Iterator[YearLedger]:
+    """The ledgers of :func:`report_years`, verified against the config,
+    read one at a time in year order as the caller asks for them."""
+    cfg_hash = cfg.config_hash()
+    for year in report_years(ws, cfg, up_to_year):
+        yield _verified(ws.read_ledger(year, store, cfg_hash), year)
+
+
 def load_series(ws: Workspace, store: CorpusStore, cfg: Config,
                 up_to_year: int) -> LedgerSeries:
     """The ledgers of :func:`report_years`, verified against the config."""
-    cfg_hash = cfg.config_hash()
-    return LedgerSeries({
-        year: _verified(ws.read_ledger(year, store, cfg_hash), year)
-        for year in report_years(ws, cfg, up_to_year)
-    })
+    return LedgerSeries({ledger.year: ledger
+                         for ledger in report_ledgers(ws, store, cfg, up_to_year)})
 
 
 def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int, YearLedger]:
@@ -162,24 +177,70 @@ def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int
     }
 
 
-def build_index_records(store: CorpusStore, series: LedgerSeries, year: int,
-                        cfg: Config) -> list[IndexRecord]:
-    """Index snapshot for every scholar with at least one credited
-    citation up to ``year``.  Requires exact (uncapped) ledgers."""
-    if not series.is_exact():
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector for the block.  Decoding and
+    folding the ledgers allocates a few objects per scholar line, none of
+    them in a reference cycle, so reference counting frees them all;
+    left on, the collector rescans every live object some thirty times
+    on a c10-size corpus, close to half of the fold's time."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, DistanceTally]:
+    """Each scholar's distance counts summed over the ledgers through
+    ``year``, reading each ledger once and dropping it before the next.
+    After a capped ledger the rest are still read, so that a damaged one
+    is reported first, as when the ledgers are read whole; a gap in the
+    years is an error once a scholar has counts."""
+    pooled: dict[int, DistanceTally] = {}
+    years: set[int] = set()
+    capped = False
+    for ledger in ledgers:
+        years.add(ledger.year)
+        capped = capped or ledger.cap is not None
+        if not capped and ledger.year <= year:
+            for scholar, tally in ledger.scholars.items():
+                mine = pooled.get(scholar)
+                if mine is None:
+                    pooled[scholar] = tally.copy()
+                else:
+                    mine.update(tally)
+        del ledger  # free it before the next one is read
+    if capped:
         raise IncompleteStateError(
             "index reports need exact distances; re-run with exact_distances = true"
         )
-    wcfg = WeightConfig(n=cfg.n, alpha=cfg.alpha)
-    paper_counts = store.paper_citation_counts(year)
-    records = []
-    for scholar in sorted(series.scholars(year)):
-        per_paper = [paper_counts[p] for p in store.author_papers[scholar]]
-        records.append(
-            scholar_snapshot(
-                scholar, year, series, per_paper, wcfg,
-                label=store.author_labels[scholar],
-            )
-        )
+    if pooled:
+        ensure_contiguous(years, year)
+    return pooled
+
+
+def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year: int,
+                        cfg: Config) -> list[IndexRecord]:
+    """Index snapshot for every scholar with at least one credited
+    citation up to ``year``, in label order.  Requires exact (uncapped)
+    ledgers.
+
+    ``ledgers`` is a :class:`LedgerSeries` or a stream such as
+    :func:`report_ledgers`; a stream is held one decoded ledger at a
+    time.  x, Q, c and N_w come from each scholar's pooled counts."""
+    with _cyclic_gc_paused():
+        pooled = _pool_tallies(ledgers, year)
+        wcfg = WeightConfig(n=cfg.n, alpha=cfg.alpha)
+        paper_counts = store.paper_citation_counts(year)
+        author_papers = store.author_papers
+        labels = store.author_labels
+        records = [
+            index_record(labels[scholar], year, tally,
+                         [paper_counts[p] for p in author_papers[scholar]], wcfg)
+            for scholar, tally in pooled.items()
+        ]
     records.sort(key=lambda r: r.scholar)
     return records

@@ -218,6 +218,22 @@ def oracle_set_distance(dist_matrix, sources, targets) -> float:
     return best
 
 
+def fraction_c_oracle(finite, infinite, alpha):
+    """max over ranks v of min(alpha * v, d_v), evaluated in alpha's own
+    arithmetic (int or Fraction), walking the distinct distances
+    downwards; the tie between alpha * v and d goes to alpha * v."""
+    best = 0
+    v = infinite
+    if v:
+        best = alpha * v
+    for d in sorted((d for d, c in finite.items() if c), reverse=True):
+        v += finite[d]
+        candidate = min(alpha * v, d)
+        if candidate > best:
+            best = candidate
+    return best
+
+
 def assortativity_oracle(degrees: dict[int, int], edges) -> float | None:
     """Literal evaluation of the remaining-degree Pearson formula via the
     explicit joint distribution of edge-end degrees."""

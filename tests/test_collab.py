@@ -277,6 +277,18 @@ def test_edges_of_a_few_nodes_among_many_slots():
     assert net.degree(500_000) == 0 and net.degree(999_999) == 0
 
 
+@pytest.mark.parametrize("author", [-1, -3, 3, 10])
+def test_degree_and_neighbors_reject_ids_outside_num_slots(author):
+    """A negative id must not wrap around to the last slots."""
+    net = CollabNetwork.from_edges([0, 1, 2], [(1, 2)])
+    with pytest.raises(ValueError, match=f"author id {author} outside"):
+        net.degree(author)
+    with pytest.raises(ValueError, match=f"author id {author} outside"):
+        net.neighbors(author)
+    assert (net.degree(2), net.neighbors(2)) == (1, [1])
+    assert (net.degree(0), net.neighbors(0)) == (0, [])
+
+
 def reference_window(store, year, window_length):
     """Nodes and edges of a window from each paper's year and authors,
     built without ``papers_in_year`` or any network code."""

@@ -25,6 +25,8 @@ from citedist.indices import (
     x_increment,
 )
 
+from synthcorpus import fraction_c_oracle
+
 # Citation-count-by-distance profiles published for the three ranking
 # experiments, with the scholar's total citations and the expected
 # weighted index at n = 6, rendered to 2 decimals.  One experiment-III
@@ -194,6 +196,25 @@ class TestCIndex:
         distances = [math.inf] * n_w + [d for d, c in finite.items() for _ in range(c)]
         assert c_index(distances, 1) == n_w
 
+    def test_matches_fraction_formula_on_random_multisets(self):
+        """The integer comparison gives the value and the type (int, or
+        alpha's type) of the formula evaluated in alpha's arithmetic."""
+        rng = random.Random(23)
+        alphas = [1, 3, Fraction(1), Fraction(3), Fraction(1, 2), Fraction(2, 3),
+                  Fraction(1, 7), Fraction(5, 3), Fraction(40, 9)]
+        for _ in range(400):
+            finite = {d: rng.randint(0, 6) for d in rng.sample(range(30), rng.randint(0, 8))}
+            infinite = rng.choice([0, 0, 1, rng.randint(0, 40)])
+            multiset = [d for d, c in finite.items() for _ in range(c)] + [math.inf] * infinite
+            rng.shuffle(multiset)
+            for alpha in alphas:
+                expected = fraction_c_oracle(finite, infinite, alpha)
+                got = c_index(multiset, alpha)
+                assert got == expected and type(got) is type(expected), (finite, infinite, alpha)
+                tally = DistanceTally(finite=dict(finite), infinite=infinite)
+                from_tally = c_index_from_tally(tally, alpha)
+                assert from_tally == expected and type(from_tally) is type(expected)
+
     def test_from_tally_matches_multiset(self):
         tally = DistanceTally(finite={0: 3, 4: 2, 9: 1}, infinite=2)
         multiset = [0, 0, 0, 4, 4, 9, math.inf, math.inf]
@@ -327,4 +348,14 @@ class TestIndexRecord:
     def test_csv_row(self):
         rec = IndexRecord("a9", 2018, q=202, h=8, g=13, c=72, n_w=72, x=Fraction(164))
         assert rec.csv_row() == "a9,2018,202,8,13,72,72,164.00"
+
+    @pytest.mark.parametrize("c, shown", [
+        (0, "0"), (72, "72"), (Fraction(66), "66"), (Fraction(2, 3), "0.67"),
+        (Fraction(4, 3), "1.33"), (Fraction(33, 2), "16.50"), (Fraction(5, 3), "1.67"),
+    ])
+    def test_c_is_whole_or_two_decimals(self, c, shown):
+        rec = IndexRecord("s", 2000, q=80, h=1, g=1, c=c, n_w=0, x=Fraction(1),
+                          alpha=Fraction(2, 3))
+        assert rec.c_display == shown
+        assert rec.csv_row() == f"s,2000,80,1,1,{shown},0,1.00"
         assert rec.CSV_HEADER == "scholar,year,Q,h,g,c,N_w,x"
