@@ -60,6 +60,21 @@ REPORT_NAMES = (
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error.  ``check(args)``, when given, returns
+    the usage error of a parsed command line that no single argument's
+    type can see, or None."""
+
+    def __init__(self, *args, check=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.check = check
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        problem = self.check(namespace) if self.check else None
+        if problem:
+            self.error(problem)
+        return namespace, extras
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -77,7 +92,7 @@ def _years_pair(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _bin_count(text: str) -> int:
+def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -85,6 +100,23 @@ def _bin_count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _bin_edges(text: str) -> list[int]:
+    try:
+        edges = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
+        raise argparse.ArgumentTypeError(
+            f"expected at least 2 strictly increasing edges, got {text!r}")
+    return edges
+
+
+def _report_check(args) -> str | None:
+    if args.name == "closeness" and args.size < 2:
+        return f"argument --size: closeness needs a cohort of at least 2, got {args.size}"
+    return None
 
 
 def _fix_pair(text: str) -> tuple[str, int]:
@@ -124,7 +156,8 @@ def build_parser() -> _Parser:
                    help="accepted for compatibility and ignored: years always run serially")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("report", parents=[common], help="emit a CSV report")
+    p = sub.add_parser("report", parents=[common], help="emit a CSV report",
+                       check=_report_check)
     p.add_argument("name", choices=REPORT_NAMES, metavar="NAME",
                    help=f"one of: {', '.join(REPORT_NAMES)}")
     p.add_argument("--workspace", type=Path, required=True)
@@ -132,23 +165,24 @@ def build_parser() -> _Parser:
     p.add_argument("--years", type=_years_pair, default=None, metavar="A:B")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--with-diameter", action="store_true")
-    p.add_argument("--max-bin", type=_bin_count, default=12)
+    p.add_argument("--max-bin", type=_count, default=12)
     p.add_argument("--index", choices=INDEX_NAMES, default="x")
     p.add_argument("--index-a", choices=INDEX_NAMES, default="c")
     p.add_argument("--index-b", choices=INDEX_NAMES, default="x")
-    p.add_argument("--bins", default="50,200,400,600,800",
+    p.add_argument("--bins", type=_bin_edges, default="50,200,400,600,800",
                    help="comma-separated Q bin edges for c-eq-nw")
     p.add_argument("--q-min", type=int, default=190)
     p.add_argument("--q-max", type=int, default=210)
     p.add_argument("--fix", type=_fix_pair, action="append", default=[],
                    metavar="INDEX=VALUE", help="cohort constraint, repeatable")
-    p.add_argument("--size", type=int, default=20, help="cohort / sample size")
+    p.add_argument("--size", type=_count, default=20,
+                   help="cohort size (closeness, >= 2) or sample size (scatter)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=float, default=0.1, help="closeness threshold factor")
     p.add_argument("--net-year", type=int, default=None,
                    help="heatmap: year of the distance network (default: range end)")
-    p.add_argument("--max-repeat", type=_bin_count, default=10)
-    p.add_argument("--max-distance", type=_bin_count, default=12)
+    p.add_argument("--max-repeat", type=_count, default=10)
+    p.add_argument("--max-distance", type=_count, default=12)
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -284,13 +318,12 @@ def _report(args, ws: Workspace) -> int:
             manifest["params"]["index"] = args.index
 
         elif name == "c-eq-nw":
-            edges = [int(t) for t in args.bins.split(",")]
-            table = c_equals_nw_stats(records, edges)
+            table = c_equals_nw_stats(records, args.bins)
             rows = ["q_lo,q_hi,scholars,degenerate,ratio"]
             for row in table:
                 ratio = "" if row.ratio is None else f"{row.ratio:.4f}"
                 rows.append(f"{row.q_lo},{row.q_hi},{row.scholars},{row.degenerate},{ratio}")
-            manifest["params"]["bins"] = edges
+            manifest["params"]["bins"] = args.bins
 
         elif name == "scatter":
             points = x_vs_q_scatter(records, args.q_max, args.size, args.seed)

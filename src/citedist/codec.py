@@ -4,8 +4,10 @@
 Each artifact is a header line followed by one line per record, and
 every line is byte-identical to ``json.dumps(obj, sort_keys=True)`` of
 the object it holds.  The encoder formats the lines directly from the
-store's cached JSON-escaped author labels and from integers; the
-decoder parses all record lines of a file with one ``json.loads``.
+store's cached JSON-escaped author labels and from integers; a run
+keeps each scholar's state line in :class:`StateLines` and re-encodes it
+only when the scholar's x changes.  The decoder parses all record lines
+of a file with one ``json.loads``.
 
 Ledger::
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from typing import Mapping
 
 from .corpus import CorpusStore
 from .distances import DistanceTally, YearLedger
@@ -68,16 +71,42 @@ def encode_ledger(ledger: YearLedger, store: CorpusStore, config_hash: str) -> s
     return "".join(lines)
 
 
-def encode_states(year: int, states: dict[int, int], store: CorpusStore, n: int,
+class StateLines:
+    """The running x of every scholar and the state line of each.
+
+    Both are lists indexed by author id: ``add`` re-encodes the one line
+    whose x changed, and ``encode`` joins the lines (empty for x = 0) in
+    id order, so a year's state file costs one join, not one line per
+    scholar.  ``states`` seeds the running x, as decoded from a snapshot.
+    """
+
+    def __init__(self, store: CorpusStore, states: Mapping[int, int] | None = None):
+        self._labels = store.json_labels
+        self._xn = [0] * store.num_authors
+        self._lines = [""] * store.num_authors
+        for author, xn in (states or {}).items():
+            self.add(author, xn)
+
+    def add(self, author: int, delta: int) -> None:
+        """Add ``delta`` to the scholar's scaled x and re-encode their line."""
+        xn = self._xn[author] = self._xn[author] + delta
+        self._lines[author] = (
+            f'{{"id": {self._labels[author]}, "kind": "state", "xn": {xn}}}\n' if xn else ""
+        )
+
+    def values(self) -> list[int]:
+        """The scaled x of every author, 0 for those never credited."""
+        return self._xn
+
+    def encode(self, year: int, n: int, config_hash: str) -> str:
+        head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n),
+                "config": config_hash}
+        return json.dumps(head, sort_keys=True) + "\n" + "".join(self._lines)
+
+
+def encode_states(year: int, states: Mapping[int, int], store: CorpusStore, n: int,
                   config_hash: str) -> str:
-    head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n), "config": config_hash}
-    labels = store.json_labels
-    lines = [json.dumps(head, sort_keys=True) + "\n"]
-    lines += [
-        f'{{"id": {labels[author]}, "kind": "state", "xn": {xn}}}\n'
-        for author, xn in sorted(states.items()) if xn
-    ]
-    return "".join(lines)
+    return StateLines(store, states).encode(year, n, config_hash)
 
 
 CORPUS_KEY = "corpus_sha256"

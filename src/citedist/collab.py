@@ -12,6 +12,13 @@ share one empty tuple, so a window costs one list slot per corpus author
 plus one tuple per window node.  Networks are immutable after
 construction; queries are read-only.
 
+Windows of consecutive years share most of their authors, so
+:class:`WindowSlider` builds each window from the previous one: it
+rebuilds only the authors of the papers that enter or leave the window
+and shares every other neighbour tuple with the previous network.
+``run`` slides one window through its years; :func:`build_window` is a
+single fresh window of a new slider.
+
 Each network labels its connected components once, on first use.  A
 set-to-set distance (:meth:`BFSSearcher.pair_distance`) first drops the
 targets outside every source's component, so a query with no path
@@ -28,7 +35,6 @@ the repeated-citation heatmap is one such query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .corpus import CorpusStore
@@ -104,38 +110,26 @@ class CollabNetwork:
         self._labels: list[int] | None = None
 
     @classmethod
-    def _from_parts(cls, year: int, window_length: int, num_slots: int,
-                    nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> "CollabNetwork":
-        adjacency: dict[int, list[int]] = {}
-        edge_count = 0
-        for a, b in edges:
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-            edge_count += 1
-        adj: list[tuple[int, ...]] = [()] * num_slots
-        for u, neigh in adjacency.items():
-            neigh.sort()
-            adj[u] = tuple(neigh)
-        return cls(year, window_length, num_slots, frozenset(nodes), adj, edge_count)
-
-    @classmethod
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                    year: int = 0, window_length: int = 1,
                    num_slots: int | None = None) -> "CollabNetwork":
         """Build a network directly from node/edge lists (tests, debugging)."""
         nodes = set(nodes)
-        dedup = set()
+        neighbours: dict[int, set[int]] = {}
         for a, b in edges:
-            if a == b:
-                continue
-            dedup.add((a, b) if a < b else (b, a))
-            nodes.add(a)
-            nodes.add(b)
+            if a != b:
+                neighbours.setdefault(a, set()).add(b)
+                neighbours.setdefault(b, set()).add(a)
+        nodes.update(neighbours)
         if num_slots is None:
             num_slots = max(nodes) + 1 if nodes else 0
         for a in nodes:
             _check_id(a, num_slots)
-        return cls._from_parts(year, window_length, num_slots, nodes, dedup)
+        adj: list[tuple[int, ...]] = [()] * num_slots
+        for u, neigh in neighbours.items():
+            adj[u] = tuple(sorted(neigh))
+        degree_sum = sum(map(len, neighbours.values()))
+        return cls(year, window_length, num_slots, frozenset(nodes), adj, degree_sum // 2)
 
     @property
     def node_count(self) -> int:
@@ -190,20 +184,90 @@ class CollabNetwork:
         return labels
 
 
+class WindowSlider:
+    """The window networks of one store, each built from the last.
+
+    :meth:`window` for the year after the previous call copies the
+    previous adjacency list and rebuilds only the authors of papers in
+    the year that enters the window and in the year that leaves it, each
+    from their own papers inside the window: every other author keeps
+    the same papers in the window, hence the same neighbours.  The node
+    set and the degree sum follow the rebuilt authors.  Any other year
+    (the first call, a gap, or a step backwards) is built from scratch.
+    A network once returned is never changed: the next window works on a
+    copy of its list and shares only the neighbour tuples that stay.
+    """
+
+    def __init__(self, store: CorpusStore, window_length: int = 5):
+        if window_length < 1:
+            raise ValueError("window_length must be >= 1")
+        self.store = store
+        self.window_length = window_length
+        self._last: CollabNetwork | None = None
+
+    def window(self, year: int) -> CollabNetwork:
+        """Co-authorship network over papers published in the closed
+        window ``[year - window_length + 1, year]``."""
+        store = self.store
+        paper_authors = store.paper_authors
+        lo = year - self.window_length + 1
+        last = self._last
+        if last is not None and year == last.year + 1:
+            adj = last._adj.copy()
+            nodes = set(last.nodes)
+            degree_sum = 2 * last.edge_count
+            changed: set[int] = set()
+            for yy in (year, lo - 1):
+                for pid in store.papers_in_year(yy):
+                    changed.update(paper_authors[pid])
+            coauthors = self._coauthors(changed, lo, year)
+        else:
+            adj = [()] * store.num_authors
+            nodes = set()
+            degree_sum = 0
+            coauthor_lists: dict[int, list[int]] = {}
+            for yy in range(lo, year + 1):
+                for pid in store.papers_in_year(yy):
+                    authors = paper_authors[pid]
+                    for a in authors:
+                        coauthor_lists.setdefault(a, []).extend(authors)
+            coauthors = ((a, set(authors)) for a, authors in coauthor_lists.items())
+        for a, neigh in coauthors:
+            degree_sum -= len(adj[a])
+            if neigh:
+                neigh.discard(a)
+                adj[a] = tuple(sorted(neigh))
+                degree_sum += len(neigh)
+                nodes.add(a)
+            else:  # the author's last paper left the window
+                adj[a] = ()
+                nodes.discard(a)
+        net = CollabNetwork(year, self.window_length, store.num_authors,
+                            frozenset(nodes), adj, degree_sum // 2)
+        self._last = net
+        return net
+
+    def _coauthors(self, authors: Iterable[int], lo: int,
+                   hi: int) -> Iterator[tuple[int, set[int]]]:
+        """Each author with the set of all authors of their papers
+        published in ``[lo, hi]`` (empty when there is none), made one
+        at a time so that only one set is alive."""
+        author_papers = self.store.author_papers
+        paper_year = self.store.paper_year
+        paper_authors = self.store.paper_authors
+        for a in authors:
+            neigh: set[int] = set()
+            for p in author_papers[a]:
+                if lo <= paper_year[p] <= hi:
+                    neigh.update(paper_authors[p])
+            yield a, neigh
+
+
 def build_window(store: CorpusStore, year: int, window_length: int = 5) -> CollabNetwork:
     """Co-authorship network over papers published in the closed window
-    ``[year - window_length + 1, year]`` (truncated at the corpus start)."""
-    if window_length < 1:
-        raise ValueError("window_length must be >= 1")
-    nodes: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    for yy in range(year - window_length + 1, year + 1):
-        for pid in store.papers_in_year(yy):
-            authors = store.paper_authors[pid]
-            nodes.update(authors)
-            if len(authors) > 1:
-                edges.update(combinations(sorted(authors), 2))
-    return CollabNetwork._from_parts(year, window_length, store.num_authors, nodes, edges)
+    ``[year - window_length + 1, year]`` (truncated at the corpus start):
+    one :meth:`WindowSlider.window` call."""
+    return WindowSlider(store, window_length).window(year)
 
 
 class BFSSearcher:

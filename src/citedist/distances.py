@@ -26,6 +26,7 @@ from .collab import (
     BFSSearcher,
     CollabNetwork,
     Distance,
+    WindowSlider,
     build_window,
     shortest_distance,
 )
@@ -218,8 +219,9 @@ def paper_distance_tallies(store: CorpusStore, years: Iterable[int],
     """
     cap = cfg.distance_cap
     tallies: dict[int, DistanceTally] = {}
+    slider = WindowSlider(store, cfg.window_length)
     for year in years:
-        net = build_window(store, year, cfg.window_length)
+        net = slider.window(year)
         for cited_pid, _citing_pid, code in compute_event_distances(store, net, year, cap):
             tally = tallies.get(cited_pid)
             if tally is None:

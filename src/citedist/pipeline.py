@@ -19,6 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .codec import StateLines
+from .collab import CollabNetwork, WindowSlider
 from .config import Config
 from .corpus import CorpusStore
 from .distances import (
@@ -52,12 +54,14 @@ def workspace_years(ws: Workspace, cfg: Config) -> list[int]:
     return _window_years(*ws.year_span(cfg), cfg)
 
 
-def year_ledger(store: CorpusStore, year: int, cfg: Config) -> YearLedger:
-    """Compute one year's ledger; a year without citing papers gets an
-    empty one without building its window."""
-    if not any(store.paper_refs[p] for p in store.papers_in_year(year)):
+def year_ledger(store: CorpusStore, year: int, cfg: Config,
+                net: CollabNetwork | None) -> YearLedger:
+    """Compute one year's ledger on ``net``, the year's window, or the
+    empty ledger of a year without citing papers, which needs no window
+    and is given ``net=None``."""
+    if net is None:
         return YearLedger(year, cap=cfg.distance_cap)
-    return batch_year_distances(store, year, cfg)
+    return batch_year_distances(store, year, cfg, net)
 
 
 @dataclass
@@ -72,7 +76,11 @@ def run_pipeline(ws: Workspace, cfg: Config,
 
     The snapshot is loaded at the first year that is not complete, so a
     resume that finds every year complete reads only the meta and the
-    artifact headers."""
+    artifact headers.  One :class:`WindowSlider` per loaded store builds
+    each year's window from the previous one, and the x states and their
+    encoded lines are carried from year to year in a :class:`StateLines`.
+    A year's log line splits its time into the window build, the search,
+    credit and x fold ("compute"), and the artifact writes."""
     planned = workspace_years(ws, cfg)
     ws.ensure_dirs()
     cfg_hash = cfg.config_hash()
@@ -86,7 +94,8 @@ def run_pipeline(ws: Workspace, cfg: Config,
     processed: list[int] = []
     skipped: list[int] = []
     store: CorpusStore | None = None
-    states: dict[int, int] | None = None
+    slider: WindowSlider | None = None
+    states: StateLines | None = None
     for year in years:
         if ws.year_complete(year, cfg_hash):
             skipped.append(year)
@@ -94,23 +103,27 @@ def run_pipeline(ws: Workspace, cfg: Config,
             continue
         if store is None:
             store = ws.load_store(cfg)
+            slider = WindowSlider(store, cfg.window_length)
         if states is None:
-            states = _load_chain_state(ws, store, cfg_hash, year, planned[0])
+            states = StateLines(store, _load_chain_state(ws, store, cfg_hash, year, planned[0]))
         started = time.perf_counter()
-        ledger = year_ledger(store, year, cfg)
+        citing = any(store.paper_refs[p] for p in store.papers_in_year(year))
+        net = slider.window(year) if citing else None
+        built = time.perf_counter()
+        ledger = year_ledger(store, year, cfg, net)
         for author, tally in ledger.scholars.items():
             delta = x_increment_scaled(tally, cfg.n)
             if delta:
-                states[author] = states.get(author, 0) + delta
+                states.add(author, delta)
         computed = time.perf_counter()
         ws.write_ledger(ledger, store, cfg_hash)
-        ws.write_states(year, states, store, cfg, cfg_hash)
+        ws.write_states(year, states, cfg, cfg_hash)
         processed.append(year)
         log.info(
             "year %d: %d citation events, %d scholars credited "
-            "(compute %.2fs, write %.2fs)",
+            "(window %.2fs, compute %.2fs, write %.2fs)",
             year, ledger.events.total(), len(ledger.scholars),
-            computed - started, time.perf_counter() - computed,
+            built - started, computed - built, time.perf_counter() - computed,
         )
     return RunResult(processed, skipped)
 
@@ -136,10 +149,13 @@ def report_years(ws: Workspace, cfg: Config, up_to_year: int) -> list[int]:
     ledger; ledgers that a run under another config left outside them
     are not read."""
     done = set(ws.completed_years())
-    years = [y for y in workspace_years(ws, cfg) if y <= up_to_year and y in done]
+    years = [y for y in workspace_years(ws, cfg) if y in done]
     if not years:
         raise WorkspaceError("no ledgers in workspace; run the pipeline first")
-    return years
+    if years[0] > up_to_year:
+        raise WorkspaceError(
+            f"no ledger for year {up_to_year} or earlier; the ledgers start at {years[0]}")
+    return [y for y in years if y <= up_to_year]
 
 
 def _verified(ledger: YearLedger | None, year: int) -> YearLedger:

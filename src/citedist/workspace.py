@@ -47,11 +47,11 @@ from pathlib import Path
 from .codec import (
     CORPUS_KEY,
     RECORDS_KEY,
+    StateLines,
     decode_ledger,
     decode_ledger_events,
     decode_states,
     encode_ledger,
-    encode_states,
     read_header,
     stamp,
 )
@@ -272,10 +272,10 @@ class Workspace:
     def state_path(self, year: int) -> Path:
         return self.state_dir / f"{year}.jsonl"
 
-    def write_states(self, year: int, states: dict[int, int], store: CorpusStore,
-                     cfg: Config, config_hash: str) -> None:
+    def write_states(self, year: int, states: StateLines, cfg: Config,
+                     config_hash: str) -> None:
         """Snapshot the running x of every scholar with x > 0 after ``year``."""
-        data = stamp(encode_states(year, states, store, cfg.n, config_hash), self.corpus_hash())
+        data = stamp(states.encode(year, cfg.n, config_hash), self.corpus_hash())
         _atomic_write(self.state_path(year), lambda fp: fp.write(data), binary=True)
 
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:

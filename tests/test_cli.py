@@ -214,6 +214,39 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert tree_bytes(ws_part / "states") == tree_bytes(ws_full / "states")
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_interrupted_run_resumes_byte_identical(tmp_path, monkeypatch, exact):
+    """A run stopped after a middle year, in the next year's state write,
+    resumes from the decoded year-end states to the same artifacts as an
+    uninterrupted run."""
+    rng = random.Random(83)
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(random_corpus_lines(rng, 160, 30, 2000, 2008)) + "\n")
+    cfg = ["--config", str(write_config(tmp_path, exact_distances=exact))]
+    ws_full = tmp_path / "full"
+    assert main(["ingest", str(src), "--workspace", str(ws_full), *cfg]) == 0
+    assert main(["run", "--workspace", str(ws_full), *cfg]) == 0
+    write_states = Workspace.write_states
+
+    for stop in (2002, 2005):
+        def write_or_stop(self, year, *args):
+            if year == stop + 1:
+                raise KeyboardInterrupt
+            write_states(self, year, *args)
+
+        ws = tmp_path / f"part-{stop}"
+        assert main(["ingest", str(src), "--workspace", str(ws), *cfg]) == 0
+        monkeypatch.setattr(Workspace, "write_states", write_or_stop)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--workspace", str(ws), *cfg])
+        monkeypatch.setattr(Workspace, "write_states", write_states)
+        assert Workspace(ws).completed_years() == list(range(2000, stop + 1))
+        assert (ws / "ledgers" / f"{stop + 1}.jsonl").exists()  # its state is not
+        assert main(["run", "--workspace", str(ws), *cfg]) == 0
+        assert tree_bytes(ws / "ledgers") == tree_bytes(ws_full / "ledgers")
+        assert tree_bytes(ws / "states") == tree_bytes(ws_full / "states")
+
+
 @pytest.mark.parametrize("missing", ["ledgers", "states"])
 def test_run_recreates_missing_artifact_dir(tmp_path, missing):
     rng = random.Random(5)
@@ -506,7 +539,8 @@ def test_run_logs_compute_and_write_seconds(tmp_path, caplog):
         assert main(["run", "--workspace", str(ws)]) == 0
     years = [r.getMessage() for r in caplog.records if r.getMessage().startswith("year ")]
     assert len(years) == 3
-    assert all(re.search(r"\(compute \d+\.\d\ds, write \d+\.\d\ds\)$", m) for m in years)
+    assert all(re.search(r"\(window \d+\.\d\ds, compute \d+\.\d\ds, write \d+\.\d\ds\)$", m)
+               for m in years)
 
 
 def test_run_gap_exits_3(tmp_path, capsys):
@@ -579,6 +613,37 @@ def test_negative_report_bin_is_a_usage_error(tmp_path, capsys, flag, report):
     assert main(["report", report, "--workspace", str(tmp_path), flag, "-4"]) == 1
     err = capsys.readouterr().err
     assert f"argument {flag}: must be >= 0, got -4" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["closeness", "--size", "1"],
+     "argument --size: closeness needs a cohort of at least 2, got 1"),
+    (["closeness", "--size", "-1"], "argument --size: must be >= 0, got -1"),
+    (["scatter", "--size", "-3"], "argument --size: must be >= 0, got -3"),
+    (["c-eq-nw", "--bins", "1,x"],
+     "argument --bins: expected comma-separated integers, got '1,x'"),
+    (["c-eq-nw", "--bins", "10,5"], "argument --bins: expected at least 2 strictly increasing"),
+    (["c-eq-nw", "--bins", "10"], "argument --bins: expected at least 2 strictly increasing"),
+], ids=["closeness-size-1", "closeness-size-negative", "scatter-size-negative",
+        "bins-not-integers", "bins-decreasing", "bins-single"])
+def test_bad_report_size_or_bins_is_a_usage_error(tmp_path, capsys, argv, message):
+    name, *options = argv
+    assert main(["report", name, "--workspace", str(tmp_path), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: citedist report") and message in err
+    assert "Traceback" not in err
+
+
+def test_report_year_before_every_ledger_names_it(tmp_path, capsys):
+    ws = _ran_workspace(tmp_path, exact_distances=True)
+    cfg = ["--config", str(tmp_path / "engine.cfg")]
+    capsys.readouterr()
+    assert main(["report", "index-table", "--workspace", str(ws), "--year", "1900", *cfg]) == 3
+    assert capsys.readouterr().err == (
+        "error: no ledger for year 1900 or earlier; the ledgers start at 2000\n")
+    assert main(["report", "distance-histogram", "--workspace", str(ws),
+                 "--years", "1900:1950", *cfg]) == 3
+    assert "no ledger for year 1950 or earlier" in capsys.readouterr().err
 
 
 def test_histogram_of_another_config_exits_3(tmp_path, capsys):

@@ -13,6 +13,7 @@ from citedist.collab import (
     BFSSearcher,
     CollabNetwork,
     Distance,
+    WindowSlider,
     build_window,
     connected_components,
     shortest_distance,
@@ -369,3 +370,99 @@ def test_build_window_matches_reference_from_papers():
                 for cap in (None, 0, 1, 2, 3):
                     assert searcher.pair_distance(a, b, cap) == expected_code(exact, cap)
     assert truncated >= 9 and single_author > 10 and outside > 10
+
+
+def assert_window(store, net, year, window_length):
+    """``net`` equals a fresh ``build_window`` and the papers-only reference."""
+    fresh = build_window(store, year, window_length)
+    assert (net.year, net.window_length, net.num_slots) == (year, window_length, store.num_authors)
+    assert net.nodes == fresh.nodes and net.edge_count == fresh.edge_count
+    assert net._adj == fresh._adj
+    assert net.component_labels() == fresh.component_labels()
+    nodes, edges = reference_window(store, year, window_length)
+    assert net.nodes == nodes and net.edge_count == len(edges)
+    assert list(net.edges()) == sorted(edges)
+    assert sum(net.degree(u) for u in range(store.num_authors)) == 2 * len(edges)
+
+
+def frozen_copy(net):
+    return net.year, net.nodes, net.edge_count, list(net._adj), net.component_labels()[:]
+
+
+def slider_cases():
+    """(store, window length) pairs: seeded random corpora, half of them
+    with their lines shuffled so that paper ids are not in year order,
+    and a corpus with single-author papers, a year without papers and
+    authors whose only paper leaves the window."""
+    for seed in range(6):
+        rng = random.Random(500 + seed)
+        lines = random_corpus_lines(rng, rng.randint(30, 90), rng.randint(8, 30), 2000, 2010)
+        if seed % 2:
+            rng.shuffle(lines)
+        store = parse_records(lines, Config())
+        for window_length in (1, 2, 3, 5):
+            yield store, window_length
+    lines = [
+        record_line("p0", 2000, ["a", "b"]),  # a's only paper
+        record_line("p1", 2000, ["s"]),
+        record_line("p2", 2001, ["b", "c"]),
+        record_line("p3", 2002, ["c", "d", "s"]),
+        record_line("p4", 2003, ["s"]),
+        record_line("p5", 2005, ["d", "e"]),  # no paper in 2004
+        record_line("p6", 2005, ["lone"]),  # lone's only paper, single-author
+    ]
+    store = parse_records(lines, Config())
+    for window_length in (1, 2, 3):
+        yield store, window_length
+
+
+def test_window_slider_matches_fresh_windows():
+    """Differential test of the slider: consecutive years from before the
+    corpus start (the truncated first windows) to past its end, then a
+    gap and a backward jump, each window against a fresh ``build_window``
+    and the papers-only reference.  A network handed out never changes
+    when the slider moves on, and a slide shares the neighbour tuples of
+    authors it did not rebuild."""
+    slid = shared = 0
+    for store, window_length in slider_cases():
+        lo, hi = store.year_span()
+        slider = WindowSlider(store, window_length)
+        years = list(range(lo - 2, hi + 3)) + [hi - 1, hi + 1, lo, lo + 1, hi + 10, lo]
+        prev = None
+        for year in years:
+            net = slider.window(year)
+            assert_window(store, net, year, window_length)
+            if prev is not None:
+                assert frozen_copy(prev[0]) == prev[1]
+                if year == prev[0].year + 1:
+                    slid += 1
+                    shared += any(t and t is prev[0]._adj[u] for u, t in enumerate(net._adj))
+            prev = net, frozen_copy(net)
+    assert slid > 200 and shared > 100
+
+
+def test_window_slider_drops_authors_whose_papers_left():
+    store = parse_records([
+        record_line("p0", 2000, ["a", "b"]),
+        record_line("p1", 2000, ["s"]),
+        record_line("p2", 2001, ["b", "c"]),
+        record_line("p3", 2003, ["s"]),
+    ], Config())
+    a, b, c, solo = (store.author_index[x] for x in ("a", "b", "c", "s"))
+    slider = WindowSlider(store, 2)
+    assert [slider.window(y).node_count for y in (2000, 2001)] == [3, 4]
+    net = slider.window(2002)  # window 2001-2002: p0 and p1 have left
+    assert net.nodes == {b, c} and net.edge_count == 1
+    assert net.neighbors(b) == [c] and net.degree(a) == 0
+    net = slider.window(2003)
+    assert net.nodes == {solo} and net.edge_count == 0
+    net = slider.window(2004)
+    assert net.nodes == {solo} and net.degree(solo) == 0
+    assert slider.window(2005).node_count == 0
+
+
+def test_window_slider_rejects_empty_window_length():
+    with pytest.raises(ValueError):
+        WindowSlider(table1_store(), 0)
+    with pytest.raises(ValueError):
+        build_window(table1_store(), 2018, 0)

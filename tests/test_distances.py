@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from citedist.codec import decode_ledger, decode_states, encode_ledger, encode_states
+from citedist.codec import (
+    StateLines,
+    decode_ledger,
+    decode_states,
+    encode_ledger,
+    encode_states,
+)
 from citedist.config import Config
 from citedist.corpus import CitationEvent, citations_in_year, parse_records
 from citedist.collab import Distance, build_window, connected_components
@@ -358,6 +364,27 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
         assert decode_states(text, store, "cfg") == {a: v for a, v in states.items() if v}
         assert decode_states(text, store, "other") is None
     assert seen_infinite and (seen_exceeds or cap is None)
+
+
+def test_state_lines_follow_the_running_x():
+    """StateLines encodes what ``encode_states`` of the running x gives,
+    after every step, whether it starts empty or is seeded from a decoded
+    snapshot (as a resumed run is)."""
+    lines = [record_line(f"p{k}", 2000, [label]) for k, label in enumerate(ODD_LABELS)]
+    store = parse_records(lines, Config())
+    rng = random.Random(41)
+    running: dict[int, int] = {}
+    incremental = StateLines(store)
+    for step in range(60):
+        for author in rng.sample(range(len(ODD_LABELS)), rng.randint(0, 4)):
+            delta = rng.choice([0, 1, 5, 123456789012])
+            running[author] = running.get(author, 0) + delta
+            incremental.add(author, delta)
+        text = incremental.encode(2000 + step, 6, "cfg")
+        assert text == reference_states_text(2000 + step, running, store, 6, "cfg")
+        seeded = StateLines(store, decode_states(text, store, "cfg"))
+        assert seeded.encode(2000 + step, 6, "cfg") == text
+        assert list(seeded.values()) == list(incremental.values())
 
 
 @pytest.mark.parametrize("damage", [
