@@ -16,9 +16,7 @@ from typing import Iterable, Sequence
 from .collab import INF_CODE, BFSSearcher, CollabNetwork, build_window
 from .corpus import CorpusStore
 from .errors import InsufficientCohortError
-from .indices import IndexRecord
-
-INDEX_NAMES = ("Q", "h", "g", "c", "N_w", "x")
+from .indices import INDEX_NAMES, IndexRecord  # noqa: F401  (INDEX_NAMES re-exported)
 
 
 # -- degeneracy --------------------------------------------------------------
@@ -228,10 +226,11 @@ def rank(records: Sequence[IndexRecord], index: str) -> list[RankedRecord]:
     1..N."""
     if not records:
         raise ValueError("nothing to rank")
-    ordered = sorted(records, key=lambda r: (-r.value(index), -r.q, r.scholar))
+    valued = [(r.value(index), r) for r in records]
+    valued.sort(key=lambda vr: (-vr[0], -vr[1].q, vr[1].scholar))
     return [
-        RankedRecord(position=i, record=r, value=r.value(index))
-        for i, r in enumerate(ordered, 1)
+        RankedRecord(position=i, record=r, value=v)
+        for i, (v, r) in enumerate(valued, 1)
     ]
 
 

@@ -15,16 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from .analytics import (
-    INDEX_NAMES,
-    CohortSelection,
-    c_equals_nw_stats,
-    classify_closeness,
-    rank,
-    repeated_citation_matrix,
-    select_cohort,
-    x_vs_q_scatter,
-)
 from .collab import build_window, network_report
 from .config import Config, ConfigError, load_config
 from .corpus import load_corpus
@@ -37,26 +27,9 @@ from .errors import (
     SequencingError,
     WorkspaceError,
 )
-from .pipeline import (
-    build_index_records,
-    load_event_ledgers,
-    report_ledgers,
-    run_pipeline,
-    workspace_years,
-)
+from .indices import INDEX_NAMES, IndexRecord
+from .pipeline import index_records, load_event_ledgers, run_pipeline, workspace_years
 from .workspace import Workspace
-
-REPORT_NAMES = (
-    "network-stats",
-    "distance-histogram",
-    "index-table",
-    "rank",
-    "c-eq-nw",
-    "heatmap",
-    "scatter",
-    "closeness",
-    "edges",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,132 +199,158 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _report_year(args, span: tuple[int, int]) -> int:
-    """``--year``, else the last year of the snapshot under the report's
-    config (which may narrow the ingested span)."""
-    if args.year is not None:
-        return args.year
-    return span[1]
-
-
 def cmd_report(args) -> int:
     ws = Workspace(args.workspace)
     with ws.lock(shared=True):
         return _report(args, ws)
 
 
+def _network_stats(args, ws: Workspace, cfg: Config, span, year: int):
+    net = build_window(ws.load_store(cfg), year, cfg.window_length)
+    stats = network_report(net, with_diameter=args.with_diameter)
+    return [stats.CSV_HEADER, stats.csv_row(year)], {
+        "year": year, "with_diameter": args.with_diameter}
+
+
+def _edges(args, ws: Workspace, cfg: Config, span, year: int):
+    store = ws.load_store(cfg)
+    net = build_window(store, year, cfg.window_length)
+    labels = store.author_labels
+    pairs = sorted((labels[u], labels[v]) for u, v in net.edges())
+    return ["author_a,author_b", *(f"{a},{b}" for a, b in pairs)], {"year": year}
+
+
+def _distance_histogram(args, ws: Workspace, cfg: Config, span, year: int):
+    """Bins the ledgers' events lines; needs no store."""
+    planned = workspace_years(ws, cfg)
+    lo, hi = args.years if args.years else (planned[0] if planned else 0, year)
+    ledgers = load_event_ledgers(ws, cfg, lo, hi)
+    result = distance_histogram(ledgers, range(lo, hi + 1), args.max_bin)
+    for notice in result.notices:
+        print(notice, file=sys.stderr)
+    return result.csv_rows(), {"years": [lo, hi], "max_bin": args.max_bin}
+
+
+def _heatmap(args, ws: Workspace, cfg: Config, span, year: int):
+    from .analytics import repeated_citation_matrix
+
+    store = ws.load_store(cfg)
+    lo, hi = args.years if args.years else span
+    net_year = args.net_year if args.net_year is not None else hi
+    net = build_window(store, net_year, cfg.window_length)
+    matrix = repeated_citation_matrix(
+        store, (lo, hi), net=net,
+        max_repeat=args.max_repeat, max_distance=args.max_distance,
+    )
+    rows = ["repeats,distance,pairs"]
+    for i, rlabel in enumerate(matrix.repeat_labels):
+        for j, dlabel in enumerate(matrix.distance_labels):
+            rows.append(f"{rlabel},{dlabel},{matrix.cells[i][j]}")
+    return rows, {
+        "years": [lo, hi], "net_year": net_year,
+        "max_repeat": args.max_repeat, "max_distance": args.max_distance,
+        "pairs": matrix.pair_count, "total_citations": matrix.total_citations,
+    }
+
+
+def _index_report(table):
+    """The report of ``table(args, records)`` over the index records at
+    the report year (which need exact ledgers)."""
+
+    def report(args, ws: Workspace, cfg: Config, span, year: int):
+        rows, params = table(args, index_records(ws, cfg, year))
+        return rows, {"year": year, **params}
+
+    return report
+
+
+@_index_report
+def _index_table(args, records):
+    return [IndexRecord.CSV_HEADER, *(r.csv_row() for r in records)], {}
+
+
+@_index_report
+def _rank(args, records):
+    from .analytics import rank
+
+    rows = [f"rank,scholar,{args.index},Q"]
+    rows.extend(
+        f"{r.position},{r.record.scholar},"
+        f"{r.record.c_display if args.index == 'c' else r.value},{r.record.q}"
+        for r in rank(records, args.index)
+    )
+    return rows, {"index": args.index}
+
+
+@_index_report
+def _c_eq_nw(args, records):
+    from .analytics import c_equals_nw_stats
+
+    rows = ["q_lo,q_hi,scholars,degenerate,ratio"]
+    for row in c_equals_nw_stats(records, args.bins):
+        ratio = "" if row.ratio is None else f"{row.ratio:.4f}"
+        rows.append(f"{row.q_lo},{row.q_hi},{row.scholars},{row.degenerate},{ratio}")
+    return rows, {"bins": args.bins}
+
+
+@_index_report
+def _scatter(args, records):
+    from .analytics import x_vs_q_scatter
+
+    points = x_vs_q_scatter(records, args.q_max, args.size, args.seed)
+    return ["Q,x", *(f"{q},{x:.2f}" for q, x in points)], {
+        "q_max": args.q_max, "size": args.size}
+
+
+@_index_report
+def _closeness(args, records):
+    from .analytics import CohortSelection, classify_closeness, select_cohort
+
+    sel = CohortSelection(
+        q_range=(args.q_min, args.q_max), fixed=dict(args.fix),
+        size=args.size, seed=args.seed,
+    )
+    cohort = select_cohort(records, sel)
+    result = classify_closeness(cohort, args.index_a, args.index_b, args.k)
+    rows = [f"scholar_a,scholar_b,{args.index_a}_close,{args.index_b}_close"]
+    rows.extend(f"{p.scholar_a},{p.scholar_b},{p.close_a},{p.close_b}" for p in result.pairs)
+    return rows, {
+        "index_a": args.index_a, "index_b": args.index_b, "k": args.k, "size": args.size,
+        "q_range": [args.q_min, args.q_max], "fixed": dict(args.fix),
+        "s_a": result.s_a, "s_b": result.s_b, "cohort": [r.scholar for r in cohort],
+    }
+
+
+# Each report returns its CSV rows and the params of its manifest, given
+# the config's year span and the report year (``--year``, else the span's
+# last year).  Only the reports that use it import ``citedist.analytics``.
+REPORTS = {
+    "network-stats": _network_stats,
+    "distance-histogram": _distance_histogram,
+    "index-table": _index_table,
+    "rank": _rank,
+    "c-eq-nw": _c_eq_nw,
+    "heatmap": _heatmap,
+    "scatter": _scatter,
+    "closeness": _closeness,
+    "edges": _edges,
+}
+REPORT_NAMES = tuple(REPORTS)
+
+
 def _report(args, ws: Workspace) -> int:
     cfg = _load_cfg(args)
-    name = args.name
     span = ws.year_span(cfg)
-    # The histogram bins the ledgers' events lines and needs no store.
-    store = None if name == "distance-histogram" else ws.load_store(cfg)
+    year = args.year if args.year is not None else span[1]
+    rows, params = REPORTS[args.name](args, ws, cfg, span, year)
     manifest = {
         "report": args.name,
         "config": cfg.config_hash(),
         "corpus_sha256": ws.corpus_hash(),
         "seed": args.seed,
+        "params": params,
     }
-
-    if name == "network-stats":
-        year = _report_year(args, span)
-        net = build_window(store, year, cfg.window_length)
-        stats = network_report(net, with_diameter=args.with_diameter)
-        rows = [stats.CSV_HEADER, stats.csv_row(year)]
-        manifest["params"] = {"year": year, "with_diameter": args.with_diameter}
-
-    elif name == "edges":
-        year = _report_year(args, span)
-        net = build_window(store, year, cfg.window_length)
-        rows = ["author_a,author_b"]
-        labels = store.author_labels
-        pairs = sorted((labels[u], labels[v]) for u, v in net.edges())
-        rows.extend(f"{a},{b}" for a, b in pairs)
-        manifest["params"] = {"year": year}
-
-    elif name == "distance-histogram":
-        planned = workspace_years(ws, cfg)
-        lo, hi = args.years if args.years else (planned[0] if planned else 0,
-                                                _report_year(args, span))
-        ledgers = load_event_ledgers(ws, cfg, lo, hi)
-        result = distance_histogram(ledgers, range(lo, hi + 1), args.max_bin)
-        for notice in result.notices:
-            print(notice, file=sys.stderr)
-        rows = result.csv_rows()
-        manifest["params"] = {"years": [lo, hi], "max_bin": args.max_bin}
-
-    elif name == "heatmap":
-        lo, hi = args.years if args.years else span
-        net_year = args.net_year if args.net_year is not None else hi
-        net = build_window(store, net_year, cfg.window_length)
-        matrix = repeated_citation_matrix(
-            store, (lo, hi), net=net,
-            max_repeat=args.max_repeat, max_distance=args.max_distance,
-        )
-        rows = ["repeats,distance,pairs"]
-        for i, rlabel in enumerate(matrix.repeat_labels):
-            for j, dlabel in enumerate(matrix.distance_labels):
-                rows.append(f"{rlabel},{dlabel},{matrix.cells[i][j]}")
-        manifest["params"] = {
-            "years": [lo, hi], "net_year": net_year,
-            "max_repeat": args.max_repeat, "max_distance": args.max_distance,
-            "pairs": matrix.pair_count, "total_citations": matrix.total_citations,
-        }
-
-    else:  # index-derived reports need exact ledgers
-        year = _report_year(args, span)
-        records = build_index_records(store, report_ledgers(ws, store, cfg, year), year, cfg)
-        manifest["params"] = {"year": year}
-
-        if name == "index-table":
-            rows = [records[0].CSV_HEADER if records else "scholar,year,Q,h,g,c,N_w,x"]
-            rows.extend(r.csv_row() for r in records)
-
-        elif name == "rank":
-            ranked = rank(records, args.index)
-            rows = [f"rank,scholar,{args.index},Q"]
-            rows.extend(
-                f"{r.position},{r.record.scholar},"
-                f"{r.record.c_display if args.index == 'c' else r.value},{r.record.q}"
-                for r in ranked
-            )
-            manifest["params"]["index"] = args.index
-
-        elif name == "c-eq-nw":
-            table = c_equals_nw_stats(records, args.bins)
-            rows = ["q_lo,q_hi,scholars,degenerate,ratio"]
-            for row in table:
-                ratio = "" if row.ratio is None else f"{row.ratio:.4f}"
-                rows.append(f"{row.q_lo},{row.q_hi},{row.scholars},{row.degenerate},{ratio}")
-            manifest["params"]["bins"] = args.bins
-
-        elif name == "scatter":
-            points = x_vs_q_scatter(records, args.q_max, args.size, args.seed)
-            rows = ["Q,x"]
-            rows.extend(f"{q},{x:.2f}" for q, x in points)
-            manifest["params"].update({"q_max": args.q_max, "size": args.size})
-
-        elif name == "closeness":
-            sel = CohortSelection(
-                q_range=(args.q_min, args.q_max), fixed=dict(args.fix),
-                size=args.size, seed=args.seed,
-            )
-            cohort = select_cohort(records, sel)
-            result = classify_closeness(cohort, args.index_a, args.index_b, args.k)
-            rows = [f"scholar_a,scholar_b,{args.index_a}_close,{args.index_b}_close"]
-            for p in result.pairs:
-                rows.append(f"{p.scholar_a},{p.scholar_b},{p.close_a},{p.close_b}")
-            manifest["params"].update({
-                "index_a": args.index_a, "index_b": args.index_b, "k": args.k,
-                "q_range": [args.q_min, args.q_max], "fixed": dict(args.fix),
-                "size": args.size,
-                "s_a": result.s_a, "s_b": result.s_b,
-                "cohort": [r.scholar for r in cohort],
-            })
-        else:  # pragma: no cover - argparse restricts choices
-            raise WorkspaceError(f"unknown report {name}")
-
-    path = ws.write_report(name, rows, manifest, out=args.out)
+    path = ws.write_report(args.name, rows, manifest, out=args.out)
     print(f"wrote {path}")
     return 0
 

@@ -1,5 +1,5 @@
 """Line format of the per-year artifacts ``ledgers/<year>.jsonl`` and
-``states/<year>.jsonl``.
+``states/<year>.jsonl``, and of the derived ``indices/<year>.jsonl``.
 
 Each artifact is a header line followed by one line per record, and
 every line is byte-identical to ``json.dumps(obj, sort_keys=True)`` of
@@ -20,6 +20,14 @@ State (x scaled by ``scale``, scholars with x = 0 omitted)::
     {"config": "<hash>", "kind": "header", "n": 6, "scale": 6, "year": 2000}
     {"id": "<author>", "kind": "state", "xn": 4}
 
+Index snapshot (every scholar's ``IndexRecord`` at ``year``, in label
+order; ``ledgers`` lists the ``records_sha256`` of each ledger folded
+into it, in year order; x is scaled by ``scale``, and c is an int or,
+when it is a Fraction, ``[numerator, denominator]``)::
+
+    {"config": "<hash>", "kind": "header", "ledgers": ["<sha256>"], "scale": 6, "year": 2000}
+    {"c": [2, 1], "g": 2, "h": 1, "id": "<author>", "n_w": 0, "q": 3, "xn": 10}
+
 A workspace writes each artifact through ``stamp``, which adds two keys
 to the header: ``corpus_sha256``, the sha256 of the ingested corpus
 snapshot, and ``records_sha256``, the sha256 of every byte after the
@@ -27,20 +35,23 @@ header line.  The record lines stay as above.  ``read_header`` parses
 the header line alone and returns the record bytes, so a reader can
 check both stamps without decoding a record.
 
-Decoding raises ValueError, KeyError, TypeError or AttributeError on a
-damaged file, and KeyError on an author label the store lacks.
+Decoding raises ValueError, KeyError, TypeError, AttributeError or
+ZeroDivisionError on a damaged file, and KeyError on an author label the
+store lacks.
 ``decode_ledger_events`` reads the header and the events line alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from typing import Mapping
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import CorpusStore
 from .distances import DistanceTally, YearLedger
-from .indices import x_scale
+from .indices import IndexRecord, x_scale
 
 
 def _counts(finite: dict[int, int]) -> str:
@@ -210,3 +221,46 @@ def decode_states(text: str, store: CorpusStore, config_hash: str) -> dict[int, 
         return None
     index = store.author_index
     return {index[obj["id"]]: obj["xn"] for obj in _records(body)}
+
+
+def encode_indices(records: Iterable[IndexRecord], year: int, scale: int,
+                   config_hash: str, ledgers: Sequence[str]) -> str:
+    """The index snapshot of ``records`` (x in units of ``1/scale``),
+    folded from the ledgers whose record digests ``ledgers`` lists."""
+    head = {"kind": "header", "year": year, "config": config_hash, "scale": scale,
+            "ledgers": list(ledgers)}
+    lines = [json.dumps(head, sort_keys=True) + "\n"]
+    for r in records:
+        c, x = r.c, r.x
+        per, rest = divmod(scale, x.denominator)
+        if rest:
+            raise ValueError(f"x={x} of {r.scholar} is not a multiple of 1/{scale}")
+        if isinstance(c, Fraction):
+            c = f"[{c.numerator}, {c.denominator}]"
+        lines.append(
+            f'{{"c": {c}, "g": {r.g}, "h": {r.h}, "id": {json.dumps(r.scholar)}, '
+            f'"n_w": {r.n_w}, "q": {r.q}, "xn": {x.numerator * per}}}\n'
+        )
+    return "".join(lines)
+
+
+def decode_indices(text: str, alpha: Fraction,
+                   ledgers: Sequence[str]) -> list[IndexRecord] | None:
+    """The records of the index snapshot in ``text``, computed at slope
+    ``alpha``, or None when its header lists other ledgers than
+    ``ledgers`` (it was folded from other ledgers and is stale)."""
+    head_line, _, body = text.partition("\n")
+    head = json.loads(head_line)
+    if head["ledgers"] != list(ledgers):
+        return None
+    year, scale, alpha = head["year"], head["scale"], Fraction(alpha)
+    # Fractions are immutable and most values repeat, so each distinct
+    # one is built once.
+    x_of = functools.cache(lambda xn: Fraction(xn, scale))
+    c_of = functools.cache(Fraction)
+    return [
+        IndexRecord(obj["id"], year, obj["q"], obj["h"], obj["g"],
+                    c_of(*c) if isinstance(c := obj["c"], list) else c,
+                    obj["n_w"], x_of(obj["xn"]), alpha)
+        for obj in _records(body)
+    ]

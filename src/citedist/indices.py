@@ -221,6 +221,8 @@ def c_index_from_tally(tally: DistanceTally, alpha=1):
 
 # -- snapshots ---------------------------------------------------------------
 
+INDEX_NAMES = ("Q", "h", "g", "c", "N_w", "x")  # report names of the indices
+
 
 @dataclass(frozen=True)
 class IndexRecord:
@@ -239,14 +241,21 @@ class IndexRecord:
     CSV_HEADER = "scholar,year,Q,h,g,c,N_w,x"
 
     def __post_init__(self):
-        if not (0 <= self.x <= self.q):
+        # Compared as integer ratios: a Fraction compares with an int
+        # several times slower, and an index snapshot holds 10^5 records.
+        q = self.q
+        x_num, x_den = self.x.as_integer_ratio()
+        if not (0 <= x_num <= q * x_den):
             raise ValueError(f"x={self.x} outside [0, Q={self.q}]")
         if self.h > self.g:
             raise ValueError(f"h={self.h} exceeds g={self.g}")
-        if self.n_w > self.q:
+        if self.n_w > q:
             raise ValueError(f"N_w={self.n_w} exceeds Q={self.q}")
-        if self.alpha <= 1 and self.c > self.q:
-            raise ValueError(f"c={self.c} exceeds Q={self.q} at alpha<=1")
+        a_num, a_den = self.alpha.as_integer_ratio()
+        if a_num <= a_den:
+            c_num, c_den = self.c.as_integer_ratio()
+            if c_num > q * c_den:
+                raise ValueError(f"c={self.c} exceeds Q={self.q} at alpha<=1")
 
     @property
     def x_display(self) -> str:
@@ -265,7 +274,8 @@ class IndexRecord:
             v = getattr(self, key)
         except AttributeError:
             raise KeyError(f"unknown index {index!r}") from None
-        return float(v) if isinstance(v, Fraction) else v
+        # numerator / denominator is float(v), without the slower generic path
+        return v.numerator / v.denominator if isinstance(v, Fraction) else v
 
     def csv_row(self) -> str:
         return (

@@ -17,7 +17,7 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from .codec import StateLines
 from .collab import CollabNetwork, WindowSlider
@@ -35,6 +35,7 @@ from .indices import IndexRecord, WeightConfig, index_record, x_increment_scaled
 from .workspace import Workspace
 
 log = logging.getLogger("citedist")
+_T = TypeVar("_T")
 
 
 def _window_years(lo: int, hi: int, cfg: Config) -> list[int]:
@@ -158,7 +159,7 @@ def report_years(ws: Workspace, cfg: Config, up_to_year: int) -> list[int]:
     return [y for y in years if y <= up_to_year]
 
 
-def _verified(ledger: YearLedger | None, year: int) -> YearLedger:
+def _verified(ledger: _T | None, year: int) -> _T:
     if ledger is None:
         raise WorkspaceError(
             f"ledger for year {year} was produced by a different configuration; re-run"
@@ -196,8 +197,9 @@ def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int
 @contextmanager
 def _cyclic_gc_paused():
     """Pause the cyclic garbage collector for the block.  Decoding and
-    folding the ledgers allocates a few objects per scholar line, none of
-    them in a reference cycle, so reference counting frees them all;
+    folding the ledgers, or decoding an index snapshot, allocates a few
+    objects per scholar line, none of them in a reference cycle, so
+    reference counting frees them all;
     left on, the collector rescans every live object some thirty times
     on a c10-size corpus, close to half of the fold's time."""
     enabled = gc.isenabled()
@@ -259,4 +261,28 @@ def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year:
             for scholar, tally in pooled.items()
         ]
     records.sort(key=lambda r: r.scholar)
+    return records
+
+
+def index_records(ws: Workspace, cfg: Config, year: int) -> list[IndexRecord]:
+    """:func:`build_index_records` at ``year`` over the ledgers of
+    :func:`report_years`, kept in the workspace's index snapshot of the
+    year.  Every ledger is first checked whole (config, corpus stamp and
+    record digest) without being decoded.  When the snapshot was folded
+    from exactly these ledgers under ``cfg``, its records are returned
+    and neither the store nor any ledger is decoded; otherwise the
+    records are computed from the store and the ledgers and the snapshot
+    is written."""
+    planned = workspace_years(ws, cfg)
+    if planned and year > planned[-1]:
+        raise WorkspaceError(f"year {year} is after the last planned year, {planned[-1]}")
+    cfg_hash = cfg.config_hash()
+    digests = [_verified(ws.ledger_digest(y, cfg_hash), y) for y in report_years(ws, cfg, year)]
+    with _cyclic_gc_paused():
+        records = ws.read_indices(year, cfg, digests)
+    if records is None:
+        store = ws.load_store(cfg)
+        records = build_index_records(store, report_ledgers(ws, store, cfg, year), year, cfg)
+        del store  # its memory then holds the encoded snapshot
+        ws.write_indices(year, records, cfg, digests)
     return records

@@ -6,6 +6,7 @@ Layout under the workspace root:
     corpus.meta.json      validation summary, corpus/config hashes, paper years
     ledgers/<year>.jsonl  per-year distance ledgers
     states/<year>.jsonl   per-year x-index state snapshots (append-only history)
+    indices/<year>.jsonl  per-year index snapshots, derived from the ledgers
     reports/              CSV reports with JSON manifests
     .lock                 flock: exclusive for ingest and run, shared for report
 
@@ -13,7 +14,13 @@ Artifacts are written atomically (per-process temp file + rename), so an
 interrupted stage never leaves a half-written year behind and re-running
 a stage with the same inputs produces byte-identical files.  State
 snapshots store x scaled by n as an exact integer.  ``citedist.codec``
-owns the line format of ledgers and states.
+owns the line format of ledgers, states and index snapshots.
+
+An index snapshot holds every scholar's indices at its year, as the
+first index report of that year under a config computed them, and lists
+the record digests of the ledgers it was folded from.  It is a cache:
+one of another config, or folded from other ledgers, reads as absent and
+is written again, and deleting it is always safe.
 
 The meta lists ``paper_years``, the distinct years of the snapshot's
 papers, so the years a config plans come from the meta alone.  A step
@@ -48,9 +55,11 @@ from .codec import (
     CORPUS_KEY,
     RECORDS_KEY,
     StateLines,
+    decode_indices,
     decode_ledger,
     decode_ledger_events,
     decode_states,
+    encode_indices,
     encode_ledger,
     read_header,
     stamp,
@@ -59,6 +68,7 @@ from .config import Config
 from .corpus import CorpusStore, config_span, parse_snapshot
 from .distances import YearLedger
 from .errors import WorkspaceError
+from .indices import IndexRecord, x_scale
 
 
 def _atomic_write(path: Path, writer, binary: bool = False) -> None:
@@ -83,6 +93,7 @@ class Workspace:
         self.meta_path = self.root / "corpus.meta.json"
         self.ledger_dir = self.root / "ledgers"
         self.state_dir = self.root / "states"
+        self.index_dir = self.root / "indices"
         self.report_dir = self.root / "reports"
         self._meta: dict | None = None
 
@@ -216,7 +227,8 @@ class Workspace:
         if head.get(CORPUS_KEY) != self.corpus_hash():
             raise WorkspaceError(
                 f"cannot read {path}: it was not written for the ingested corpus; "
-                f"delete {self.ledger_dir} and {self.state_dir} and run again"
+                f"delete {self.ledger_dir}, {self.state_dir} and {self.index_dir} "
+                f"and run again"
             )
         if lines is None and hashlib.sha256(records).hexdigest() != head.get(RECORDS_KEY):
             raise WorkspaceError(
@@ -234,7 +246,7 @@ class Workspace:
             return None
         try:
             return decode(data.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
 
     def year_complete(self, year: int, config_hash: str) -> bool:
@@ -260,6 +272,13 @@ class Workspace:
         return self._read(self.ledger_path(year), config_hash,
                           lambda text: decode_ledger(text, store)[0])
 
+    def ledger_digest(self, year: int, config_hash: str) -> str | None:
+        """The ``records_sha256`` of the year's ledger, checked whole as
+        ``_artifact`` does but not decoded; None when absent or built by
+        another config."""
+        data = self._artifact(self.ledger_path(year), config_hash)
+        return None if data is None else read_header(data)[0][RECORDS_KEY]
+
     def read_ledger_events(self, year: int, config_hash: str) -> YearLedger | None:
         """The year's ledger with its events tally and no scholars, read
         from the first two lines of the file; None when absent or built
@@ -282,6 +301,34 @@ class Workspace:
         """The year's x states, or None when absent or built by another config."""
         return self._read(self.state_path(year), config_hash,
                           lambda text: decode_states(text, store, config_hash))
+
+    # -- index snapshots ---------------------------------------------------
+
+    def index_path(self, year: int) -> Path:
+        return self.index_dir / f"{year}.jsonl"
+
+    def write_indices(self, year: int, records: list[IndexRecord], cfg: Config,
+                      ledgers: list[str]) -> None:
+        """Snapshot ``records``, the indices at ``year`` folded from the
+        ledgers whose record digests ``ledgers`` lists in year order."""
+        data = stamp(encode_indices(records, year, x_scale(cfg.n), cfg.config_hash(), ledgers),
+                     self.corpus_hash())
+        self.index_dir.mkdir(exist_ok=True)
+        _atomic_write(self.index_path(year), lambda fp: fp.write(data), binary=True)
+
+    def read_indices(self, year: int, cfg: Config, ledgers: list[str]) -> list[IndexRecord] | None:
+        """The records of the year's index snapshot, or None when it is
+        absent, of another config, or folded from other ledgers than
+        ``ledgers``.  A damaged snapshot, or one of another corpus,
+        raises a WorkspaceError that names it and says it may be deleted."""
+        path = self.index_path(year)
+        try:
+            return self._read(path, cfg.config_hash(),
+                              lambda text: decode_indices(text, cfg.alpha, ledgers))
+        except WorkspaceError as exc:
+            raise WorkspaceError(
+                f"{exc}; deleting {path} is safe: the next index report rebuilds it"
+            ) from exc
 
     def completed_years(self) -> list[int]:
         years = []

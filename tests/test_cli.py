@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -644,6 +646,42 @@ def test_report_year_before_every_ledger_names_it(tmp_path, capsys):
     assert main(["report", "distance-histogram", "--workspace", str(ws),
                  "--years", "1900:1950", *cfg]) == 3
     assert "no ledger for year 1950 or earlier" in capsys.readouterr().err
+
+
+def test_report_year_after_the_plan_names_the_last_year(tmp_path, capsys):
+    ws = _ran_workspace(tmp_path, exact_distances=True)
+    capsys.readouterr()
+    assert main(["report", "index-table", "--workspace", str(ws), "--year", "2030",
+                 "--config", str(tmp_path / "engine.cfg")]) == 3
+    assert capsys.readouterr().err == "error: year 2030 is after the last planned year, 2003\n"
+
+
+_IMPORTED = """
+import sys
+from citedist.cli import main
+code = main(sys.argv[1:])
+print(code, "citedist.analytics" in sys.modules, "statistics" in sys.modules)
+"""
+
+
+def test_only_analytics_reports_import_analytics(tmp_path):
+    """Each step runs in a fresh interpreter: ingest, run, resume and the
+    reports that need no index records leave ``citedist.analytics`` and
+    ``statistics`` unimported; a report that ranks imports both."""
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(random_corpus_lines(random.Random(7), 60, 12, 2000, 2003)) + "\n")
+    ws = str(tmp_path / "ws")
+    cfg = ["--config", str(write_config(tmp_path, exact_distances=True))]
+
+    def imported(*argv):
+        out = subprocess.run([sys.executable, "-c", _IMPORTED, *argv, *cfg],
+                             capture_output=True, text=True, check=True).stdout
+        return out.splitlines()[-1]
+
+    for argv in (["ingest", str(src)], ["run"], ["run"], ["report", "distance-histogram"],
+                 ["report", "network-stats"], ["report", "edges"], ["report", "index-table"]):
+        assert imported(*argv, "--workspace", ws) == "0 False False", argv
+    assert imported("report", "rank", "--workspace", ws) == "0 True True"
 
 
 def test_histogram_of_another_config_exits_3(tmp_path, capsys):

@@ -3,6 +3,7 @@ its errors, its memory profile, and how c is rendered."""
 
 import random
 import re
+import shutil
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -128,15 +129,19 @@ def test_fold_with_no_credited_scholar(tmp_path):
 
 
 def test_index_reports_hold_one_ledger_at_a_time(tmp_path, monkeypatch):
-    """Each CLI index report reads the ledgers as a stream: when it reads
-    a year, no ledger it read before is still alive."""
+    """Each CLI index report that computes its records reads the ledgers
+    as a stream: when it reads a year, no ledger it read before is still
+    alive.  One that finds the year's index snapshot decodes no ledger
+    and loads no store."""
     lines = random_corpus_lines(random.Random(9), 160, 25, 2000, 2006)
     cfg = Config(exact_distances=True)
     ws, _ = make_workspace(tmp_path / "ws", lines, cfg)
     (tmp_path / "engine.cfg").write_text("exact_distances = true\n")
 
     read = []
+    loads = []
     original = Workspace.read_ledger
+    original_load = Workspace.load_store
 
     def tracking_read(self, year, store, config_hash):
         alive = [ref().year for ref in read if ref() is not None]
@@ -145,17 +150,29 @@ def test_index_reports_hold_one_ledger_at_a_time(tmp_path, monkeypatch):
         read.append(weakref.ref(ledger))
         return ledger
 
+    def tracking_load(self, cfg):
+        loads.append(cfg)
+        return original_load(self, cfg)
+
     def no_series(*args, **kwargs):
         raise AssertionError("index reports must not load the whole ledger series")
 
     monkeypatch.setattr(Workspace, "read_ledger", tracking_read)
+    monkeypatch.setattr(Workspace, "load_store", tracking_load)
     monkeypatch.setattr(pipeline_module, "load_series", no_series)
     monkeypatch.setattr(cli_module, "load_series", no_series, raising=False)
     for report in INDEX_REPORTS:
+        argv = ["report", *report, "--workspace", str(ws.root),
+                "--config", str(tmp_path / "engine.cfg")]
+        shutil.rmtree(ws.index_dir, ignore_errors=True)
         read.clear()
-        assert main(["report", *report, "--workspace", str(ws.root),
-                     "--config", str(tmp_path / "engine.cfg")]) == 0
-        assert len(read) == 7
+        loads.clear()
+        assert main(argv) == 0
+        assert len(read) == 7 and len(loads) == 1
+        read.clear()
+        loads.clear()
+        assert main(argv) == 0  # reads the snapshot the first call wrote
+        assert read == [] and loads == []
 
 
 def c_cells(path, column):
