@@ -83,10 +83,12 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
     the network of the range's final year.  Repeat bins are 0..max-1
     then "max+"; distance bins 0..max then "(max+1)+" and "INF".
 
-    Each counted pair is one :meth:`BFSSearcher.pair_distance` query
-    capped at ``max_distance``: a pair split across components is INF
-    from the component labels alone, and any other stops as soon as the
-    two sides meet or their levels pass the cap ("(max+1)+").
+    Each scholar is one :meth:`BFSSearcher.distances_from` query,
+    capped at ``max_distance``, to every partner with a larger id: a
+    partner in another component is INF from the component labels
+    alone, and the others share one ball around the scholar, each
+    search stopping as soon as it meets that ball or the levels pass
+    the cap ("(max+1)+").
     """
     lo, hi = year_range
     if lo > hi:
@@ -95,7 +97,7 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
         net = build_window(store, hi, window_length)
 
     paper_authors = store.paper_authors
-    pair_counts: dict[tuple[int, int], int] = {}
+    partners: dict[int, dict[int, int]] = {}  # partners[a][b]: citations, a < b
     total_citations = 0
     for year in range(lo, hi + 1):
         for cited_pid, citing_pid in store.iter_citations(year):
@@ -104,8 +106,11 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
                 (m, n) if m < n else (n, m)
                 for m in paper_authors[cited_pid] for n in citing if m != n
             }
-            for pair in pairs:
-                pair_counts[pair] = pair_counts.get(pair, 0) + 1
+            for a, b in pairs:
+                counts = partners.get(a)
+                if counts is None:
+                    counts = partners[a] = {}
+                counts[b] = counts.get(b, 0) + 1
             total_citations += len(pairs)
 
     repeat_labels = tuple(str(i) for i in range(max_repeat)) + (f"{max_repeat}+",)
@@ -115,22 +120,23 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
     cells = [[0] * len(distance_labels) for _ in repeat_labels]
 
     inf_bin = len(distance_labels) - 1
-    pair_distance = BFSSearcher(net).pair_distance
-    for (a, b), count in pair_counts.items():
-        code = pair_distance((a,), (b,), max_distance)
-        if code >= 0:
-            dist_bin = code
-        elif code == INF_CODE:
-            dist_bin = inf_bin
-        else:  # EXCEEDS_CODE: a path longer than max_distance
-            dist_bin = inf_bin - 1
-        cells[min(count - 1, max_repeat)][dist_bin] += 1
+    distances_from = BFSSearcher(net).distances_from
+    for a, counts in partners.items():
+        codes = distances_from((a,), [(b,) for b in counts], max_distance)
+        for count, code in zip(counts.values(), codes):
+            if code >= 0:
+                dist_bin = code
+            elif code == INF_CODE:
+                dist_bin = inf_bin
+            else:  # EXCEEDS_CODE: a path longer than max_distance
+                dist_bin = inf_bin - 1
+            cells[min(count - 1, max_repeat)][dist_bin] += 1
     return RepeatMatrix(
         repeat_labels=repeat_labels,
         distance_labels=distance_labels,
         cells=tuple(tuple(row) for row in cells),
         total_citations=total_citations,
-        pair_count=len(pair_counts),
+        pair_count=sum(map(len, partners.values())),
     )
 
 

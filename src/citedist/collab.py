@@ -19,15 +19,19 @@ and shares every other neighbour tuple with the previous network.
 ``run`` slides one window through its years; :func:`build_window` is a
 single fresh window of a new slider.
 
-Each network labels its connected components once, on first use.  A
-set-to-set distance (:meth:`BFSSearcher.pair_distance`) first drops the
-targets outside every source's component, so a query with no path
-answers INFINITE without searching; otherwise a bidirectional BFS runs
-until the two sides meet.  Hop distances come in three flavours: a
-finite count, INFINITE (no path exists, proven by the component labels
-or by the search), or "exceeds cap" (a path exists and is longer than
-the cap).  Every citation event of ``run`` and every scholar pair of
-the repeated-citation heatmap is one such query.
+Each network labels its connected components once, on first use.  The
+distance kernel, :meth:`BFSSearcher.distances_from`, measures one
+author set against many target sets: targets outside every source's
+component are dropped, so a set with no path answers INFINITE without
+searching; every other set is searched against one ball around the
+sources that the whole call shares and grows only as far as some set
+needs, meeting each set's own search from the targets' side.  Hop
+distances come in three flavours: a finite count, INFINITE (no path
+exists, proven by the component labels or by the search), or "exceeds
+cap" (a path exists and is longer than the cap).  ``run`` makes one
+such call per citing paper, with its references' author tuples, and
+the repeated-citation heatmap one per scholar, with its partners.
+:meth:`BFSSearcher.pair_distance` is a call with one target set, and
 :meth:`BFSSearcher.distances_to` is the one-to-many kernel behind
 ``diameter`` alone.
 """
@@ -275,9 +279,10 @@ class BFSSearcher:
 
     One searcher serves many queries on the same network without
     reallocating visit lists (epoch stamping); the lists are allocated
-    on the first search.  There is one kernel per query shape:
-    :meth:`pair_distance` (set to set) and :meth:`distances_to` (one set
-    to many targets).  Not thread-safe: the stamp lists belong to one
+    on the first search.  :meth:`distances_from` is the distance kernel
+    (one set to many sets, :meth:`pair_distance` being one of them);
+    :meth:`distances_to` (one set to many targets, found or not) serves
+    ``diameter``.  Not thread-safe: the stamp lists belong to one
     searcher, so concurrent searches each need their own.
     """
 
@@ -289,17 +294,36 @@ class BFSSearcher:
         self._epoch = 0
         self._tgt_epoch = 0
 
+    def _stamps(self) -> tuple[list[int], list[int], list[int]]:
+        """The visit stamps, hop counts and target stamps, one slot per
+        author, allocated on the first search."""
+        if self._seen is None:
+            n = self.net.num_slots
+            self._seen, self._hops, self._tgt = [0] * n, [0] * n, [0] * n
+        return self._seen, self._hops, self._tgt
+
     def pair_distance(self, sources: Iterable[int], targets: Iterable[int],
                       cap: int | None = None) -> int:
-        """Distance code between two author sets.
+        """Distance code between two author sets: one
+        :meth:`distances_from` query with a single target set."""
+        return self.distances_from(sources, (targets,), cap)[0]
 
-        0 when the sets share an author.  Targets outside every source's
-        component are dropped, and when none is left the answer is
-        INF_CODE without a search.  Otherwise both sides grow level by
-        level, each step expanding the whole level of the side whose
-        frontier has the smaller total degree, until they meet.  Returns
-        the hop count, or EXCEEDS_CODE once the levels of the two sides
-        add up to ``cap`` before meeting (a path exists, longer than cap).
+    def distances_from(self, sources: Iterable[int],
+                       target_sets: Iterable[Iterable[int]],
+                       cap: int | None = None) -> list[int]:
+        """Distance code from one author set to each target set.
+
+        0 when a target set shares an author with the sources.  Targets
+        outside every source's component are dropped, and a set with
+        none left is INF_CODE without a search.  Every other set is
+        searched against one source ball that all sets of the call
+        share: a set with an author inside the ball answers with the
+        smallest ball level among its authors; otherwise the ball and
+        the set's own side grow level by level, each step expanding the
+        whole level of the side whose frontier has the smaller total
+        degree (ties go to the ball), until they meet.  Returns hop
+        counts, or EXCEEDS_CODE once the levels of the two sides add up
+        to ``cap`` before meeting (a path exists, longer than cap).
 
         Every id must lie in ``[0, net.num_slots)``.  This kernel does not
         check it: a negative id would silently read another author's slot.
@@ -309,64 +333,91 @@ class BFSSearcher:
         labels = net.component_labels()
         src = set(sources)
         src_comps = {labels[s] for s in src}
-        tgt = set()
-        for t in targets:
-            if t in src:
-                return 0
-            if labels[t] >= 0 and labels[t] in src_comps:
-                tgt.add(t)
-        if not tgt:
-            return INF_CODE
-        tgt_comps = {labels[t] for t in tgt}
-        src = [s for s in src if labels[s] in tgt_comps]
+        src_comps.discard(-1)
+        codes: list[int] = []
+        pending: list[tuple[int, list[int]]] = []  # (index into codes, targets)
+        for targets in target_sets:
+            kept = []
+            for t in targets:
+                if t in src:
+                    codes.append(0)
+                    break
+                if labels[t] in src_comps:
+                    kept.append(t)
+            else:
+                if kept:
+                    pending.append((len(codes), kept))
+                codes.append(INF_CODE)
+        if not pending:
+            return codes
         adj = net._adj
-        seen, hops = self._seen, self._hops
-        if hops is None:
-            if seen is None:
-                seen = self._seen = [0] * net.num_slots
-            hops = self._hops = [0] * net.num_slots
-        # Each side stamps the nodes it reaches with its own epoch.
-        self._epoch += 2
-        mine, other = self._epoch - 1, self._epoch
-        front, back = [], list(tgt)
-        deg_front = deg_back = 0
-        for s in src:
-            seen[s] = mine
+        seen, hops, tmark = self._stamps()
+        # The ball holds every node within ``radius`` of the sources in
+        # the targets' components; ``frontier`` is its outermost level.
+        self._epoch += 1
+        ball = self._epoch
+        comps = {labels[t] for _, kept in pending for t in kept}
+        frontier = [s for s in src if labels[s] in comps]
+        deg_ball = 0
+        for s in frontier:
+            seen[s] = ball
             hops[s] = 0
-            front.append(s)
-            deg_front += len(adj[s])
-        for t in back:
-            seen[t] = other
-            hops[t] = 0
-            deg_back += len(adj[t])
-        level_front = level_back = 0
-        while front:
-            if cap is not None and level_front + level_back >= cap:
-                return EXCEEDS_CODE
-            if deg_back < deg_front:
-                front, back = back, front
-                deg_front, deg_back = deg_back, deg_front
-                level_front, level_back = level_back, level_front
-                mine, other = other, mine
+            deg_ball += len(adj[s])
+        radius = 0
+        for i, kept in pending:
+            inside = [hops[t] for t in kept if seen[t] == ball]
+            if inside:
+                codes[i] = min(inside)
+                continue
+            self._tgt_epoch += 1
+            mark = self._tgt_epoch
+            back = kept
+            deg_back = 0
+            for t in back:
+                tmark[t] = mark
+                deg_back += len(adj[t])
+            level = 0
+            met = False
             # Neither side has met the other, so the distance exceeds
-            # level_front + level_back; the first meeting found while
-            # expanding this level is one hop longer than that, and exact.
-            level_front += 1
-            nxt = []
-            deg_front = 0
-            for u in front:
-                for v in adj[u]:
-                    mark = seen[v]
-                    if mark == mine:
-                        continue
-                    if mark == other:
-                        return level_front + hops[v]
-                    seen[v] = mine
-                    hops[v] = level_front
-                    nxt.append(v)
-                    deg_front += len(adj[v])
-            front = nxt
-        return INF_CODE  # not reached: both sides share a component
+            # radius + level; any meeting found while one side expands a
+            # whole level is one hop longer than that, and exact.
+            while not met:
+                if cap is not None and radius + level >= cap:
+                    codes[i] = EXCEEDS_CODE
+                    break
+                if deg_ball <= deg_back:
+                    radius += 1
+                    nxt = []
+                    deg_ball = 0
+                    for u in frontier:  # the whole level, so the ball stays complete
+                        for v in adj[u]:
+                            if seen[v] != ball:
+                                seen[v] = ball
+                                hops[v] = radius
+                                nxt.append(v)
+                                deg_ball += len(adj[v])
+                                if tmark[v] == mark:
+                                    met = True
+                    frontier = nxt
+                else:
+                    level += 1
+                    nxt = []
+                    deg_back = 0
+                    for u in back:
+                        for v in adj[u]:
+                            if seen[v] == ball:
+                                met = True
+                                break
+                            if tmark[v] != mark:
+                                tmark[v] = mark
+                                nxt.append(v)
+                                deg_back += len(adj[v])
+                        if met:
+                            break
+                    back = nxt
+            else:
+                codes[i] = radius + level
+        return codes
 
     def distances_to(self, sources: Iterable[int], targets: Iterable[int],
                      cap: int | None = None) -> tuple[dict[int, int], bool]:
@@ -374,20 +425,15 @@ class BFSSearcher:
 
         The one-to-many kernel behind ``diameter``, which takes the
         largest hop count found; every other distance is a
-        :meth:`pair_distance` query.
+        :meth:`distances_from` query.
 
         Returns ``(found, exhausted)``.  The search stops once every
         target is found, the cap is hit, or the frontier dies; targets
         missing from ``found`` are unreachable when ``exhausted`` is
         True, otherwise only known to be farther than explored.
         """
-        net = self.net
-        adj = net._adj
-        seen, tgt = self._seen, self._tgt
-        if tgt is None:
-            if seen is None:
-                seen = self._seen = [0] * net.num_slots
-            tgt = self._tgt = [0] * net.num_slots
+        adj = self.net._adj
+        seen, _, tgt = self._stamps()
         self._tgt_epoch += 1
         tepoch = self._tgt_epoch
         remaining = 0

@@ -174,21 +174,24 @@ def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
     """(cited paper, citing paper, distance code) for the year's events,
     in citing-paper then reference order.
 
-    Each reference is one :meth:`BFSSearcher.pair_distance` query from
-    the citing authors to the cited authors: 0 for a shared author, and
-    INF_CODE at once when no cited author shares a component with a
-    citing author; otherwise a bidirectional search stops as soon as the
-    two sides meet.  Codes >= 0 are exact hop counts, INF_CODE means no
-    path exists, EXCEEDS_CODE a path longer than ``cap``.
+    Each citing paper is one :meth:`BFSSearcher.distances_from` query
+    from its authors to the author tuple of each reference: 0 for a
+    shared author, and INF_CODE at once when no cited author shares a
+    component with a citing author; the other references share one
+    ball around the citing authors, which grows only as far as the
+    nearest cited author of some reference needs.  Codes >= 0 are exact
+    hop counts, INF_CODE means no path exists, EXCEEDS_CODE a path
+    longer than ``cap``.
     """
-    pair_distance = BFSSearcher(net).pair_distance
+    distances_from = BFSSearcher(net).distances_from
     paper_authors = store.paper_authors
     paper_refs = store.paper_refs
     out: list[tuple[int, int, int]] = []
     for pid in store.papers_in_year(year):
-        citing = paper_authors[pid]
-        for ref in paper_refs[pid]:
-            out.append((ref, pid, pair_distance(citing, paper_authors[ref], cap)))
+        refs = paper_refs[pid]
+        if refs:
+            codes = distances_from(paper_authors[pid], [paper_authors[r] for r in refs], cap)
+            out.extend(zip(refs, [pid] * len(refs), codes))
     return out
 
 

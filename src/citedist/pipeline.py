@@ -80,8 +80,9 @@ def run_pipeline(ws: Workspace, cfg: Config,
     artifact headers.  One :class:`WindowSlider` per loaded store builds
     each year's window from the previous one, and the x states and their
     encoded lines are carried from year to year in a :class:`StateLines`.
-    A year's log line splits its time into the window build, the search,
-    credit and x fold ("compute"), and the artifact writes."""
+    The loaded store is frozen for the cyclic collector until the run
+    returns.  A year's log line splits its time into the window build,
+    the search, credit and x fold ("compute"), and the artifact writes."""
     planned = workspace_years(ws, cfg)
     ws.ensure_dirs()
     cfg_hash = cfg.config_hash()
@@ -97,35 +98,41 @@ def run_pipeline(ws: Workspace, cfg: Config,
     store: CorpusStore | None = None
     slider: WindowSlider | None = None
     states: StateLines | None = None
-    for year in years:
-        if ws.year_complete(year, cfg_hash):
-            skipped.append(year)
-            states = None  # reload lazily from the last completed snapshot
-            continue
-        if store is None:
-            store = ws.load_store(cfg)
-            slider = WindowSlider(store, cfg.window_length)
-        if states is None:
-            states = StateLines(store, _load_chain_state(ws, store, cfg_hash, year, planned[0]))
-        started = time.perf_counter()
-        citing = any(store.paper_refs[p] for p in store.papers_in_year(year))
-        net = slider.window(year) if citing else None
-        built = time.perf_counter()
-        ledger = year_ledger(store, year, cfg, net)
-        for author, tally in ledger.scholars.items():
-            delta = x_increment_scaled(tally, cfg.n)
-            if delta:
-                states.add(author, delta)
-        computed = time.perf_counter()
-        ws.write_ledger(ledger, store, cfg_hash)
-        ws.write_states(year, states, cfg, cfg_hash)
-        processed.append(year)
-        log.info(
-            "year %d: %d citation events, %d scholars credited "
-            "(window %.2fs, compute %.2fs, write %.2fs)",
-            year, ledger.events.total(), len(ledger.scholars),
-            built - started, computed - built, time.perf_counter() - computed,
-        )
+    try:
+        for year in years:
+            if ws.year_complete(year, cfg_hash):
+                skipped.append(year)
+                states = None  # reload lazily from the last completed snapshot
+                continue
+            if store is None:
+                store = ws.load_store(cfg)
+                gc.freeze()  # the store holds no cycles: keep the collector off it
+                slider = WindowSlider(store, cfg.window_length)
+            if states is None:
+                prior = _load_chain_state(ws, store, cfg_hash, year, planned[0])
+                states = StateLines(store, prior)
+            started = time.perf_counter()
+            citing = any(store.paper_refs[p] for p in store.papers_in_year(year))
+            net = slider.window(year) if citing else None
+            built = time.perf_counter()
+            ledger = year_ledger(store, year, cfg, net)
+            for author, tally in ledger.scholars.items():
+                delta = x_increment_scaled(tally, cfg.n)
+                if delta:
+                    states.add(author, delta)
+            computed = time.perf_counter()
+            ws.write_ledger(ledger, store, cfg_hash)
+            ws.write_states(year, states, cfg, cfg_hash)
+            processed.append(year)
+            log.info(
+                "year %d: %d citation events, %d scholars credited "
+                "(window %.2fs, compute %.2fs, write %.2fs)",
+                year, ledger.events.total(), len(ledger.scholars),
+                built - started, computed - built, time.perf_counter() - computed,
+            )
+    finally:
+        if store is not None:
+            gc.unfreeze()
     return RunResult(processed, skipped)
 
 

@@ -218,6 +218,17 @@ def oracle_set_distance(dist_matrix, sources, targets) -> float:
     return best
 
 
+def expected_code(exact: float, cap: int | None) -> int:
+    """The distance code of an exact oracle distance under ``cap``."""
+    from citedist.collab import EXCEEDS_CODE, INF_CODE
+
+    if exact == float("inf"):
+        return INF_CODE
+    if cap is not None and exact > cap:
+        return EXCEEDS_CODE
+    return int(exact)
+
+
 def fraction_c_oracle(finite, infinite, alpha):
     """max over ranks v of min(alpha * v, d_v), evaluated in alpha's own
     arithmetic (int or Fraction), walking the distinct distances

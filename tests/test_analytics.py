@@ -14,7 +14,7 @@ from citedist.analytics import (
     select_cohort,
     x_vs_q_scatter,
 )
-from citedist.collab import build_window, shortest_distance
+from citedist.collab import build_window, connected_components, shortest_distance
 from citedist.config import Config
 from citedist.corpus import parse_records
 from citedist.errors import InsufficientCohortError
@@ -220,6 +220,22 @@ def _pair_totals(store, lo, hi):
     return pair_totals
 
 
+def _expected_cells(pair_totals, dist, max_repeat, max_distance):
+    """Heatmap cells from pair totals and all-pairs distances."""
+    width = max_distance + 3  # 0..max, "(max+1)+", "INF"
+    cells = [[0] * width for _ in range(max_repeat + 1)]
+    for (a, b), total in pair_totals.items():
+        d = dist[a, b]
+        if d == float("inf"):
+            col = width - 1
+        elif d > max_distance:
+            col = width - 2
+        else:
+            col = int(d)
+        cells[min(total - 1, max_repeat)][col] += 1
+    return cells
+
+
 class TestRepeatedCitations:
     def test_mutual_pair_counts_two(self):
         lines = [
@@ -294,17 +310,7 @@ class TestRepeatedCitations:
                             max_repeat=max_repeat, max_distance=max_distance,
                         )
                         cells = [list(row) for row in matrix.cells]
-                        width = max_distance + 3
-                        expected = [[0] * width for _ in range(max_repeat + 1)]
-                        for (a, b), total in pair_totals.items():
-                            d = dist[a, b]
-                            if d == float("inf"):
-                                col = width - 1
-                            elif d > max_distance:
-                                col = width - 2
-                            else:
-                                col = int(d)
-                            expected[min(total - 1, max_repeat)][col] += 1
+                        expected = _expected_cells(pair_totals, dist, max_repeat, max_distance)
                         assert cells == expected, (seed, net_year, max_distance, max_repeat)
                         reference = reference_repeat_cells(
                             store, (lo, hi), net, max_repeat, max_distance)
@@ -314,6 +320,33 @@ class TestRepeatedCitations:
                         filled["inf"] += sum(row[-1] for row in cells)
                         filled["top_repeat"] += sum(cells[-1])
         assert all(filled.values()), filled
+
+    def test_matrix_on_giant_components(self):
+        """Seeded corpora with a giant component (few authors, many papers
+        of one or two authors, window 5), where a scholar's ball grows
+        deep and serves partners at several depths: cells against
+        all-pairs distances and the per-source engine, capped and not."""
+        deep = 0
+        for seed in range(6):
+            rng = random.Random(2000 + seed)
+            n_authors = rng.randint(40, 80)
+            lines = random_corpus_lines(rng, 5 * n_authors, n_authors, 2000, 2009,
+                                        max_authors=2)
+            store = parse_records(lines, Config())
+            lo, hi = 2005, 2009
+            pair_totals = _pair_totals(store, lo, hi)
+            net = build_window(store, hi, 5)
+            assert connected_components(net)[0].node_count >= 0.75 * net.node_count
+            dist = floyd_warshall(net.num_slots, list(net.edges()))
+            deep += sum(1 for a, b in pair_totals if 5 <= dist[a, b] < float("inf"))
+            for max_distance in (1, 3, 5, 12):
+                matrix = repeated_citation_matrix(store, (lo, hi), net=net,
+                                                  max_distance=max_distance)
+                cells = [list(row) for row in matrix.cells]
+                assert cells == _expected_cells(pair_totals, dist, 10, max_distance)
+                reference = reference_repeat_cells(store, (lo, hi), net, 10, max_distance)
+                assert (cells, matrix.total_citations, matrix.pair_count) == reference
+        assert deep > 300, deep
 
 
 class TestScatter:

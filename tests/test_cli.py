@@ -1,6 +1,7 @@
 """End-to-end CLI: ingest, run, report, exit codes, idempotence, resume."""
 
 import fcntl
+import gc
 import hashlib
 import json
 import logging
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from citedist import corpus as corpus_module
+from citedist import pipeline as pipeline_module
 from citedist.cli import REPORT_NAMES, main
 from citedist.config import Config
 from citedist.corpus import parse_records
@@ -766,6 +768,35 @@ def test_pipeline_states_match_index_records(tmp_path):
     for record in records:
         scaled = states.get(store.author_index[record.scholar], 0)
         assert record.x == Fraction(scaled, 6)
+
+
+def test_run_freezes_the_store_only_while_it_runs(tmp_path, monkeypatch):
+    """``run`` keeps the collector off the loaded store, and leaves
+    nothing frozen when it returns or fails."""
+    lines = random_corpus_lines(random.Random(71), 80, 15, 2000, 2004)
+    cfg = Config()
+    ws = Workspace(tmp_path / "ws")
+    ws.write_corpus(parse_records(lines, cfg), cfg)
+    before = gc.get_freeze_count()
+    frozen = []
+    year_ledger = pipeline_module.year_ledger
+
+    def spy(store, year, *args):
+        frozen.append(gc.get_freeze_count())
+        if year == 2003:
+            raise KeyboardInterrupt
+        return year_ledger(store, year, *args)
+
+    monkeypatch.setattr(pipeline_module, "year_ledger", spy)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(ws, cfg)
+    assert gc.get_freeze_count() == before
+    run_pipeline(ws, cfg, (2000, 2002))  # resumed: every year complete, nothing loaded
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(pipeline_module, "year_ledger", year_ledger)
+    assert run_pipeline(ws, cfg).years_processed == [2003, 2004]
+    assert gc.get_freeze_count() == before
+    assert len(frozen) == 4 and min(frozen) > before
 
 
 def tree_digest(root, subdirs):

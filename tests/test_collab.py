@@ -22,6 +22,7 @@ from citedist.config import Config
 from citedist.corpus import parse_records
 
 from synthcorpus import (
+    expected_code,
     floyd_warshall,
     oracle_set_distance,
     random_corpus_lines,
@@ -212,14 +213,6 @@ def test_cap_soundness_random():
                 assert capped.is_infinite and exact == math.inf
 
 
-def expected_code(exact, cap):
-    if exact == math.inf:
-        return INF_CODE
-    if cap is not None and exact > cap:
-        return EXCEEDS_CODE
-    return int(exact)
-
-
 def test_pair_distance_matches_floyd_warshall():
     rng = random.Random(7070)
     at_cap = exceeds = infinite = 0
@@ -260,6 +253,68 @@ def test_pair_distance_deep_source_component_target_elsewhere():
         # proven farther than the cap
         assert searcher.pair_distance({0}, {10, 9}, cap) == expected_code(9, cap)
     assert searcher.pair_distance({12}, {12, 10}) == 0  # a shared author, even off the window
+
+
+def test_distances_from_path_far_and_near_sets_in_either_order():
+    # a path 0-1-...-9, a component {10, 11} and slot 12 outside the window
+    path = [(i, i + 1) for i in range(9)]
+    net = CollabNetwork.from_edges(range(12), path + [(10, 11)], num_slots=13)
+    searcher = BFSSearcher(net)
+    sets = [{9}, {2, 11}, (), {12}, {5, 8}, {0, 7}, [1]]
+    for cap in (None, *range(10)):
+        want = [expected_code(d, cap) for d in (9, 2, math.inf, math.inf, 5, 0, 1)]
+        assert searcher.distances_from({0}, sets, cap) == want
+        assert searcher.distances_from({0}, sets[::-1], cap) == want[::-1]
+        assert searcher.distances_from([0, 0], iter(sets), cap) == want
+    assert searcher.distances_from({0}, []) == []
+    assert searcher.distances_from({10, 12}, [{11}, {12}, {0}, {10, 3}]) == [1, 0, INF_CODE, 0]
+
+
+def test_distances_from_matches_floyd_warshall():
+    """Several target sets per call against all-pairs distances, in
+    shuffled, near-first and far-first order, so that a set is often
+    answered from a ball grown for an earlier one.  The sets include
+    ones that share a source author, lie outside the window, lie in
+    another component, or are empty.  One searcher serves every call,
+    interleaved with ``distances_to`` and ``pair_distance``."""
+    rng = random.Random(9191)
+    filled = {"reused": 0, "exceeds": 0, "other_component": 0, "deep": 0}
+    for _ in range(40):
+        n = rng.randint(4, 60)
+        nodes, edges = random_graph(rng, n, rng.uniform(0.8, 3.0) / n)
+        num_slots = n + 3  # slots n.. are authors outside the window
+        net = CollabNetwork.from_edges(nodes, edges, num_slots=num_slots)
+        dist = floyd_warshall(num_slots, edges)
+        labels = net.component_labels()
+        searcher = BFSSearcher(net)
+        for _ in range(8):
+            sources = set(rng.sample(range(num_slots), rng.randint(1, 3)))
+            sets = [set(rng.sample(range(num_slots), rng.randint(1, 3)))
+                    for _ in range(rng.randint(1, 6))]
+            sets += [set(), {rng.choice(sorted(sources)), rng.randrange(num_slots)},
+                     {rng.randrange(n, num_slots)}]
+            others = [u for u in nodes if labels[u] not in {labels[s] for s in sources}]
+            if others:
+                sets.append(set(rng.sample(others, min(2, len(others)))))
+                filled["other_component"] += 1
+            exact = [oracle_set_distance(dist, sources, t) for t in sets]
+            shuffled = rng.sample(range(len(sets)), len(sets))
+            near_first = sorted(shuffled, key=lambda i: exact[i])
+            finite = sorted({d for d in exact if 0 < d < math.inf})
+            filled["reused"] += len(finite) > 1
+            filled["deep"] += bool(finite and finite[-1] >= 4)
+            for order in (shuffled, near_first, near_first[::-1]):
+                for cap in (None, 0, 1, 2, 3):
+                    want = [expected_code(exact[i], cap) for i in order]
+                    got = searcher.distances_from(sources, [sets[i] for i in order], cap)
+                    assert got == want, (sources, [sets[i] for i in order], cap)
+                    filled["exceeds"] += want.count(EXCEEDS_CODE)
+                # the other kernels share the stamp lists with this one
+                found, _ = searcher.distances_to(sources, set().union(*sets))
+                assert min(found.values(), default=math.inf) == min(exact)
+                i = order[0]
+                assert searcher.pair_distance(sources, sets[i]) == expected_code(exact[i], None)
+    assert all(v > 20 for v in filled.values()), filled
 
 
 def test_from_edges_rejects_ids_outside_num_slots():

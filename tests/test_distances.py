@@ -31,6 +31,7 @@ from citedist.distances import (
 from citedist.errors import IncompleteStateError
 
 from synthcorpus import (
+    expected_code,
     floyd_warshall,
     oracle_set_distance,
     random_corpus_lines,
@@ -262,6 +263,39 @@ def test_event_distances_match_replaced_engine():
                         assert cap < exact < math.inf
     assert several_components > 100
     assert proven_inf > 0  # the exceeds -> INF change was exercised
+
+
+def test_event_distances_on_giant_components():
+    """Seeded corpora with a giant component (few authors, many papers of
+    one or two authors, window 5), where a citing paper's ball grows deep
+    and serves references at several depths: every code, capped and
+    exact, against all-pairs distances and the per-paper engine."""
+    rng = random.Random(5151)
+    giant = deep = exceeds = 0
+    for _ in range(6):
+        n_authors = rng.randint(40, 80)
+        lines = random_corpus_lines(rng, 5 * n_authors, n_authors, 2000, 2009, max_authors=2)
+        store = parse_records(lines, Config())
+        for year in range(2004, 2010):
+            net = build_window(store, year, 5)
+            giant += connected_components(net)[0].node_count >= 0.75 * net.node_count
+            dist = floyd_warshall(store.num_authors, list(net.edges()))
+            events = [(r, p) for p in store.papers_in_year(year) for r in store.paper_refs[p]]
+            for cap in (None, 0, 1, 2, 3, 6):
+                got = compute_event_distances(store, net, year, cap)
+                old = {(r, p): c for r, p, c in reference_event_distances(store, net, year, cap)}
+                assert [(r, p) for r, p, _ in got] == events
+                assert old.keys() == set(events)
+                for ref, pid, code in got:
+                    exact = oracle_set_distance(
+                        dist, store.paper_authors[pid], store.paper_authors[ref]
+                    )
+                    assert code == expected_code(exact, cap)
+                    if code != old[ref, pid]:  # the per-paper engine could not prove INF
+                        assert (old[ref, pid], code) == (EXCEEDS_CODE, INF_CODE)
+                    deep += cap is None and 5 <= exact < math.inf
+                    exceeds += code == EXCEEDS_CODE
+    assert giant >= 30 and deep > 100 and exceeds > 1000, (giant, deep, exceeds)
 
 
 def test_series_coverage_check():
