@@ -1,89 +1,42 @@
-"""Citation-distance analytics over windowed co-authorship networks."""
+"""Citation-distance analytics over windowed co-authorship networks.
 
-from .collab import (
-    INFINITE,
-    CollabNetwork,
-    Distance,
-    NetworkStats,
-    WindowSlider,
-    assortativity,
-    avg_clustering,
-    build_window,
-    connected_components,
-    network_report,
-    shortest_distance,
-)
-from .config import Config, load_config, parse_config_text
-from .corpus import (
-    CitationEvent,
-    CorpusStore,
-    PaperRecord,
-    citations_in_year,
-    load_corpus,
-    parse_records,
-    yearly_counts,
-)
-from .distances import (
-    DistanceTally,
-    LedgerSeries,
-    YearLedger,
-    batch_year_distances,
-    citation_distance,
-    distance_histogram,
-    paper_distance_tallies,
-)
-from .indices import (
-    IndexRecord,
-    ScholarIndexState,
-    WeightConfig,
-    c_index,
-    g_index,
-    h_index,
-    scholar_snapshot,
-    update_x,
-    weight,
-    x_increment,
-)
+The package has two layers.  The graph layer (``corpus``, ``collab`` and
+``analytics``) parses the corpus and builds and searches the window
+networks.  Every other module is in the light layer: the config, the
+errors, the artifact codec and workspace, the distance tallies and
+ledgers, the indices, and the pipeline.  A light module imports no
+graph module at module level, only inside the function that uses it,
+because each CLI step is a fresh interpreter that compiles every module
+it imports.  The public names below are loaded on first use (PEP 562).
+"""
+
+import importlib
+
+_SOURCES = {
+    "collab": ("INFINITE", "CollabNetwork", "Distance", "NetworkStats", "WindowSlider",
+               "assortativity", "avg_clustering", "build_window", "connected_components",
+               "network_report", "shortest_distance"),
+    "config": ("Config", "load_config", "parse_config_text"),
+    "corpus": ("CitationEvent", "CorpusStore", "PaperRecord", "citations_in_year",
+               "load_corpus", "parse_records", "yearly_counts"),
+    "distances": ("DistanceTally", "LedgerSeries", "YearLedger", "batch_year_distances",
+                  "citation_distance", "distance_histogram", "paper_distance_tallies"),
+    "indices": ("IndexRecord", "ScholarIndexState", "WeightConfig", "c_index", "g_index",
+                "h_index", "scholar_snapshot", "update_x", "weight", "x_increment"),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CitationEvent",
-    "CollabNetwork",
-    "Config",
-    "CorpusStore",
-    "Distance",
-    "DistanceTally",
-    "INFINITE",
-    "IndexRecord",
-    "LedgerSeries",
-    "NetworkStats",
-    "PaperRecord",
-    "ScholarIndexState",
-    "WeightConfig",
-    "WindowSlider",
-    "YearLedger",
-    "assortativity",
-    "avg_clustering",
-    "batch_year_distances",
-    "build_window",
-    "c_index",
-    "citation_distance",
-    "citations_in_year",
-    "connected_components",
-    "distance_histogram",
-    "g_index",
-    "h_index",
-    "load_config",
-    "load_corpus",
-    "network_report",
-    "paper_distance_tallies",
-    "parse_config_text",
-    "parse_records",
-    "scholar_snapshot",
-    "shortest_distance",
-    "update_x",
-    "weight",
-    "x_increment",
-    "yearly_counts",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,6 +4,10 @@ cohort selection, closeness classification, rankings, and scatter data.
 All operations are pure reads over index records or the corpus; any
 randomness (cohort sampling, scatter sampling) is driven by an explicit
 seed so runs replay exactly.
+
+Only the heatmap searches the network, so this module imports
+``collab`` inside :func:`repeated_citation_matrix`: the reports over
+index records need neither the window nor the corpus code.
 """
 
 from __future__ import annotations
@@ -11,12 +15,14 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .collab import INF_CODE, BFSSearcher, CollabNetwork, build_window
-from .corpus import CorpusStore
 from .errors import InsufficientCohortError
 from .indices import INDEX_NAMES, IndexRecord  # noqa: F401  (INDEX_NAMES re-exported)
+
+if TYPE_CHECKING:
+    from .collab import CollabNetwork
+    from .corpus import CorpusStore
 
 
 # -- degeneracy --------------------------------------------------------------
@@ -90,6 +96,8 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
     search stopping as soon as it meets that ball or the levels pass
     the cap ("(max+1)+").
     """
+    from .collab import INF_CODE, BFSSearcher, build_window
+
     lo, hi = year_range
     if lo > hi:
         raise ValueError("empty year range")

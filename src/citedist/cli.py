@@ -5,20 +5,20 @@ Subcommands: ingest, run, report, validate.  Exit codes: 0 success,
 workspace (a prerequisite stage has not run), a damaged artifact or one
 written for another corpus, or a workspace locked by another stage,
 141 stdout closed early (a broken pipe).
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``).  Each command imports the modules it
+runs when it runs, and only ``run`` configures ``logging``.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
 
-from .collab import build_window, network_report
-from .config import Config, ConfigError, load_config
-from .corpus import load_corpus
-from .distances import distance_histogram
+from .config import INDEX_NAMES, Config, ConfigError, load_config
 from .errors import (
     CiteDistError,
     IncompleteStateError,
@@ -27,8 +27,6 @@ from .errors import (
     SequencingError,
     WorkspaceError,
 )
-from .indices import INDEX_NAMES, IndexRecord
-from .pipeline import index_records, load_event_ledgers, run_pipeline, workspace_years
 from .workspace import Workspace
 
 
@@ -167,6 +165,8 @@ def _load_cfg(args) -> Config:
 
 
 def cmd_validate(args) -> int:
+    from .corpus import load_corpus
+
     cfg = _load_cfg(args)
     store = load_corpus(args.input, cfg)
     s = store.summary
@@ -176,6 +176,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .corpus import load_corpus
+
     cfg = _load_cfg(args)
     store = load_corpus(args.input, cfg)
     ws = Workspace(args.workspace)
@@ -190,6 +192,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args) -> int:
+    import logging
+
+    from .pipeline import run_pipeline
+
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     cfg = _load_cfg(args)
     ws = Workspace(args.workspace)
     with ws.lock():
@@ -206,6 +213,8 @@ def cmd_report(args) -> int:
 
 
 def _network_stats(args, ws: Workspace, cfg: Config, span, year: int):
+    from .collab import build_window, network_report
+
     net = build_window(ws.load_store(cfg), year, cfg.window_length)
     stats = network_report(net, with_diameter=args.with_diameter)
     return [stats.CSV_HEADER, stats.csv_row(year)], {
@@ -213,6 +222,8 @@ def _network_stats(args, ws: Workspace, cfg: Config, span, year: int):
 
 
 def _edges(args, ws: Workspace, cfg: Config, span, year: int):
+    from .collab import build_window
+
     store = ws.load_store(cfg)
     net = build_window(store, year, cfg.window_length)
     labels = store.author_labels
@@ -222,6 +233,9 @@ def _edges(args, ws: Workspace, cfg: Config, span, year: int):
 
 def _distance_histogram(args, ws: Workspace, cfg: Config, span, year: int):
     """Bins the ledgers' events lines; needs no store."""
+    from .distances import distance_histogram
+    from .pipeline import load_event_ledgers, workspace_years
+
     planned = workspace_years(ws, cfg)
     lo, hi = args.years if args.years else (planned[0] if planned else 0, year)
     ledgers = load_event_ledgers(ws, cfg, lo, hi)
@@ -233,6 +247,7 @@ def _distance_histogram(args, ws: Workspace, cfg: Config, span, year: int):
 
 def _heatmap(args, ws: Workspace, cfg: Config, span, year: int):
     from .analytics import repeated_citation_matrix
+    from .collab import build_window
 
     store = ws.load_store(cfg)
     lo, hi = args.years if args.years else span
@@ -258,6 +273,8 @@ def _index_report(table):
     the report year (which need exact ledgers)."""
 
     def report(args, ws: Workspace, cfg: Config, span, year: int):
+        from .pipeline import index_records
+
         rows, params = table(args, index_records(ws, cfg, year))
         return rows, {"year": year, **params}
 
@@ -266,6 +283,8 @@ def _index_report(table):
 
 @_index_report
 def _index_table(args, records):
+    from .indices import IndexRecord
+
     return [IndexRecord.CSV_HEADER, *(r.csv_row() for r in records)], {}
 
 
@@ -356,7 +375,6 @@ def _report(args, ws: Workspace) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -39,6 +39,11 @@ Decoding raises ValueError, KeyError, TypeError, AttributeError or
 ZeroDivisionError on a damaged file, and KeyError on an author label the
 store lacks.
 ``decode_ledger_events`` reads the header and the events line alone.
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``).  The decoders import the record types
+of ``distances`` and ``indices`` when called, so a step that checks
+artifact headers alone, such as a resume, compiles neither module.
 """
 
 from __future__ import annotations
@@ -47,11 +52,12 @@ import functools
 import hashlib
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .corpus import CorpusStore
-from .distances import DistanceTally, YearLedger
-from .indices import IndexRecord, x_scale
+if TYPE_CHECKING:
+    from .corpus import CorpusStore
+    from .distances import YearLedger
+    from .indices import IndexRecord
 
 
 def _counts(finite: dict[int, int]) -> str:
@@ -110,6 +116,8 @@ class StateLines:
         return self._xn
 
     def encode(self, year: int, n: int, config_hash: str) -> str:
+        from .indices import x_scale
+
         head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n),
                 "config": config_hash}
         return json.dumps(head, sort_keys=True) + "\n" + "".join(self._lines)
@@ -173,10 +181,13 @@ def _ledger_head(line: str) -> dict:
 
 def decode_ledger(text: str, store: CorpusStore) -> tuple[YearLedger, str]:
     """The ledger in ``text`` and the config hash its header records."""
+    from .distances import DistanceTally, YearLedger
+
     head_line, _, body = text.partition("\n")
     head = _ledger_head(head_line)
     cap = head["cap"]
     ledger = YearLedger(year=head["year"], cap=cap)
+    ledger.records_sha256 = head.get(RECORDS_KEY)
     index = store.author_index
     scholars = ledger.scholars
     for obj in _records(body):
@@ -201,6 +212,8 @@ def decode_ledger_events(text: str) -> tuple[YearLedger, str]:
     Lines after the second are not read: this is the decoder for reports
     that bin events only.  A missing or damaged events line raises.
     """
+    from .distances import DistanceTally, YearLedger
+
     head_line, _, rest = text.partition("\n")
     head = _ledger_head(head_line)
     obj = json.loads(rest.partition("\n")[0])
@@ -249,6 +262,8 @@ def decode_indices(text: str, alpha: Fraction,
     """The records of the index snapshot in ``text``, computed at slope
     ``alpha``, or None when its header lists other ledgers than
     ``ledgers`` (it was folded from other ledgers and is stale)."""
+    from .indices import IndexRecord
+
     head_line, _, body = text.partition("\n")
     head = json.loads(head_line)
     if head["ledgers"] != list(ledgers):

@@ -39,9 +39,12 @@ the repeated-citation heatmap one per scholar, with its partners.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .corpus import CorpusStore
+from .distances import EXCEEDS_CODE, INF_CODE
+
+if TYPE_CHECKING:
+    from .corpus import CorpusStore
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,6 @@ class Distance:
 
 
 INFINITE = Distance()
-
-# Integer distance codes: hop counts are >= 0.
-INF_CODE = -1
-EXCEEDS_CODE = -2
 
 
 def _check_id(author: int, num_slots: int) -> None:

@@ -15,6 +15,9 @@ allowed.  Recognized keys and defaults:
 
 Every persisted artifact records the hash of the configuration that
 produced it, so stages can detect stale or mismatched state.
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``).  Every CLI step imports this module.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ import hashlib
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
-from .errors import CiteDistError
+from .errors import CiteDistError, EmptyCorpusError
+
+INDEX_NAMES = ("Q", "h", "g", "c", "N_w", "x")  # report names of the indices
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -103,6 +109,16 @@ def _convert(key: str, value: str, lineno: int):
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"line {lineno}: bad value {value!r} for {key}") from None
     raise ConfigError(f"line {lineno}: unknown key {key!r}")
+
+
+def config_span(paper_years: Iterable[int], config: Config) -> tuple[int, int]:
+    """The first and last of ``paper_years`` in the config's year range:
+    ``year_span()`` of a store built from papers of those years with that
+    config.  Raises EmptyCorpusError, as the build would, when none is."""
+    kept = [y for y in paper_years if config.year_start <= y <= config.year_end]
+    if not kept:
+        raise EmptyCorpusError()
+    return min(kept), max(kept)
 
 
 def load_config(path: str | Path) -> Config:

@@ -30,10 +30,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .config import Config
+from .config import Config, config_span  # noqa: F401  (config_span re-exported)
 from .errors import EmptyCorpusError, IngestError
-
-_NO_PAPERS = "no valid paper records in input"
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ def _build_store(records: Iterable[tuple[str, int, Sequence[str], Sequence[str]]
         raw_refs.append(tuple(refs))  # smaller than a decoded JSON list
 
     if not paper_labels:
-        raise EmptyCorpusError(_NO_PAPERS)
+        raise EmptyCorpusError()
 
     # Resolve references now that the full paper table is known.  Each
     # raw tuple is dropped as its resolved tuple is made, which can reuse
@@ -325,16 +323,6 @@ def parse_snapshot(lines: Iterable[str], config: Config) -> CorpusStore:
     ``parse_records`` of the same lines and config.
     """
     return _build_store(map(_SNAPSHOT_FIELDS, map(json.loads, lines)), config, Counter())
-
-
-def config_span(paper_years: Iterable[int], config: Config) -> tuple[int, int]:
-    """The first and last of ``paper_years`` in the config's year range:
-    ``year_span()`` of a store built from papers of those years with that
-    config.  Raises EmptyCorpusError, as the build would, when none is."""
-    kept = [y for y in paper_years if config.year_start <= y <= config.year_end]
-    if not kept:
-        raise EmptyCorpusError(_NO_PAPERS)
-    return min(kept), max(kept)
 
 
 def load_corpus(path: str | Path, config: Config) -> CorpusStore:

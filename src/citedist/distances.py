@@ -13,26 +13,29 @@ bucket), and, for capped runs, how many had a path longer than the
 cap.  A capped run (cap = n) is sufficient for the x-index,
 whose weights saturate at n; exact runs are required for the c-index,
 N_w, and the maximum finite distance.
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``).  The tallies, ledgers and histograms
+need no network; the functions that search one import ``collab`` when
+they are called, and ``collab`` takes the distance codes from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
-from .collab import (
-    EXCEEDS_CODE,
-    INF_CODE,
-    BFSSearcher,
-    CollabNetwork,
-    Distance,
-    WindowSlider,
-    build_window,
-    shortest_distance,
-)
 from .config import Config
-from .corpus import CitationEvent, CorpusStore
 from .errors import IncompleteStateError
+
+if TYPE_CHECKING:
+    from .collab import CollabNetwork, Distance
+    from .corpus import CitationEvent, CorpusStore
+
+# Integer distance codes, as the search returns and the ledgers tally
+# them: hop counts are >= 0.
+INF_CODE = -1  # no path exists
+EXCEEDS_CODE = -2  # a path exists and is longer than the cap
 
 
 @dataclass
@@ -80,11 +83,14 @@ class YearLedger:
     ``scholars`` maps interned author id -> credited tally; ``events``
     tallies each citation event exactly once (used for distance
     distributions, where coauthor multiplicity must not inflate bins).
+    ``records_sha256`` is the record digest of the artifact a ledger was
+    decoded from, None for one computed or read from an unstamped text.
     """
 
     def __init__(self, year: int, cap: int | None = None):
         self.year = year
         self.cap = cap
+        self.records_sha256: str | None = None
         self.scholars: dict[int, DistanceTally] = {}
         self.events = DistanceTally(cap=cap)
 
@@ -162,6 +168,8 @@ def ensure_contiguous(years: Collection[int], through: int) -> None:
 def citation_distance(net: CollabNetwork, event: CitationEvent,
                       cap: int | None = None) -> Distance:
     """Distance of one citation event on the citing year's network."""
+    from .collab import shortest_distance
+
     if net.year != event.citing_year:
         raise ValueError(
             f"network is for year {net.year}, event cites in {event.citing_year}"
@@ -183,6 +191,8 @@ def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
     hop counts, INF_CODE means no path exists, EXCEEDS_CODE a path
     longer than ``cap``.
     """
+    from .collab import BFSSearcher
+
     distances_from = BFSSearcher(net).distances_from
     paper_authors = store.paper_authors
     paper_refs = store.paper_refs
@@ -203,6 +213,8 @@ def batch_year_distances(store: CorpusStore, year: int, cfg: Config,
     (cap = n) and exact search otherwise.
     """
     if net is None:
+        from .collab import build_window
+
         net = build_window(store, year, cfg.window_length)
     cap = cfg.distance_cap
     ledger = YearLedger(year, cap=cap)
@@ -220,6 +232,8 @@ def paper_distance_tallies(store: CorpusStore, years: Iterable[int],
     credited counts are exactly the union of the tallies of the papers
     they authored.
     """
+    from .collab import WindowSlider
+
     cap = cfg.distance_cap
     tallies: dict[int, DistanceTally] = {}
     slider = WindowSlider(store, cfg.window_length)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``).
+"""
 
 
 class CiteDistError(Exception):
@@ -11,6 +15,9 @@ class IngestError(CiteDistError):
 
 class EmptyCorpusError(IngestError):
     """The input contained no valid paper records."""
+
+    def __init__(self, message: str = "no valid paper records in input"):
+        super().__init__(message)
 
 
 class SequencingError(CiteDistError):

@@ -18,6 +18,10 @@ render x with 2 decimals.
 The c-index sorts a scholar's citation distances in decreasing order
 (unreachable counts as larger than every finite distance) and takes
 max over ranks v of min(alpha * v, d_v), comparing in integers.
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``), and none of ``distances`` either, so
+that an index report served from a snapshot compiles neither.
 """
 
 from __future__ import annotations
@@ -25,11 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .collab import Distance
-from .distances import DistanceTally, LedgerSeries
+from .config import INDEX_NAMES  # noqa: F401  (re-exported)
 from .errors import IncompleteStateError, SequencingError
+
+if TYPE_CHECKING:
+    from .distances import DistanceTally, LedgerSeries
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,8 @@ def x_scale(n: int) -> int:
 
 def _as_hops(d) -> float:
     """Normalize a distance argument to an int hop count or math.inf."""
+    from .collab import Distance
+
     if isinstance(d, Distance):
         if d.is_finite:
             return d.hops
@@ -75,6 +83,8 @@ def weight(d, n: int) -> Fraction:
     Distance is acceptable only when its cap is >= n (the weight is then
     known to be 1).
     """
+    from .collab import Distance
+
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(d, Distance) and d.exceeds_cap:
@@ -220,8 +230,6 @@ def c_index_from_tally(tally: DistanceTally, alpha=1):
 
 
 # -- snapshots ---------------------------------------------------------------
-
-INDEX_NAMES = ("Q", "h", "g", "c", "N_w", "x")  # report names of the indices
 
 
 @dataclass(frozen=True)

@@ -8,33 +8,33 @@ first incomplete year and replays to the same final state.
 
 Years must be processed consecutively: the x state of year y is defined
 in terms of year y-1 plus year y's ledger alone.
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``).  ``run_pipeline`` imports the window
+code, the ledger types and ``logging`` at the first year it computes,
+and each report function imports what it folds, so a resume that
+finds every year complete compiles none of them.
 """
 
 from __future__ import annotations
 
 import gc
-import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, TypeVar
 
 from .codec import StateLines
-from .collab import CollabNetwork, WindowSlider
 from .config import Config
-from .corpus import CorpusStore
-from .distances import (
-    DistanceTally,
-    LedgerSeries,
-    YearLedger,
-    batch_year_distances,
-    ensure_contiguous,
-)
 from .errors import IncompleteStateError, WorkspaceError
-from .indices import IndexRecord, WeightConfig, index_record, x_increment_scaled
 from .workspace import Workspace
 
-log = logging.getLogger("citedist")
+if TYPE_CHECKING:
+    from .collab import CollabNetwork
+    from .corpus import CorpusStore
+    from .distances import DistanceTally, LedgerSeries, YearLedger
+    from .indices import IndexRecord
+
 _T = TypeVar("_T")
 
 
@@ -60,6 +60,8 @@ def year_ledger(store: CorpusStore, year: int, cfg: Config,
     """Compute one year's ledger on ``net``, the year's window, or the
     empty ledger of a year without citing papers, which needs no window
     and is given ``net=None``."""
+    from .distances import YearLedger, batch_year_distances
+
     if net is None:
         return YearLedger(year, cap=cfg.distance_cap)
     return batch_year_distances(store, year, cfg, net)
@@ -104,7 +106,13 @@ def run_pipeline(ws: Workspace, cfg: Config,
                 skipped.append(year)
                 states = None  # reload lazily from the last completed snapshot
                 continue
-            if store is None:
+            if store is None:  # the first year to compute: import what computing needs
+                import logging
+
+                from .collab import WindowSlider
+                from .indices import x_increment_scaled
+
+                log = logging.getLogger("citedist")
                 store = ws.load_store(cfg)
                 gc.freeze()  # the store holds no cycles: keep the collector off it
                 slider = WindowSlider(store, cfg.window_length)
@@ -174,18 +182,25 @@ def _verified(ledger: _T | None, year: int) -> _T:
     return ledger
 
 
-def report_ledgers(ws: Workspace, store: CorpusStore, cfg: Config,
-                   up_to_year: int) -> Iterator[YearLedger]:
+def report_ledgers(ws: Workspace, store: CorpusStore, cfg: Config, up_to_year: int,
+                   digests: list[str] | None = None) -> Iterator[YearLedger]:
     """The ledgers of :func:`report_years`, verified against the config,
-    read one at a time in year order as the caller asks for them."""
+    read one at a time in year order as the caller asks for them.  The
+    ``records_sha256`` of each is appended to ``digests`` when given."""
     cfg_hash = cfg.config_hash()
     for year in report_years(ws, cfg, up_to_year):
-        yield _verified(ws.read_ledger(year, store, cfg_hash), year)
+        ledger = _verified(ws.read_ledger(year, store, cfg_hash), year)
+        if digests is not None:
+            digests.append(ledger.records_sha256)
+        yield ledger
+        del ledger  # free it before the next one is read
 
 
 def load_series(ws: Workspace, store: CorpusStore, cfg: Config,
                 up_to_year: int) -> LedgerSeries:
     """The ledgers of :func:`report_years`, verified against the config."""
+    from .distances import LedgerSeries
+
     return LedgerSeries({ledger.year: ledger
                          for ledger in report_ledgers(ws, store, cfg, up_to_year)})
 
@@ -224,6 +239,8 @@ def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, Distanc
     After a capped ledger the rest are still read, so that a damaged one
     is reported first, as when the ledgers are read whole; a gap in the
     years is an error once a scholar has counts."""
+    from .distances import ensure_contiguous
+
     pooled: dict[int, DistanceTally] = {}
     years: set[int] = set()
     capped = False
@@ -256,6 +273,8 @@ def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year:
     ``ledgers`` is a :class:`LedgerSeries` or a stream such as
     :func:`report_ledgers`; a stream is held one decoded ledger at a
     time.  x, Q, c and N_w come from each scholar's pooled counts."""
+    from .indices import WeightConfig, index_record
+
     with _cyclic_gc_paused():
         pooled = _pool_tallies(ledgers, year)
         wcfg = WeightConfig(n=cfg.n, alpha=cfg.alpha)
@@ -274,22 +293,28 @@ def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year:
 def index_records(ws: Workspace, cfg: Config, year: int) -> list[IndexRecord]:
     """:func:`build_index_records` at ``year`` over the ledgers of
     :func:`report_years`, kept in the workspace's index snapshot of the
-    year.  Every ledger is first checked whole (config, corpus stamp and
-    record digest) without being decoded.  When the snapshot was folded
-    from exactly these ledgers under ``cfg``, its records are returned
-    and neither the store nor any ledger is decoded; otherwise the
-    records are computed from the store and the ledgers and the snapshot
-    is written."""
+    year.  When the snapshot exists, every ledger is first checked whole
+    (config, corpus stamp and record digest) without being decoded; if
+    the snapshot was folded from exactly these ledgers under ``cfg``, its
+    records are returned and neither the store nor any ledger is decoded.
+    Otherwise the records are folded from the store and the ledgers, each
+    read once and checked whole as it is read, and the snapshot is
+    written with the digests of those reads."""
     planned = workspace_years(ws, cfg)
     if planned and year > planned[-1]:
         raise WorkspaceError(f"year {year} is after the last planned year, {planned[-1]}")
-    cfg_hash = cfg.config_hash()
-    digests = [_verified(ws.ledger_digest(y, cfg_hash), y) for y in report_years(ws, cfg, year)]
-    with _cyclic_gc_paused():
-        records = ws.read_indices(year, cfg, digests)
-    if records is None:
-        store = ws.load_store(cfg)
-        records = build_index_records(store, report_ledgers(ws, store, cfg, year), year, cfg)
-        del store  # its memory then holds the encoded snapshot
-        ws.write_indices(year, records, cfg, digests)
+    if ws.index_path(year).exists():
+        cfg_hash = cfg.config_hash()
+        digests = [_verified(ws.ledger_digest(y, cfg_hash), y)
+                   for y in report_years(ws, cfg, year)]
+        with _cyclic_gc_paused():
+            records = ws.read_indices(year, cfg, digests)
+        if records is not None:
+            return records
+    store = ws.load_store(cfg)
+    digests = []
+    records = build_index_records(store, report_ledgers(ws, store, cfg, year, digests),
+                                  year, cfg)
+    del store  # its memory then holds the encoded snapshot
+    ws.write_indices(year, records, cfg, digests)
     return records

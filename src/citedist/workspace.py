@@ -38,6 +38,10 @@ or whose record lines do not match their digest, raises a
 WorkspaceError that names the file.  ``year_complete`` stops there, so
 the resume check decodes no record; ``read_ledger_events`` reads two
 lines and checks the corpus stamp but not the digest.
+
+Light layer: no module-level import of ``collab``, ``corpus`` or
+``analytics`` (see ``citedist``).  ``load_store`` imports the snapshot
+parser of ``corpus`` when it runs.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ import os
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .codec import (
     CORPUS_KEY,
@@ -64,11 +69,13 @@ from .codec import (
     read_header,
     stamp,
 )
-from .config import Config
-from .corpus import CorpusStore, config_span, parse_snapshot
-from .distances import YearLedger
+from .config import Config, config_span
 from .errors import WorkspaceError
-from .indices import IndexRecord, x_scale
+
+if TYPE_CHECKING:
+    from .corpus import CorpusStore
+    from .distances import YearLedger
+    from .indices import IndexRecord
 
 
 def _atomic_write(path: Path, writer, binary: bool = False) -> None:
@@ -178,6 +185,8 @@ class Workspace:
         validated again.  The file is hashed in chunks and then decoded
         line by line, so it is never held whole.  A store whose years do
         not span what the ``paper_years`` of the meta say raises too."""
+        from .corpus import parse_snapshot
+
         try:
             fp = open(self.corpus_path, "rb")
         except FileNotFoundError:
@@ -311,6 +320,8 @@ class Workspace:
                       ledgers: list[str]) -> None:
         """Snapshot ``records``, the indices at ``year`` folded from the
         ledgers whose record digests ``ledgers`` lists in year order."""
+        from .indices import x_scale
+
         data = stamp(encode_indices(records, year, x_scale(cfg.n), cfg.config_hash(), ledgers),
                      self.corpus_hash())
         self.index_dir.mkdir(exist_ok=True)

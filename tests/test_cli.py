@@ -3,6 +3,7 @@
 import fcntl
 import gc
 import hashlib
+import importlib
 import json
 import logging
 import multiprocessing
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import citedist
 from citedist import corpus as corpus_module
 from citedist import pipeline as pipeline_module
 from citedist.cli import REPORT_NAMES, main
@@ -662,28 +664,73 @@ _IMPORTED = """
 import sys
 from citedist.cli import main
 code = main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("citedist.") or m == "logging"))
 print(code, "citedist.analytics" in sys.modules, "statistics" in sys.modules)
 """
+
+GRAPH_LAYER = {"citedist.collab", "citedist.corpus", "citedist.analytics"}
+LIGHT_LAYER = ("errors", "config", "codec", "distances", "indices", "workspace", "pipeline",
+               "cli")
 
 
 def test_only_analytics_reports_import_analytics(tmp_path):
     """Each step runs in a fresh interpreter: ingest, run, resume and the
     reports that need no index records leave ``citedist.analytics`` and
-    ``statistics`` unimported; a report that ranks imports both."""
+    ``statistics`` unimported; a report that ranks imports both.  A
+    resume that finds every year complete, ``distance-histogram`` and
+    the index reports served from a snapshot import no graph module, a
+    resume not even the ledger types, and only ``run`` imports
+    ``logging``."""
     src = tmp_path / "c.jsonl"
     src.write_text("\n".join(random_corpus_lines(random.Random(7), 60, 12, 2000, 2003)) + "\n")
     ws = str(tmp_path / "ws")
     cfg = ["--config", str(write_config(tmp_path, exact_distances=True))]
+    loaded = []  # the modules of each step, in order
 
     def imported(*argv):
         out = subprocess.run([sys.executable, "-c", _IMPORTED, *argv, *cfg],
                              capture_output=True, text=True, check=True).stdout
-        return out.splitlines()[-1]
+        *_, modules, summary = out.splitlines()
+        loaded.append(set(modules.split()))
+        return summary
 
     for argv in (["ingest", str(src)], ["run"], ["run"], ["report", "distance-histogram"],
                  ["report", "network-stats"], ["report", "edges"], ["report", "index-table"]):
         assert imported(*argv, "--workspace", ws) == "0 False False", argv
+        assert ("logging" in loaded[-1]) == (argv == ["run"]), argv
+    resume, histogram = loaded[2], loaded[3]
+    assert not resume & (GRAPH_LAYER | {"citedist.distances", "citedist.indices"}), resume
+    assert not histogram & GRAPH_LAYER, histogram
     assert imported("report", "rank", "--workspace", ws) == "0 True True"
+    assert imported("report", "index-table", "--workspace", ws) == "0 False False"
+    for hit in loaded[-2:]:  # both read the snapshot the first index-table wrote
+        assert not hit & {"citedist.collab", "citedist.corpus"}, hit
+
+
+def test_light_modules_import_no_graph_module():
+    """Each light module, imported alone in a fresh interpreter, loads
+    no graph module; the package itself loads no module at all."""
+    for name in ("citedist", *(f"citedist.{m}" for m in LIGHT_LAYER)):
+        out = subprocess.run(
+            [sys.executable, "-c", f"import sys, {name}; "
+             "print(*sorted(m for m in sys.modules if m.startswith('citedist.')))"],
+            capture_output=True, text=True, check=True).stdout.split()
+        assert not set(out) & GRAPH_LAYER, (name, out)
+        if name == "citedist":
+            assert out == [], out
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    namespace = {}
+    exec("from citedist import *", namespace)
+    listed = dir(citedist)
+    for name in citedist.__all__:
+        value = getattr(citedist, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+        assert namespace[name] is value, name
+        assert name in listed, name
+    with pytest.raises(AttributeError):
+        citedist.no_such_name
 
 
 def test_histogram_of_another_config_exits_3(tmp_path, capsys):

@@ -131,8 +131,9 @@ def test_fold_with_no_credited_scholar(tmp_path):
 def test_index_reports_hold_one_ledger_at_a_time(tmp_path, monkeypatch):
     """Each CLI index report that computes its records reads the ledgers
     as a stream: when it reads a year, no ledger it read before is still
-    alive.  One that finds the year's index snapshot decodes no ledger
-    and loads no store."""
+    alive, and it reads each ledger once (no digest pass first).  One
+    that finds the year's index snapshot decodes no ledger and loads no
+    store."""
     lines = random_corpus_lines(random.Random(9), 160, 25, 2000, 2006)
     cfg = Config(exact_distances=True)
     ws, _ = make_workspace(tmp_path / "ws", lines, cfg)
@@ -140,8 +141,10 @@ def test_index_reports_hold_one_ledger_at_a_time(tmp_path, monkeypatch):
 
     read = []
     loads = []
+    checked = []
     original = Workspace.read_ledger
     original_load = Workspace.load_store
+    original_digest = Workspace.ledger_digest
 
     def tracking_read(self, year, store, config_hash):
         alive = [ref().year for ref in read if ref() is not None]
@@ -154,11 +157,16 @@ def test_index_reports_hold_one_ledger_at_a_time(tmp_path, monkeypatch):
         loads.append(cfg)
         return original_load(self, cfg)
 
+    def tracking_digest(self, year, config_hash):
+        checked.append(year)
+        return original_digest(self, year, config_hash)
+
     def no_series(*args, **kwargs):
         raise AssertionError("index reports must not load the whole ledger series")
 
     monkeypatch.setattr(Workspace, "read_ledger", tracking_read)
     monkeypatch.setattr(Workspace, "load_store", tracking_load)
+    monkeypatch.setattr(Workspace, "ledger_digest", tracking_digest)
     monkeypatch.setattr(pipeline_module, "load_series", no_series)
     monkeypatch.setattr(cli_module, "load_series", no_series, raising=False)
     for report in INDEX_REPORTS:
@@ -167,12 +175,13 @@ def test_index_reports_hold_one_ledger_at_a_time(tmp_path, monkeypatch):
         shutil.rmtree(ws.index_dir, ignore_errors=True)
         read.clear()
         loads.clear()
+        checked.clear()
         assert main(argv) == 0
-        assert len(read) == 7 and len(loads) == 1
+        assert len(read) == 7 and len(loads) == 1 and checked == []
         read.clear()
         loads.clear()
         assert main(argv) == 0  # reads the snapshot the first call wrote
-        assert read == [] and loads == []
+        assert read == [] and loads == [] and len(checked) == 7
 
 
 def c_cells(path, column):

@@ -89,8 +89,8 @@ def test_snapshot_hit_decodes_no_ledger_and_no_corpus(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a snapshot hit decoded a ledger or the corpus")
 
-    for module in (workspace_module, corpus_module):
-        monkeypatch.setattr(module, "parse_snapshot", forbidden)
+    # Workspace.load_store imports parse_snapshot from corpus when it runs.
+    monkeypatch.setattr(corpus_module, "parse_snapshot", forbidden)
     monkeypatch.setattr(workspace_module, "decode_ledger", forbidden)
     assert report_outputs(ws, cfg, 2006) == expected
 
