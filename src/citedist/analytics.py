@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InsufficientCohortError
 from .indices import INDEX_NAMES, IndexRecord  # noqa: F401  (INDEX_NAMES re-exported)
@@ -28,8 +27,7 @@ if TYPE_CHECKING:
 # -- degeneracy --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegeneracyRow:
+class DegeneracyRow(NamedTuple):
     q_lo: int
     q_hi: int
     scholars: int
@@ -66,8 +64,7 @@ def c_equals_nw_stats(records: Iterable[IndexRecord],
 # -- repeated citations ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepeatMatrix:
+class RepeatMatrix(NamedTuple):
     repeat_labels: tuple[str, ...]
     distance_labels: tuple[str, ...]
     cells: tuple[tuple[int, ...], ...]  # cells[repeat_bin][distance_bin] = pair count
@@ -151,12 +148,19 @@ def repeated_citation_matrix(store: CorpusStore, year_range: tuple[int, int],
 # -- cohorts and closeness ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohortSelection:
+class _CohortFields(NamedTuple):
     q_range: tuple[int, int]  # inclusive bounds on total citations
-    fixed: dict = field(default_factory=dict)  # e.g. {"h": 8, "g": 13}
+    fixed: dict | None = None  # e.g. {"h": 8, "g": 13}; None: a new empty dict
     size: int = 20
     seed: int = 0
+
+
+class CohortSelection(_CohortFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.fixed is not None else self._replace(fixed={})
 
 
 def select_cohort(records: Sequence[IndexRecord], sel: CohortSelection) -> list[IndexRecord]:
@@ -176,16 +180,14 @@ def select_cohort(records: Sequence[IndexRecord], sel: CohortSelection) -> list[
     return chosen
 
 
-@dataclass(frozen=True)
-class PairCloseness:
+class PairCloseness(NamedTuple):
     scholar_a: str
     scholar_b: str
     close_a: bool  # |a - b| <= k * s under the first index
     close_b: bool
 
 
-@dataclass(frozen=True)
-class ClosenessResult:
+class ClosenessResult(NamedTuple):
     index_a: str
     index_b: str
     s_a: float  # population standard deviation of each index over the cohort
@@ -227,8 +229,7 @@ def classify_closeness(cohort: Sequence[IndexRecord], index_a: str, index_b: str
 # -- rankings ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankedRecord:
+class RankedRecord(NamedTuple):
     position: int
     record: IndexRecord
     value: float

@@ -38,8 +38,7 @@ the repeated-citation heatmap one per scholar, with its partners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .distances import EXCEEDS_CODE, INF_CODE
 
@@ -47,8 +46,12 @@ if TYPE_CHECKING:
     from .corpus import CorpusStore
 
 
-@dataclass(frozen=True)
-class Distance:
+class _DistanceFields(NamedTuple):
+    hops: int | None = None
+    cap: int | None = None
+
+
+class Distance(_DistanceFields):
     """Result of a shortest-path query.
 
     ``hops`` is set for finite results.  ``cap`` is set when a path
@@ -56,14 +59,16 @@ class Distance:
     path exists.
     """
 
-    hops: int | None = None
-    cap: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.hops is not None and self.cap is not None:
             raise ValueError("a distance is finite or capped, not both")
         if self.hops is not None and self.hops < 0:
             raise ValueError("hop count must be >= 0")
+        return self
 
     @classmethod
     def finite(cls, hops: int) -> "Distance":
@@ -546,8 +551,7 @@ def avg_clustering(net: CollabNetwork) -> float:
     return total / net.node_count
 
 
-@dataclass(frozen=True)
-class ComponentStats:
+class ComponentStats(NamedTuple):
     members: frozenset[int]
     node_count: int
     edge_count: int
@@ -594,8 +598,7 @@ def diameter(net: CollabNetwork, members: Iterable[int]) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class NetworkStats:
+class NetworkStats(NamedTuple):
     node_count: int
     edge_count: int
     average_degree: float

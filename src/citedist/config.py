@@ -23,10 +23,9 @@ Light layer: no module-level import of ``collab``, ``corpus`` or
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CiteDistError, EmptyCorpusError
 
@@ -39,8 +38,7 @@ class ConfigError(CiteDistError):
     """Malformed configuration file or invalid value."""
 
 
-@dataclass(frozen=True)
-class Config:
+class _ConfigFields(NamedTuple):
     year_start: int = 1000
     year_end: int = 9999
     window_length: int = 5
@@ -49,7 +47,15 @@ class Config:
     exact_distances: bool = False
     strict_window: bool = False
 
-    def __post_init__(self):
+
+class Config(_ConfigFields):
+    """One engine configuration, checked when it is made."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.year_start > self.year_end:
             raise ConfigError("year_start must not exceed year_end")
         if self.window_length < 1:
@@ -58,6 +64,7 @@ class Config:
             raise ConfigError("n must be >= 0")
         if self.alpha <= 0:
             raise ConfigError("alpha must be > 0")
+        return self
 
     @property
     def distance_cap(self) -> int | None:
@@ -66,11 +73,10 @@ class Config:
 
     def canonical_text(self) -> str:
         lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if isinstance(value, bool):
                 value = "true" if value else "false"
-            lines.append(f"{f.name} = {value}")
+            lines.append(f"{name} = {value}")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
@@ -78,7 +84,6 @@ class Config:
 
 
 def parse_config_text(text: str) -> Config:
-    known = {f.name: f for f in fields(Config)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -89,7 +94,7 @@ def parse_config_text(text: str) -> Config:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in Config._fields:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _convert(key, value, lineno)
     return Config(**values)

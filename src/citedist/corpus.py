@@ -24,18 +24,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Config, config_span  # noqa: F401  (config_span re-exported)
 from .errors import EmptyCorpusError, IngestError
 
 
-@dataclass(frozen=True)
-class PaperRecord:
+class PaperRecord(NamedTuple):
     """One normalized paper as parsed from the canonical format."""
 
     paper_id: str
@@ -44,8 +42,7 @@ class PaperRecord:
     reference_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CitationEvent:
+class CitationEvent(NamedTuple):
     """One directed citation edge, dated by the citing paper's year."""
 
     cited_paper_id: str
@@ -55,15 +52,22 @@ class CitationEvent:
     citing_authors: frozenset[int]
 
 
-@dataclass
-class ValidationSummary:
+class _SummaryFields(NamedTuple):
     papers: int = 0
     authors: int = 0
     citations: int = 0
     dangling_references: int = 0
     duplicates: int = 0
     skipped_lines: int = 0
-    skipped_reasons: dict = field(default_factory=dict)
+    skipped_reasons: dict | None = None  # None: a new empty dict
+
+
+class ValidationSummary(_SummaryFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.skipped_reasons is not None else self._replace(skipped_reasons={})
 
     def as_text(self) -> str:
         lines = [
@@ -107,7 +111,6 @@ class CorpusStore:
         self.paper_authors: list[tuple[int, ...]] = []
         self.paper_refs: list[tuple[int, ...]] = []
         self.years_index: dict[int, list[int]] = {}
-        self.cited_by: list[list[int]] = []
         self.author_papers: list[list[int]] = []
         self.summary = ValidationSummary()
 
@@ -130,6 +133,15 @@ class CorpusStore:
 
     def author_id(self, label: str) -> int:
         return self.author_index[label]
+
+    @cached_property
+    def cited_by(self) -> list[list[int]]:
+        """The citing papers of each paper, ascending, built on first use."""
+        cited_by = [[] for _ in range(self.num_papers)]
+        for pid, refs in enumerate(self.paper_refs):
+            for ref in refs:
+                cited_by[ref].append(pid)
+        return cited_by
 
     @cached_property
     def json_labels(self) -> list[str]:
@@ -254,7 +266,6 @@ def _build_store(records: Iterable[tuple[str, int, Sequence[str], Sequence[str]]
     # its memory, so the peak stays near one table of references.
     dangling = 0
     citations = 0
-    cited_by = store.cited_by = [[] for _ in range(len(paper_labels))]
     for pid, refs in enumerate(raw_refs):
         resolved = []
         for label in refs:
@@ -263,7 +274,6 @@ def _build_store(records: Iterable[tuple[str, int, Sequence[str], Sequence[str]]
                 dangling += 1
             else:
                 resolved.append(target)
-                cited_by[target].append(pid)
                 citations += 1
         store.paper_refs.append(tuple(resolved))
         raw_refs[pid] = None

@@ -22,8 +22,7 @@ they are called, and ``collab`` takes the distance codes from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .config import Config
 from .errors import IncompleteStateError
@@ -38,14 +37,25 @@ INF_CODE = -1  # no path exists
 EXCEEDS_CODE = -2  # a path exists and is longer than the cap
 
 
-@dataclass
 class DistanceTally:
     """Distance-count vector for one scholar (or one event stream)."""
 
-    finite: dict[int, int] = field(default_factory=dict)
-    infinite: int = 0
-    exceeds: int = 0
-    cap: int | None = None
+    __slots__ = ("finite", "infinite", "exceeds", "cap")
+
+    def __init__(self, finite: dict[int, int] | None = None, infinite: int = 0,
+                 exceeds: int = 0, cap: int | None = None):
+        self.finite = {} if finite is None else finite
+        self.infinite = infinite
+        self.exceeds = exceeds
+        self.cap = cap
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"DistanceTally({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     def add_code(self, code: int, count: int = 1) -> None:
         if code >= 0:
@@ -250,8 +260,7 @@ def paper_distance_tallies(store: CorpusStore, years: Iterable[int],
 # -- distributions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class YearHistogram:
+class YearHistogram(NamedTuple):
     year: int
     bins: tuple[tuple[str, float], ...]  # (label, proportion); labels "0".."k", ">cap", "INF"
     within_max: float
@@ -259,8 +268,7 @@ class YearHistogram:
     total: int
 
 
-@dataclass(frozen=True)
-class HistogramResult:
+class HistogramResult(NamedTuple):
     per_year: dict[int, YearHistogram]
     notices: list[str]
 

@@ -27,9 +27,8 @@ that an index report served from a snapshot compiles neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .config import INDEX_NAMES  # noqa: F401  (re-exported)
 from .errors import IncompleteStateError, SequencingError
@@ -38,18 +37,24 @@ if TYPE_CHECKING:
     from .distances import DistanceTally, LedgerSeries
 
 
-@dataclass(frozen=True)
-class WeightConfig:
-    """Knobs of the index computations (threshold n, c-index slope)."""
-
+class _WeightFields(NamedTuple):
     n: int = 6
     alpha: Fraction = Fraction(1)
 
-    def __post_init__(self):
+
+class WeightConfig(_WeightFields):
+    """Knobs of the index computations (threshold n, c-index slope)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
+        return self
 
 
 def x_scale(n: int) -> int:
@@ -127,17 +132,23 @@ def x_from_slices(slices: Iterable[tuple[int, DistanceTally]], n: int) -> Fracti
     return Fraction(total, x_scale(n))
 
 
-@dataclass(frozen=True)
-class ScholarIndexState:
-    """Running x-index for one scholar after the given year's batch."""
-
+class _StateFields(NamedTuple):
     scholar: int | str
     year: int
     x: Fraction
 
-    def __post_init__(self):
+
+class ScholarIndexState(_StateFields):
+    """Running x-index for one scholar after the given year's batch."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x < 0:
             raise ValueError("x must be >= 0")
+        return self
 
 
 def update_x(state: ScholarIndexState, year: int, delta: Fraction) -> ScholarIndexState:
@@ -232,10 +243,7 @@ def c_index_from_tally(tally: DistanceTally, alpha=1):
 # -- snapshots ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IndexRecord:
-    """One scholar's full index snapshot at a given year."""
-
+class _RecordFields(NamedTuple):
     scholar: str
     year: int
     q: int
@@ -246,9 +254,16 @@ class IndexRecord:
     x: Fraction
     alpha: Fraction = Fraction(1)
 
+
+class IndexRecord(_RecordFields):
+    """One scholar's full index snapshot at a given year."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
     CSV_HEADER = "scholar,year,Q,h,g,c,N_w,x"
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # Compared as integer ratios: a Fraction compares with an int
         # several times slower, and an index snapshot holds 10^5 records.
         q = self.q
@@ -264,6 +279,7 @@ class IndexRecord:
             c_num, c_den = self.c.as_integer_ratio()
             if c_num > q * c_den:
                 raise ValueError(f"c={self.c} exceeds Q={self.q} at alpha<=1")
+        return self
 
     @property
     def x_display(self) -> str:
@@ -278,10 +294,9 @@ class IndexRecord:
     def value(self, index: str):
         """Look an index value up by its report name (Q, h, g, c, N_w, x)."""
         key = {"Q": "q", "N_w": "n_w"}.get(index, index)
-        try:
-            v = getattr(self, key)
-        except AttributeError:
-            raise KeyError(f"unknown index {index!r}") from None
+        if key not in self._fields:  # a tuple method is no index
+            raise KeyError(f"unknown index {index!r}")
+        v = getattr(self, key)
         # numerator / denominator is float(v), without the slower generic path
         return v.numerator / v.denominator if isinstance(v, Fraction) else v
 

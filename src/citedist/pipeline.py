@@ -21,8 +21,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TypeVar
 
 from .codec import StateLines
 from .config import Config
@@ -67,8 +66,7 @@ def year_ledger(store: CorpusStore, year: int, cfg: Config,
     return batch_year_distances(store, year, cfg, net)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     years_processed: list[int]
     years_skipped: list[int]
 

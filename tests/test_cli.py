@@ -8,6 +8,7 @@ import json
 import logging
 import multiprocessing
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -662,13 +663,16 @@ def test_report_year_after_the_plan_names_the_last_year(tmp_path, capsys):
 
 _IMPORTED = """
 import sys
+before = set(sys.modules)
 from citedist.cli import main
 code = main(sys.argv[1:])
+print(*sorted(set(sys.modules) - before & {"dataclasses", "inspect"}))
 print(*sorted(m for m in sys.modules if m.startswith("citedist.") or m == "logging"))
 print(code, "citedist.analytics" in sys.modules, "statistics" in sys.modules)
 """
 
 GRAPH_LAYER = {"citedist.collab", "citedist.corpus", "citedist.analytics"}
+STDLIB_HEAVY = {"dataclasses", "inspect"}  # no step and no module may load these
 LIGHT_LAYER = ("errors", "config", "codec", "distances", "indices", "workspace", "pipeline",
                "cli")
 
@@ -690,6 +694,7 @@ def test_only_analytics_reports_import_analytics(tmp_path):
     def imported(*argv):
         out = subprocess.run([sys.executable, "-c", _IMPORTED, *argv, *cfg],
                              capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-3] == "", (argv, out.splitlines()[-3])  # no STDLIB_HEAVY
         *_, modules, summary = out.splitlines()
         loaded.append(set(modules.split()))
         return summary
@@ -705,6 +710,7 @@ def test_only_analytics_reports_import_analytics(tmp_path):
     assert imported("report", "index-table", "--workspace", ws) == "0 False False"
     for hit in loaded[-2:]:  # both read the snapshot the first index-table wrote
         assert not hit & {"citedist.collab", "citedist.corpus"}, hit
+    assert imported("report", "heatmap", "--workspace", ws) == "0 True True"
 
 
 def test_light_modules_import_no_graph_module():
@@ -718,6 +724,15 @@ def test_light_modules_import_no_graph_module():
         assert not set(out) & GRAPH_LAYER, (name, out)
         if name == "citedist":
             assert out == [], out
+    every = [f"citedist.{m.name}" for m in pkgutil.iter_modules(citedist.__path__)
+             if m.name != "__main__"]
+    assert "citedist.cli" in every and "citedist.analytics" in every, every
+    out = subprocess.run(
+        [sys.executable, "-c", "import importlib, sys; before = set(sys.modules); "
+         f"[importlib.import_module(m) for m in {every!r}]; "
+         f"print(*sorted(set(sys.modules) - before & {STDLIB_HEAVY!r}))"],
+        capture_output=True, text=True, check=True).stdout.split()
+    assert out == [], out
 
 
 def test_package_names_resolve_to_their_defining_modules():

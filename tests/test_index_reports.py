@@ -5,7 +5,6 @@ import random
 import re
 import shutil
 import weakref
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -69,7 +68,7 @@ def test_fold_matches_per_scholar_snapshots(tmp_path, seed):
     for year in (2001, 2005):
         for n in (0, 1, 6):
             for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)):
-                run_cfg = replace(cfg, n=n, alpha=alpha)
+                run_cfg = Config(**{**cfg._asdict(), "n": n, "alpha": alpha})
                 wcfg = WeightConfig(n=n, alpha=alpha)
                 expected = reference_records(store, series, year, wcfg)
                 streamed = build_index_records(store, report_ledgers(ws, store, cfg, year),
