@@ -37,8 +37,9 @@ check both stamps without decoding a record.
 
 Decoding raises ValueError, KeyError, TypeError, AttributeError or
 ZeroDivisionError on a damaged file, and KeyError on an author label the
-store lacks.
-``decode_ledger_events`` reads the header and the events line alone.
+store lacks.  A ledger without an events line raises ValueError.
+``decode_ledger`` without a store decodes the header and events line
+alone, the first two lines, for the reports that bin events only.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  The decoders import the record types
@@ -172,24 +173,25 @@ def _records(body: str) -> list:
     return records
 
 
-def _ledger_head(line: str) -> dict:
-    head = json.loads(line)
-    if head.get("kind") != "header":
-        raise ValueError("ledger file missing header line")
-    return head
+def decode_ledger(text: str, store: CorpusStore | None) -> tuple[YearLedger, str]:
+    """The ledger in ``text`` and the config hash its header records.
 
-
-def decode_ledger(text: str, store: CorpusStore) -> tuple[YearLedger, str]:
-    """The ledger in ``text`` and the config hash its header records."""
+    With ``store=None`` no author label resolves, so a scholar line
+    raises KeyError: the text to decode is then the header and events
+    lines alone, and the ledger has no scholars.
+    """
     from .distances import DistanceTally, YearLedger
 
     head_line, _, body = text.partition("\n")
-    head = _ledger_head(head_line)
+    head = json.loads(head_line)
+    if head.get("kind") != "header":
+        raise ValueError("ledger file missing header line")
     cap = head["cap"]
     ledger = YearLedger(year=head["year"], cap=cap)
     ledger.records_sha256 = head.get(RECORDS_KEY)
-    index = store.author_index
+    index = {} if store is None else store.author_index
     scholars = ledger.scholars
+    events = None
     for obj in _records(body):
         counts = obj["counts"].items()
         exceeds = obj["exceeds"]
@@ -199,31 +201,11 @@ def decode_ledger(text: str, store: CorpusStore) -> tuple[YearLedger, str]:
         )
         if obj["kind"] == "events":
             tally.cap = cap
-            ledger.events = tally
+            ledger.events = events = tally
         else:
             scholars[index[obj["id"]]] = tally
-    return ledger, head["config"]
-
-
-def decode_ledger_events(text: str) -> tuple[YearLedger, str]:
-    """The ledger whose header and ``events`` line are the first two lines
-    of ``text``, with no scholars, and the config hash its header records.
-
-    Lines after the second are not read: this is the decoder for reports
-    that bin events only.  A missing or damaged events line raises.
-    """
-    from .distances import DistanceTally, YearLedger
-
-    head_line, _, rest = text.partition("\n")
-    head = _ledger_head(head_line)
-    obj = json.loads(rest.partition("\n")[0])
-    if obj.get("kind") != "events":
+    if events is None:
         raise ValueError("ledger file missing events line")
-    cap = head["cap"]
-    ledger = YearLedger(year=head["year"], cap=cap)
-    ledger.events = DistanceTally(
-        {int(k): v for k, v in obj["counts"].items()}, obj["infinite"], obj["exceeds"], cap,
-    )
     return ledger, head["config"]
 
 

@@ -15,9 +15,11 @@ construction; queries are read-only.
 Windows of consecutive years share most of their authors, so
 :class:`WindowSlider` builds each window from the previous one: it
 rebuilds only the authors of the papers that enter or leave the window
-and shares every other neighbour tuple with the previous network.
-``run`` slides one window through its years; :func:`build_window` is a
-single fresh window of a new slider.
+and shares every other neighbour tuple with the previous network.  A
+fresh window is the same rebuild, of every author of the window's
+papers, on an empty adjacency.  ``run`` slides one window through every
+year it computes; :func:`build_window` is a single fresh window of a
+new slider.
 
 Each network labels its connected components once, on first use.  The
 distance kernel, :meth:`BFSSearcher.distances_from`, measures one
@@ -89,13 +91,6 @@ class Distance(_DistanceFields):
     @property
     def exceeds_cap(self) -> bool:
         return self.cap is not None
-
-    def label(self) -> str:
-        if self.is_finite:
-            return str(self.hops)
-        if self.exceeds_cap:
-            return f">{self.cap}"
-        return "INF"
 
 
 INFINITE = Distance()
@@ -195,15 +190,17 @@ class CollabNetwork:
 class WindowSlider:
     """The window networks of one store, each built from the last.
 
-    :meth:`window` for the year after the previous call copies the
-    previous adjacency list and rebuilds only the authors of papers in
-    the year that enters the window and in the year that leaves it, each
-    from their own papers inside the window: every other author keeps
-    the same papers in the window, hence the same neighbours.  The node
-    set and the degree sum follow the rebuilt authors.  Any other year
-    (the first call, a gap, or a step backwards) is built from scratch.
-    A network once returned is never changed: the next window works on a
-    copy of its list and shares only the neighbour tuples that stay.
+    :meth:`window` rebuilds authors in one loop, each from their own
+    papers inside the window, and the node set and the degree sum follow
+    the rebuilt authors.  For the year after the previous call it copies
+    the previous adjacency list and rebuilds only the authors of papers
+    in the year that enters the window and in the year that leaves it:
+    every other author keeps the same papers in the window, hence the
+    same neighbours.  Any other year (the first call, a gap, or a step
+    backwards) is a fresh window: every author of the window's papers is
+    rebuilt on an empty adjacency list.  A network once returned is
+    never changed: the next window works on a copy of its list and
+    shares only the neighbour tuples that stay.
     """
 
     def __init__(self, store: CorpusStore, window_length: int = 5):
@@ -218,29 +215,29 @@ class WindowSlider:
         window ``[year - window_length + 1, year]``."""
         store = self.store
         paper_authors = store.paper_authors
+        paper_year = store.paper_year
+        author_papers = store.author_papers
         lo = year - self.window_length + 1
         last = self._last
         if last is not None and year == last.year + 1:
             adj = last._adj.copy()
             nodes = set(last.nodes)
             degree_sum = 2 * last.edge_count
-            changed: set[int] = set()
-            for yy in (year, lo - 1):
-                for pid in store.papers_in_year(yy):
-                    changed.update(paper_authors[pid])
-            coauthors = self._coauthors(changed, lo, year)
+            years: Iterable[int] = (year, lo - 1)
         else:
             adj = [()] * store.num_authors
             nodes = set()
             degree_sum = 0
-            coauthor_lists: dict[int, list[int]] = {}
-            for yy in range(lo, year + 1):
-                for pid in store.papers_in_year(yy):
-                    authors = paper_authors[pid]
-                    for a in authors:
-                        coauthor_lists.setdefault(a, []).extend(authors)
-            coauthors = ((a, set(authors)) for a, authors in coauthor_lists.items())
-        for a, neigh in coauthors:
+            years = range(lo, year + 1)
+        changed: set[int] = set()
+        for yy in years:
+            for pid in store.papers_in_year(yy):
+                changed.update(paper_authors[pid])
+        for a in changed:
+            neigh: set[int] = set()
+            for p in author_papers[a]:
+                if lo <= paper_year[p] <= year:
+                    neigh.update(paper_authors[p])
             degree_sum -= len(adj[a])
             if neigh:
                 neigh.discard(a)
@@ -254,21 +251,6 @@ class WindowSlider:
                             frozenset(nodes), adj, degree_sum // 2)
         self._last = net
         return net
-
-    def _coauthors(self, authors: Iterable[int], lo: int,
-                   hi: int) -> Iterator[tuple[int, set[int]]]:
-        """Each author with the set of all authors of their papers
-        published in ``[lo, hi]`` (empty when there is none), made one
-        at a time so that only one set is alive."""
-        author_papers = self.store.author_papers
-        paper_year = self.store.paper_year
-        paper_authors = self.store.paper_authors
-        for a in authors:
-            neigh: set[int] = set()
-            for p in author_papers[a]:
-                if lo <= paper_year[p] <= hi:
-                    neigh.update(paper_authors[p])
-            yield a, neigh
 
 
 def build_window(store: CorpusStore, year: int, window_length: int = 5) -> CollabNetwork:

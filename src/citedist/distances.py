@@ -79,10 +79,6 @@ class DistanceTally:
     def total(self) -> int:
         return sum(self.finite.values()) + self.infinite + self.exceeds
 
-    def max_finite(self) -> int | None:
-        """Largest finite distance with a nonzero count (D_f); None if none."""
-        return max((d for d, c in self.finite.items() if c), default=None)
-
     def is_exact(self) -> bool:
         return self.exceeds == 0
 
@@ -116,12 +112,7 @@ class YearLedger:
         if other.year != self.year or other.cap != self.cap:
             raise ValueError("can only merge ledgers for the same year and cap")
         self.events.update(other.events)
-        for author, tally in other.scholars.items():
-            mine = self.scholars.get(author)
-            if mine is None:
-                self.scholars[author] = tally.copy()
-            else:
-                mine.update(tally)
+        pool_into(self.scholars, other.scholars)
 
     def total_credited(self) -> int:
         return sum(t.total() for t in self.scholars.values())
@@ -160,6 +151,17 @@ class LedgerSeries:
         for _, tally in self.year_slices(scholar, up_to_year):
             pooled.update(tally)
         return pooled
+
+
+def pool_into(pooled: dict[int, DistanceTally], tallies: Mapping[int, DistanceTally]) -> None:
+    """Add each tally of ``tallies`` to the tally of its key in ``pooled``,
+    which holds a copy of it for a key it lacked."""
+    for key, tally in tallies.items():
+        mine = pooled.get(key)
+        if mine is None:
+            pooled[key] = tally.copy()
+        else:
+            mine.update(tally)
 
 
 def ensure_contiguous(years: Collection[int], through: int) -> None:

@@ -29,7 +29,7 @@ from .errors import IncompleteStateError, WorkspaceError
 from .workspace import Workspace
 
 if TYPE_CHECKING:
-    from .collab import CollabNetwork
+    from .collab import CollabNetwork, WindowSlider
     from .corpus import CorpusStore
     from .distances import DistanceTally, LedgerSeries, YearLedger
     from .indices import IndexRecord
@@ -54,15 +54,11 @@ def workspace_years(ws: Workspace, cfg: Config) -> list[int]:
     return _window_years(*ws.year_span(cfg), cfg)
 
 
-def year_ledger(store: CorpusStore, year: int, cfg: Config,
-                net: CollabNetwork | None) -> YearLedger:
-    """Compute one year's ledger on ``net``, the year's window, or the
-    empty ledger of a year without citing papers, which needs no window
-    and is given ``net=None``."""
-    from .distances import YearLedger, batch_year_distances
+def year_ledger(store: CorpusStore, year: int, cfg: Config, net: CollabNetwork) -> YearLedger:
+    """Compute one year's ledger on ``net``, the year's window; a year
+    without citing papers gets the empty ledger."""
+    from .distances import batch_year_distances
 
-    if net is None:
-        return YearLedger(year, cap=cfg.distance_cap)
     return batch_year_distances(store, year, cfg, net)
 
 
@@ -77,8 +73,9 @@ def run_pipeline(ws: Workspace, cfg: Config,
 
     The snapshot is loaded at the first year that is not complete, so a
     resume that finds every year complete reads only the meta and the
-    artifact headers.  One :class:`WindowSlider` per loaded store builds
-    each year's window from the previous one, and the x states and their
+    artifact headers.  One :class:`WindowSlider` per loaded store slides
+    a window through every year computed, each built from the previous
+    one (years without citing papers too), and the x states and their
     encoded lines are carried from year to year in a :class:`StateLines`.
     The loaded store is frozen for the cyclic collector until the run
     returns.  A year's log line splits its time into the window build,
@@ -118,8 +115,7 @@ def run_pipeline(ws: Workspace, cfg: Config,
                 prior = _load_chain_state(ws, store, cfg_hash, year, planned[0])
                 states = StateLines(store, prior)
             started = time.perf_counter()
-            citing = any(store.paper_refs[p] for p in store.papers_in_year(year))
-            net = slider.window(year) if citing else None
+            net = slider.window(year)
             built = time.perf_counter()
             ledger = year_ledger(store, year, cfg, net)
             for author, tally in ledger.scholars.items():
@@ -237,7 +233,7 @@ def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, Distanc
     After a capped ledger the rest are still read, so that a damaged one
     is reported first, as when the ledgers are read whole; a gap in the
     years is an error once a scholar has counts."""
-    from .distances import ensure_contiguous
+    from .distances import ensure_contiguous, pool_into
 
     pooled: dict[int, DistanceTally] = {}
     years: set[int] = set()
@@ -246,12 +242,7 @@ def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, Distanc
         years.add(ledger.year)
         capped = capped or ledger.cap is not None
         if not capped and ledger.year <= year:
-            for scholar, tally in ledger.scholars.items():
-                mine = pooled.get(scholar)
-                if mine is None:
-                    pooled[scholar] = tally.copy()
-                else:
-                    mine.update(tally)
+            pool_into(pooled, ledger.scholars)
         del ledger  # free it before the next one is read
     if capped:
         raise IncompleteStateError(

@@ -36,8 +36,10 @@ record lines.  Every read checks the header first: an artifact of
 another configuration reads as absent; one stamped for another corpus,
 or whose record lines do not match their digest, raises a
 WorkspaceError that names the file.  ``year_complete`` stops there, so
-the resume check decodes no record; ``read_ledger_events`` reads two
-lines and checks the corpus stamp but not the digest.
+the resume check decodes no record; ``read_ledger_events`` decodes the
+first two lines alone, the header and the events line, with
+``decode_ledger`` and no store, and checks the corpus stamp but not the
+digest.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``load_store`` imports the snapshot
@@ -62,7 +64,6 @@ from .codec import (
     StateLines,
     decode_indices,
     decode_ledger,
-    decode_ledger_events,
     decode_states,
     encode_indices,
     encode_ledger,
@@ -289,11 +290,12 @@ class Workspace:
         return None if data is None else read_header(data)[0][RECORDS_KEY]
 
     def read_ledger_events(self, year: int, config_hash: str) -> YearLedger | None:
-        """The year's ledger with its events tally and no scholars, read
-        from the first two lines of the file; None when absent or built
-        by another config."""
+        """The year's ledger with its events tally and no scholars:
+        ``decode_ledger`` without a store of the first two lines of the
+        file, its header and events lines.  None when absent or built by
+        another config."""
         return self._read(self.ledger_path(year), config_hash,
-                          lambda text: decode_ledger_events(text)[0], lines=2)
+                          lambda text: decode_ledger(text, None)[0], lines=2)
 
     # -- x-index states ---------------------------------------------------
 

@@ -21,8 +21,11 @@ import citedist
 from citedist import corpus as corpus_module
 from citedist import pipeline as pipeline_module
 from citedist.cli import REPORT_NAMES, main
+from citedist.codec import encode_ledger
+from citedist.collab import build_window
 from citedist.config import Config
 from citedist.corpus import parse_records
+from citedist.distances import batch_year_distances
 from citedist.pipeline import build_index_records, load_series, run_pipeline
 from citedist import workspace as workspace_module
 from citedist.workspace import Workspace, _atomic_write
@@ -348,6 +351,14 @@ def _state_xn_digit(ws, src):
     return [["run"]], "2002.jsonl"
 
 
+def _ledger_events_line_dropped(ws, src):
+    path = ws / "ledgers" / "2002.jsonl"
+    head, _events, rest = path.read_text().split("\n", 2)
+    assert rest  # a scholar line moves up into the place of the events line
+    path.write_text(f"{head}\n{rest}")
+    return [["report", "distance-histogram"]], "2002.jsonl"
+
+
 def _steps_that_load_the_snapshot(ws, src):
     """Make a resume and a run under another config load the snapshot:
     the last year of the run is deleted, and no year is complete under
@@ -390,14 +401,15 @@ def _meta_paper_years(ws, src):
                                     _truncated_ledger, _blank_line_in_state,
                                     _ledger_trailing_garbage, _header_only_ledger,
                                     _ledger_count_digit, _state_xn_digit,
+                                    _ledger_events_line_dropped,
                                     _snapshot_truncated_line, _snapshot_digit,
                                     _meta_truncated, _meta_paper_years],
                          ids=["empty-ledger", "truncated-state", "foreign-corpus",
                               "truncated-ledger", "blank-line-in-state",
                               "ledger-trailing-garbage", "header-only-ledger",
                               "ledger-count-digit", "state-xn-digit",
-                              "snapshot-truncated-line", "snapshot-digit",
-                              "meta-truncated", "meta-paper-years"])
+                              "ledger-events-line-dropped", "snapshot-truncated-line",
+                              "snapshot-digit", "meta-truncated", "meta-paper-years"])
 def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
     ws = _ran_workspace(tmp_path)
     commands, file_name = damage(ws, tmp_path / "c.jsonl")
@@ -859,6 +871,35 @@ def test_run_freezes_the_store_only_while_it_runs(tmp_path, monkeypatch):
     assert run_pipeline(ws, cfg).years_processed == [2003, 2004]
     assert gc.get_freeze_count() == before
     assert len(frozen) == 4 and min(frozen) > before
+
+
+@pytest.mark.parametrize("cfg", [Config(window_length=2), Config(exact_distances=True)],
+                         ids=["capped-window-2", "exact"])
+def test_run_ledgers_match_fresh_windows(tmp_path, cfg):
+    """``run`` slides a window through every year, those without citing
+    papers too: each ledger it writes, in one run and in a run resumed
+    after such a year, equals the year's batch on a fresh window."""
+    records = [json.loads(line) for line in
+               random_corpus_lines(random.Random(29), 160, 80, 2000, 2007)]
+    for record in records:
+        if record["year"] == 2003:
+            record["references"] = []
+    lines = [json.dumps(record) for record in records]
+    store = parse_records(lines, cfg)
+    assert store.papers_in_year(2003)
+    cfg_hash = cfg.config_hash()
+    for name, ranges in (("whole", [None]), ("resumed", [(2000, 2003), None])):
+        ws = Workspace(tmp_path / name)
+        ws.write_corpus(store, cfg)
+        for year_range in ranges:
+            run_pipeline(ws, cfg, year_range)
+        assert ws.completed_years() == list(range(2000, 2008))
+        for year in ws.completed_years():
+            fresh = batch_year_distances(store, year, cfg,
+                                         build_window(store, year, cfg.window_length))
+            assert (encode_ledger(ws.read_ledger(year, store, cfg_hash), store, cfg_hash)
+                    == encode_ledger(fresh, store, cfg_hash))
+        assert ws.read_ledger(2003, store, cfg_hash).events.total() == 0
 
 
 def tree_digest(root, subdirs):

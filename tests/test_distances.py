@@ -442,3 +442,27 @@ def test_codec_rejects_damaged_lines(damage):
         lines = text.split("\n")[:-1]
         with pytest.raises(ValueError):
             decode("\n".join(damage(lines)) + "\n")
+
+
+def test_decode_ledger_needs_its_events_line():
+    """``decode_ledger`` raises on a text without an events line, with a
+    store or without one (then a scholar line raises KeyError first);
+    without a store, the header and events lines alone give the events
+    tally of the full decode and no scholars."""
+    store = parse_records([record_line("p0", 2000, ["a", "b", "c"])], Config())
+    for cap in (None, 6):
+        ledger = YearLedger(2000, cap=cap)
+        ledger.credit([0, 1], 3)
+        ledger.credit([2], INF_CODE)
+        ledger.credit([1], 0 if cap is None else EXCEEDS_CODE)
+        text = encode_ledger(ledger, store, "cfg")
+        head, events, rest = text.split("\n", 2)
+        full, _ = decode_ledger(text, store)
+        part, recorded = decode_ledger(f"{head}\n{events}\n", None)
+        assert recorded == "cfg" and (part.year, part.cap) == (2000, cap)
+        assert part.events == full.events and not part.scholars
+        for dropped, without_store in ((f"{head}\n{rest}", KeyError), (f"{head}\n", ValueError)):
+            with pytest.raises(ValueError, match="events line"):
+                decode_ledger(dropped, store)
+            with pytest.raises(without_store):
+                decode_ledger(dropped, None)
