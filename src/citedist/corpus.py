@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -172,16 +173,18 @@ class CorpusStore:
 
         Dangling references are dropped (they carry no usable author
         information), so re-parsing the dump reproduces identical
-        interned tables and indices.
+        interned tables and indices.  Each line is formatted from the
+        labels as ``json.dumps`` writes them, and is byte-identical to
+        ``json.dumps(record, separators=(",", ":"))`` of the paper's
+        record; like every ``json.dumps`` output, it is pure ASCII.
         """
-        for pid in range(self.num_papers):
-            record = {
-                "id": self.paper_labels[pid],
-                "year": self.paper_year[pid],
-                "authors": [self.author_labels[a] for a in self.paper_authors[pid]],
-                "references": [self.paper_labels[r] for r in self.paper_refs[pid]],
-            }
-            fp.write(json.dumps(record, separators=(",", ":")) + "\n")
+        authors = self.json_labels
+        papers = [json.dumps(label) for label in self.paper_labels]
+        write = fp.write
+        for pid, year in enumerate(self.paper_year):
+            names = ",".join([authors[a] for a in self.paper_authors[pid]])
+            refs = ",".join([papers[r] for r in self.paper_refs[pid]])
+            write(f'{{"id":{papers[pid]},"year":{year},"authors":[{names}],"references":[{refs}]}}\n')
 
 
 def _normalize_record(obj) -> PaperRecord:
@@ -295,9 +298,13 @@ def parse_records(lines: Iterable[str | bytes], config: Config) -> CorpusStore:
 
     Malformed lines (bad JSON, missing fields, empty author list, year
     outside the configured range) are skipped and counted by reason.
-    Duplicate paper ids keep the first occurrence.
+    Duplicate paper ids keep the first occurrence.  Each stripped line
+    is decoded on its own, and is bad JSON unless one value spans all of
+    it: exactly the lines ``json.loads`` rejects.  Lines are never joined
+    here, since two bad lines can join into one valid value.
     """
     skipped = Counter()
+    decode = json.JSONDecoder().raw_decode
 
     def records():
         for raw in lines:
@@ -307,8 +314,10 @@ def parse_records(lines: Iterable[str | bytes], config: Config) -> CorpusStore:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = decode(line)
             except ValueError:
+                end = -1
+            if end != len(line):
                 skipped["bad_json"] += 1
                 continue
             try:
@@ -322,17 +331,33 @@ def parse_records(lines: Iterable[str | bytes], config: Config) -> CorpusStore:
 
 
 _SNAPSHOT_FIELDS = itemgetter("id", "year", "authors", "references")
+_SNAPSHOT_BLOCK = 64  # lines per json.loads; larger blocks raise a run's peak RSS
+
+
+def _snapshot_records(lines: Iterable[str]) -> Iterator[tuple]:
+    """The ``(id, year, authors, references)`` of each snapshot line,
+    decoded with one ``json.loads`` per block of lines.  A blank,
+    truncated or garbled line makes that call fail, or makes the number
+    of values it finds differ from the number of lines; both raise
+    ValueError."""
+    lines = iter(lines)
+    while block := list(islice(lines, _SNAPSHOT_BLOCK)):
+        objs = json.loads("[" + ",".join(block) + "]")
+        if len(objs) != len(block):
+            raise ValueError("a snapshot line does not hold exactly one JSON value")
+        yield from map(_SNAPSHOT_FIELDS, objs)
 
 
 def parse_snapshot(lines: Iterable[str], config: Config) -> CorpusStore:
     """The store of the snapshot lines that :meth:`CorpusStore.dump`
     wrote, with ``config``'s year filter applied.
 
-    The lines are trusted, not validated: each is decoded on its own and
-    its fields are taken as they stand.  The store equals
+    The lines are trusted, not validated: they are decoded in blocks of
+    up to ``_SNAPSHOT_BLOCK`` lines, one ``json.loads`` per block, and
+    each line's fields are taken as they stand.  The store equals
     ``parse_records`` of the same lines and config.
     """
-    return _build_store(map(_SNAPSHOT_FIELDS, map(json.loads, lines)), config, Counter())
+    return _build_store(_snapshot_records(lines), config, Counter())
 
 
 def load_corpus(path: str | Path, config: Config) -> CorpusStore:

@@ -94,6 +94,21 @@ def _atomic_write(path: Path, writer, binary: bool = False) -> None:
         raise
 
 
+class _HashedFile:
+    """A text sink over a binary file: each str written to it is encoded
+    as ASCII and fed to ``digest`` and to the file alike."""
+
+    __slots__ = ("fp", "digest")
+
+    def __init__(self, fp, digest):
+        self.fp, self.digest = fp, digest
+
+    def write(self, text: str) -> None:
+        data = text.encode("ascii")
+        self.digest.update(data)
+        self.fp.write(data)
+
+
 class Workspace:
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -133,13 +148,17 @@ class Workspace:
     # -- corpus snapshot -------------------------------------------------
 
     def write_corpus(self, store: CorpusStore, cfg: Config) -> dict:
+        """Write the store's snapshot and its meta, and return the meta.
+        The snapshot is hashed as it is written: each line's bytes go to
+        the digest and to the file alike, and the file is not read back.
+        Its text is pure ASCII, so its bytes are the ASCII encoding."""
         self.ensure_dirs()
-        _atomic_write(self.corpus_path, store.dump)
-        digest = hashlib.sha256(self.corpus_path.read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        _atomic_write(self.corpus_path, lambda fp: store.dump(_HashedFile(fp, digest)), binary=True)
         lo, hi = store.year_span()
         meta = {
             "summary": store.summary.as_dict(),
-            "corpus_sha256": digest,
+            "corpus_sha256": digest.hexdigest(),
             "config": cfg.config_hash(),
             "year_min": lo,
             "year_max": hi,
@@ -184,8 +203,9 @@ class Workspace:
         bytes must match the ``corpus_sha256`` of the meta, else a
         WorkspaceError names the file; its lines are then trusted and not
         validated again.  The file is hashed in chunks and then decoded
-        line by line, so it is never held whole.  A store whose years do
-        not span what the ``paper_years`` of the meta say raises too."""
+        in blocks of lines (``corpus.parse_snapshot``), so it is never
+        held whole.  A store whose years do not span what the
+        ``paper_years`` of the meta say raises too."""
         from .corpus import parse_snapshot
 
         try:

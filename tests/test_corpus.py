@@ -1,5 +1,6 @@
 """Ingestion: parsing, interning, year slices, and the event stream."""
 
+import hashlib
 import io
 import json
 import random
@@ -8,10 +9,12 @@ import pytest
 
 from citedist.config import Config
 from citedist.corpus import (
+    _SNAPSHOT_BLOCK,
     canonical_from_dblp_v12,
     citations_in_year,
     load_corpus,
     parse_records,
+    parse_snapshot,
     yearly_counts,
 )
 from citedist.errors import EmptyCorpusError, IngestError
@@ -62,6 +65,46 @@ def test_malformed_lines_are_counted_by_reason():
     assert store.num_papers == 1
     assert store.summary.skipped_lines == 4
     assert store.summary.skipped_reasons["bad_json"] == 1
+
+
+def test_bad_json_is_exactly_what_json_loads_rejects():
+    """Each stripped line is decoded on its own: trailing garbage, a BOM,
+    two values on one line, and an object split over two lines are each
+    one bad_json line, and whitespace-only lines are skipped uncounted.
+    The split object would decode as two valid records if its two lines
+    were joined."""
+    ok = '{"id":"a","year":1,"authors":["x"],"references":[]}'
+    lines = [
+        ok + " x",
+        "\ufeff" + ok,
+        b"\xef\xbb\xbf" + ok.encode(),
+        "1, 2",
+        "   ",
+        " \t\r\n",
+        "",
+        ok + ', {"id":"b","year":1,"authors":["y"]',
+        '"references":[]}',
+        record_line("c", 1, ["z"]),
+    ]
+    store = parse_records(lines, Config(year_start=1))
+    assert store.paper_labels == ["c"]
+    assert store.summary.skipped_lines == 6
+    assert store.summary.skipped_reasons == {"bad_json": 6}
+
+    def rejected(line):  # the per-line rule of json.loads, as the oracle
+        if isinstance(line, bytes):
+            line = line.decode("utf-8", errors="replace")
+        try:
+            json.loads(line.strip())
+        except ValueError:
+            return bool(line.strip())
+        return False
+
+    assert sum(map(rejected, lines)) == 6
+    # joined as the snapshot loader joins a block, the two bad lines pass
+    # its one-value-per-line check as two records
+    split = lines[-3:-1]
+    assert len(json.loads("[" + ",".join(split) + "]")) == len(split)
 
 
 def test_year_range_filter():
@@ -157,6 +200,64 @@ def test_dump_round_trip():
     assert again.years_index == store.years_index
     assert again.cited_by == store.cited_by
     assert again.summary.citations == store.summary.citations
+
+
+def test_dump_lines_equal_json_dumps(tmp_path):
+    """Each snapshot line is byte-identical to the compact ``json.dumps``
+    of its record, for labels that need escapes, non-ASCII and astral
+    labels, digit-only ids and papers without references; and the meta
+    records the sha256 of the snapshot's bytes."""
+    odd = ['q"uote', "back\\slash", "tab\tnl\nnul\x00bell\x07", "caf\u00e9",
+           "\u6f22\u5b57", "astral\U0001f600", "\u2028", "0", "007", "42"]
+    lines = [record_line("0", 2000, odd[:3])]
+    for k, label in enumerate(odd):
+        refs = [] if k % 3 else ["0", *odd[max(0, k - 2):k]]
+        lines.append(record_line(label, 2000 + k, [label, odd[-1 - k]], refs))
+    lines.append(record_line("dangling", 2011, ["a"], ["nowhere", "0"]))
+    store = parse_records(lines, Config())
+    buf = io.StringIO()
+    store.dump(buf)
+    oracle = "".join(
+        json.dumps({"id": store.paper_labels[pid],
+                    "year": store.paper_year[pid],
+                    "authors": [store.author_labels[a] for a in store.paper_authors[pid]],
+                    "references": [store.paper_labels[r] for r in store.paper_refs[pid]]},
+                   separators=(",", ":")) + "\n"
+        for pid in range(store.num_papers))
+    assert buf.getvalue() == oracle
+    assert oracle.isascii() and '"references":[]}' in oracle
+    meta = Workspace(tmp_path).write_corpus(store, Config())
+    data = (tmp_path / "corpus.jsonl").read_bytes()
+    assert data == oracle.encode("ascii")
+    assert meta["corpus_sha256"] == hashlib.sha256(data).hexdigest()
+    assert json.loads((tmp_path / "corpus.meta.json").read_text()) == meta
+
+
+def test_snapshot_blocks_match_parse_records():
+    """The block decoder builds the store the validating parser builds,
+    whether the snapshot fills its last block or not, and a garbled line
+    in the second block raises ValueError."""
+    lines = random_corpus_lines(random.Random(53), 2 * _SNAPSHOT_BLOCK + 1, 40, 1990, 2000)
+    snapshot = io.StringIO()
+    parse_records(lines, Config()).dump(snapshot)
+    snapshot = snapshot.getvalue().splitlines(keepends=True)
+    for size in (1, _SNAPSHOT_BLOCK - 1, _SNAPSHOT_BLOCK, _SNAPSHOT_BLOCK + 1,
+                 2 * _SNAPSHOT_BLOCK + 1):
+        head = snapshot[:size]
+        for cfg in (Config(), Config(year_end=1996)):
+            loaded, parsed = parse_snapshot(head, cfg), parse_records(head, cfg)
+            for table in STORE_TABLES:
+                assert getattr(loaded, table) == getattr(parsed, table), (size, cfg, table)
+    k = _SNAPSHOT_BLOCK + 3
+    line = snapshot[k]
+    for garbled in (line[:-4] + "\n", "\n", line[:20] + "\n", line.replace(":", "", 1),
+                    line[:-1] + "," + line):
+        with pytest.raises(ValueError):
+            parse_snapshot([*snapshot[:k], garbled, *snapshot[k + 1:]], Config())
+    comma = line.index(',"authors"')
+    with pytest.raises(ValueError):  # the join restores the comma: one value, two lines
+        parse_snapshot([*snapshot[:k], line[:comma] + "\n", line[comma + 1:],
+                        *snapshot[k + 1:]], Config())
 
 
 def test_table1_round_trip():
