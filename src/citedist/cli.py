@@ -18,15 +18,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import INDEX_NAMES, Config, ConfigError, load_config
-from .errors import (
-    CiteDistError,
-    IncompleteStateError,
-    IngestError,
-    InsufficientCohortError,
-    SequencingError,
-    WorkspaceError,
-)
+from .config import INDEX_NAMES, Config, load_config
+from .errors import CiteDistError, IncompleteStateError, SequencingError, WorkspaceError
 from .workspace import Workspace
 
 
@@ -395,9 +388,6 @@ def main(argv=None) -> int:
     except (WorkspaceError, IncompleteStateError, SequencingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (IngestError, ConfigError, InsufficientCohortError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CiteDistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

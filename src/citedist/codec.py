@@ -6,8 +6,10 @@ every line is byte-identical to ``json.dumps(obj, sort_keys=True)`` of
 the object it holds.  The encoder formats the lines directly from the
 store's cached JSON-escaped author labels and from integers; a run
 keeps each scholar's state line in :class:`StateLines` and re-encodes it
-only when the scholar's x changes.  The decoder parses all record lines
-of a file with one ``json.loads``.
+only when the scholar's x changes.  Each decoder splits off the header
+with ``read_header`` and parses all record lines of a file with one
+``json.loads`` (``json_lines``, which also decodes the corpus snapshot
+in blocks of lines).
 
 Ledger::
 
@@ -37,7 +39,8 @@ check both stamps without decoding a record.
 
 Decoding raises ValueError, KeyError, TypeError, AttributeError or
 ZeroDivisionError on a damaged file, and KeyError on an author label the
-store lacks.  A ledger without an events line raises ValueError.
+store lacks.  A text whose first line is not a header object, and a
+ledger without an events line, raise ValueError.
 ``decode_ledger`` without a store decodes the header and events line
 alone, the first two lines, for the reports that bin events only.
 
@@ -136,45 +139,45 @@ RECORDS_KEY = "records_sha256"
 def stamp(text: str, corpus_sha256: str) -> bytes:
     """The encoded artifact ``text`` as bytes, its header line extended by
     the corpus hash and the sha256 of its record lines."""
-    data = text.encode("utf-8")
-    start = data.index(b"\n") + 1
-    records = memoryview(data)[start:]
-    head = json.loads(data[:start])
+    head, records = read_header(text.encode("utf-8"))
     head[CORPUS_KEY] = corpus_sha256
     head[RECORDS_KEY] = hashlib.sha256(records).hexdigest()
     return (json.dumps(head, sort_keys=True) + "\n").encode("utf-8") + records
 
 
-def read_header(data: bytes) -> tuple[dict, bytes]:
-    """The header object of an artifact and its record bytes (all bytes
-    after the header line); raises ValueError when there is no header."""
-    head_line, _, records = data.partition(b"\n")
+def read_header(data: bytes | str) -> tuple[dict, bytes | str]:
+    """The header object of an artifact and its record lines (all after
+    the header line), of the type of ``data``; raises ValueError unless
+    the first line is a JSON object of kind "header"."""
+    head_line, _, records = data.partition(b"\n" if isinstance(data, bytes) else "\n")
     head = json.loads(head_line)
     if not isinstance(head, dict) or head.get("kind") != "header":
         raise ValueError("artifact missing header line")
     return head, records
 
 
-def _records(body: str) -> list:
-    """The objects of an artifact's record lines (the text after its header).
+def json_lines(text: str) -> list:
+    """The JSON value of each line of ``text``, decoded with one
+    ``json.loads`` over the joined lines.
 
-    A blank, truncated or garbled line makes the one ``json.loads`` over
-    the joined lines fail, or makes the number of values it finds differ
-    from the number of lines; both raise ValueError.  Record lines hold
-    no raw newline, since ``json.dumps`` escapes it inside strings.
+    A blank, truncated or garbled line makes that call fail, or makes
+    the number of values it finds differ from the number of lines; both
+    raise ValueError.  The lines hold no raw newline, since ``json.dumps``
+    escapes it inside strings.
     """
-    if not body:
+    if not text:
         return []
-    if body.endswith("\n"):
-        body = body[:-1]
-    records = json.loads("[" + body.replace("\n", ",") + "]")
-    if len(records) != body.count("\n") + 1:
-        raise ValueError("a record line does not hold exactly one JSON value")
-    return records
+    if text.endswith("\n"):
+        text = text[:-1]
+    values = json.loads("[" + text.replace("\n", ",") + "]")
+    if len(values) != text.count("\n") + 1:
+        raise ValueError("a line does not hold exactly one JSON value")
+    return values
 
 
 def decode_ledger(text: str, store: CorpusStore | None) -> tuple[YearLedger, str]:
     """The ledger in ``text`` and the config hash its header records.
+    Raises ValueError when ``text`` has no header or no events line.
 
     With ``store=None`` no author label resolves, so a scholar line
     raises KeyError: the text to decode is then the header and events
@@ -182,17 +185,14 @@ def decode_ledger(text: str, store: CorpusStore | None) -> tuple[YearLedger, str
     """
     from .distances import DistanceTally, YearLedger
 
-    head_line, _, body = text.partition("\n")
-    head = json.loads(head_line)
-    if head.get("kind") != "header":
-        raise ValueError("ledger file missing header line")
+    head, body = read_header(text)
     cap = head["cap"]
     ledger = YearLedger(year=head["year"], cap=cap)
     ledger.records_sha256 = head.get(RECORDS_KEY)
     index = {} if store is None else store.author_index
     scholars = ledger.scholars
     events = None
-    for obj in _records(body):
+    for obj in json_lines(body):
         counts = obj["counts"].items()
         exceeds = obj["exceeds"]
         tally = DistanceTally(
@@ -210,12 +210,13 @@ def decode_ledger(text: str, store: CorpusStore | None) -> tuple[YearLedger, str
 
 
 def decode_states(text: str, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
-    """The x states in ``text``, or None when its header records another config."""
-    head_line, _, body = text.partition("\n")
-    if json.loads(head_line).get("config") != config_hash:
+    """The x states in ``text``, or None when its header records another
+    config; raises ValueError when ``text`` has no header."""
+    head, body = read_header(text)
+    if head.get("config") != config_hash:
         return None
     index = store.author_index
-    return {index[obj["id"]]: obj["xn"] for obj in _records(body)}
+    return {index[obj["id"]]: obj["xn"] for obj in json_lines(body)}
 
 
 def encode_indices(records: Iterable[IndexRecord], year: int, scale: int,
@@ -243,11 +244,11 @@ def decode_indices(text: str, alpha: Fraction,
                    ledgers: Sequence[str]) -> list[IndexRecord] | None:
     """The records of the index snapshot in ``text``, computed at slope
     ``alpha``, or None when its header lists other ledgers than
-    ``ledgers`` (it was folded from other ledgers and is stale)."""
+    ``ledgers`` (it was folded from other ledgers and is stale); raises
+    ValueError when ``text`` has no header."""
     from .indices import IndexRecord
 
-    head_line, _, body = text.partition("\n")
-    head = json.loads(head_line)
+    head, body = read_header(text)
     if head["ledgers"] != list(ledgers):
         return None
     year, scale, alpha = head["year"], head["scale"], Fraction(alpha)
@@ -259,5 +260,5 @@ def decode_indices(text: str, alpha: Fraction,
         IndexRecord(obj["id"], year, obj["q"], obj["h"], obj["g"],
                     c_of(*c) if isinstance(c := obj["c"], list) else c,
                     obj["n_w"], x_of(obj["xn"]), alpha)
-        for obj in _records(body)
+        for obj in json_lines(body)
     ]

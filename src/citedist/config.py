@@ -101,19 +101,11 @@ def parse_config_text(text: str) -> Config:
 
 
 def _convert(key: str, value: str, lineno: int):
+    kind = type(Config._field_defaults[key])
     try:
-        if key in ("year_start", "year_end", "window_length", "n"):
-            return int(value)
-        if key == "alpha":
-            return Fraction(value)
-        if key in ("exact_distances", "strict_window"):
-            word = value.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(value)
-            return _BOOL_WORDS[word]
-    except (ValueError, ZeroDivisionError):
+        return _BOOL_WORDS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError, ZeroDivisionError):
         raise ConfigError(f"line {lineno}: bad value {value!r} for {key}") from None
-    raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
 
 def config_span(paper_years: Iterable[int], config: Config) -> tuple[int, int]:

@@ -30,6 +30,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
+from .codec import json_lines
 from .config import Config, config_span  # noqa: F401  (config_span re-exported)
 from .errors import EmptyCorpusError, IngestError
 
@@ -71,28 +72,14 @@ class ValidationSummary(_SummaryFields):
         return self if self.skipped_reasons is not None else self._replace(skipped_reasons={})
 
     def as_text(self) -> str:
-        lines = [
-            f"papers = {self.papers}",
-            f"authors = {self.authors}",
-            f"citations = {self.citations}",
-            f"dangling_references = {self.dangling_references}",
-            f"duplicates = {self.duplicates}",
-            f"skipped_lines = {self.skipped_lines}",
-        ]
-        for reason in sorted(self.skipped_reasons):
-            lines.append(f"skipped_{reason} = {self.skipped_reasons[reason]}")
+        *counts, reasons = self
+        lines = [f"{name} = {value}" for name, value in zip(self._fields, counts)]
+        lines += [f"skipped_{reason} = {reasons[reason]}" for reason in sorted(reasons)]
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        return {
-            "papers": self.papers,
-            "authors": self.authors,
-            "citations": self.citations,
-            "dangling_references": self.dangling_references,
-            "duplicates": self.duplicates,
-            "skipped_lines": self.skipped_lines,
-            "skipped_reasons": dict(sorted(self.skipped_reasons.items())),
-        }
+        *counts, (name, reasons) = self._asdict().items()
+        return {**dict(counts), name: dict(sorted(reasons.items()))}
 
 
 class CorpusStore:
@@ -336,16 +323,10 @@ _SNAPSHOT_BLOCK = 64  # lines per json.loads; larger blocks raise a run's peak R
 
 def _snapshot_records(lines: Iterable[str]) -> Iterator[tuple]:
     """The ``(id, year, authors, references)`` of each snapshot line,
-    decoded with one ``json.loads`` per block of lines.  A blank,
-    truncated or garbled line makes that call fail, or makes the number
-    of values it finds differ from the number of lines; both raise
-    ValueError."""
+    decoded by ``codec.json_lines`` one block of lines at a time."""
     lines = iter(lines)
     while block := list(islice(lines, _SNAPSHOT_BLOCK)):
-        objs = json.loads("[" + ",".join(block) + "]")
-        if len(objs) != len(block):
-            raise ValueError("a snapshot line does not hold exactly one JSON value")
-        yield from map(_SNAPSHOT_FIELDS, objs)
+        yield from map(_SNAPSHOT_FIELDS, json_lines("".join(block)))
 
 
 def parse_snapshot(lines: Iterable[str], config: Config) -> CorpusStore:
@@ -353,8 +334,9 @@ def parse_snapshot(lines: Iterable[str], config: Config) -> CorpusStore:
     wrote, with ``config``'s year filter applied.
 
     The lines are trusted, not validated: they are decoded in blocks of
-    up to ``_SNAPSHOT_BLOCK`` lines, one ``json.loads`` per block, and
-    each line's fields are taken as they stand.  The store equals
+    up to ``_SNAPSHOT_BLOCK`` lines, one ``codec.json_lines`` call per
+    block, which raises ValueError on a blank, truncated or garbled line,
+    and each line's fields are taken as they stand.  The store equals
     ``parse_records`` of the same lines and config.
     """
     return _build_store(_snapshot_records(lines), config, Counter())

@@ -9,6 +9,11 @@ first incomplete year and replays to the same final state.
 Years must be processed consecutively: the x state of year y is defined
 in terms of year y-1 plus year y's ledger alone.
 
+The run's year loop and the index folds allocate many objects and make
+no reference cycles, so each runs inside one guard,
+``_cyclic_gc_paused``, that keeps the cyclic collector off until it
+ends, however it ends.
+
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``run_pipeline`` imports the window
 code, the ledger types and ``logging`` at the first year it computes,
@@ -62,6 +67,23 @@ def year_ledger(store: CorpusStore, year: int, cfg: Config, net: CollabNetwork) 
     return batch_year_distances(store, year, cfg, net)
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic garbage collector for the block.  Loading the
+    store, building windows, decoding and folding the ledgers, or
+    decoding an index snapshot allocates many objects, none of them in a
+    reference cycle, so reference counting frees them all; left on, the
+    collector rescans every live object again and again (some thirty
+    times in a c10-size fold, close to half of its time)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class RunResult(NamedTuple):
     years_processed: list[int]
     years_skipped: list[int]
@@ -77,9 +99,10 @@ def run_pipeline(ws: Workspace, cfg: Config,
     a window through every year computed, each built from the previous
     one (years without citing papers too), and the x states and their
     encoded lines are carried from year to year in a :class:`StateLines`.
-    The loaded store is frozen for the cyclic collector until the run
-    returns.  A year's log line splits its time into the window build,
-    the search, credit and x fold ("compute"), and the artifact writes."""
+    The whole year loop, the store load included, runs with the cyclic
+    collector paused (``_cyclic_gc_paused``).  A year's log line splits
+    its time into the window build, the search, credit and x fold
+    ("compute"), and the artifact writes."""
     planned = workspace_years(ws, cfg)
     ws.ensure_dirs()
     cfg_hash = cfg.config_hash()
@@ -95,7 +118,7 @@ def run_pipeline(ws: Workspace, cfg: Config,
     store: CorpusStore | None = None
     slider: WindowSlider | None = None
     states: StateLines | None = None
-    try:
+    with _cyclic_gc_paused():
         for year in years:
             if ws.year_complete(year, cfg_hash):
                 skipped.append(year)
@@ -109,7 +132,6 @@ def run_pipeline(ws: Workspace, cfg: Config,
 
                 log = logging.getLogger("citedist")
                 store = ws.load_store(cfg)
-                gc.freeze()  # the store holds no cycles: keep the collector off it
                 slider = WindowSlider(store, cfg.window_length)
             if states is None:
                 prior = _load_chain_state(ws, store, cfg_hash, year, planned[0])
@@ -132,9 +154,6 @@ def run_pipeline(ws: Workspace, cfg: Config,
                 year, ledger.events.total(), len(ledger.scholars),
                 built - started, computed - built, time.perf_counter() - computed,
             )
-    finally:
-        if store is not None:
-            gc.unfreeze()
     return RunResult(processed, skipped)
 
 
@@ -208,23 +227,6 @@ def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int
         year: _verified(ws.read_ledger_events(year, cfg_hash), year)
         for year in report_years(ws, cfg, hi) if year >= lo
     }
-
-
-@contextmanager
-def _cyclic_gc_paused():
-    """Pause the cyclic garbage collector for the block.  Decoding and
-    folding the ledgers, or decoding an index snapshot, allocates a few
-    objects per scholar line, none of them in a reference cycle, so
-    reference counting frees them all;
-    left on, the collector rescans every live object some thirty times
-    on a c10-size corpus, close to half of the fold's time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, DistanceTally]:

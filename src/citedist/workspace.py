@@ -14,7 +14,8 @@ Artifacts are written atomically (per-process temp file + rename), so an
 interrupted stage never leaves a half-written year behind and re-running
 a stage with the same inputs produces byte-identical files.  State
 snapshots store x scaled by n as an exact integer.  ``citedist.codec``
-owns the line format of ledgers, states and index snapshots.
+owns the line format of ledgers, states and index snapshots, and each
+of the three is written through ``_write_artifact``, which stamps it.
 
 An index snapshot holds every scholar's indices at its year, as the
 first index report of that year under a config computed them, and lists
@@ -203,9 +204,11 @@ class Workspace:
         bytes must match the ``corpus_sha256`` of the meta, else a
         WorkspaceError names the file; its lines are then trusted and not
         validated again.  The file is hashed in chunks and then decoded
-        in blocks of lines (``corpus.parse_snapshot``), so it is never
-        held whole.  A store whose years do not span what the
-        ``paper_years`` of the meta say raises too."""
+        in blocks of lines (``corpus.parse_snapshot``, one
+        ``codec.json_lines`` call per block), so it is never held whole.
+        A store whose years do not span what the ``paper_years`` of the
+        meta say raises too.  ``run`` calls it with the cyclic collector
+        paused."""
         from .corpus import parse_snapshot
 
         try:
@@ -279,6 +282,12 @@ class Workspace:
         except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
 
+    def _write_artifact(self, path: Path, text: str) -> None:
+        """Write the encoded artifact ``text`` to ``path``, atomically,
+        with its header stamped for the ingested corpus (``stamp``)."""
+        data = stamp(text, self.corpus_hash())
+        _atomic_write(path, lambda fp: fp.write(data), binary=True)
+
     def year_complete(self, year: int, config_hash: str) -> bool:
         """Whether the year's ledger and state were both written under
         ``config_hash``, judged from their headers and record digests
@@ -294,8 +303,8 @@ class Workspace:
         return self.ledger_dir / f"{year}.jsonl"
 
     def write_ledger(self, ledger: YearLedger, store: CorpusStore, config_hash: str) -> None:
-        data = stamp(encode_ledger(ledger, store, config_hash), self.corpus_hash())
-        _atomic_write(self.ledger_path(ledger.year), lambda fp: fp.write(data), binary=True)
+        self._write_artifact(self.ledger_path(ledger.year),
+                             encode_ledger(ledger, store, config_hash))
 
     def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
@@ -325,8 +334,7 @@ class Workspace:
     def write_states(self, year: int, states: StateLines, cfg: Config,
                      config_hash: str) -> None:
         """Snapshot the running x of every scholar with x > 0 after ``year``."""
-        data = stamp(states.encode(year, cfg.n, config_hash), self.corpus_hash())
-        _atomic_write(self.state_path(year), lambda fp: fp.write(data), binary=True)
+        self._write_artifact(self.state_path(year), states.encode(year, cfg.n, config_hash))
 
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
@@ -344,10 +352,9 @@ class Workspace:
         ledgers whose record digests ``ledgers`` lists in year order."""
         from .indices import x_scale
 
-        data = stamp(encode_indices(records, year, x_scale(cfg.n), cfg.config_hash(), ledgers),
-                     self.corpus_hash())
         self.index_dir.mkdir(exist_ok=True)
-        _atomic_write(self.index_path(year), lambda fp: fp.write(data), binary=True)
+        self._write_artifact(self.index_path(year), encode_indices(
+            records, year, x_scale(cfg.n), cfg.config_hash(), ledgers))
 
     def read_indices(self, year: int, cfg: Config, ledgers: list[str]) -> list[IndexRecord] | None:
         """The records of the year's index snapshot, or None when it is

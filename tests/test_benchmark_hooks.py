@@ -1,0 +1,59 @@
+"""The benchmark's span hooks still find what they wrap.
+
+``perfbench/spans.py`` rebinds package functions and methods by name and
+reads the arguments of some of them in its count hooks.  A renamed or
+reshaped target silently drops its layer metrics, or makes a count hook
+raise inside a traced step.  This test loads the hook table as it stands
+and runs each CLI step the benchmark traces under it.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+import random
+import sys
+from pathlib import Path
+
+import citedist
+from citedist.cli import main
+
+from synthcorpus import random_corpus_lines
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    """``perfbench/spans.py`` as a module, registered before it runs (its
+    dataclass looks its module up in ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_resolves_and_feeds_its_layer_metrics(tmp_path):
+    spans = load_spans()
+    for info in pkgutil.iter_modules(citedist.__path__):
+        if info.name != "__main__":  # the entry point runs the CLI when imported
+            importlib.import_module(f"citedist.{info.name}")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(random_corpus_lines(random.Random(7), 60, 20, 2000, 2005)) + "\n")
+    config = tmp_path / "exact.cfg"
+    config.write_text("exact_distances = true\nwindow_length = 3\n")
+    ws = str(tmp_path / "ws")
+    common = ["--workspace", ws, "--config", str(config)]
+    steps = [
+        ("ingest", ["ingest", str(corpus), *common]),
+        ("run", ["run", *common]),
+        ("resume", ["run", *common]),
+        *((name, ["report", name, *common])
+          for name in ("network-stats", "index-table", "distance-histogram", "heatmap")),
+    ]
+    with spans.Tracer() as tracer:
+        for step, argv in steps:
+            tracer.step = step
+            assert main(argv) == 0, step
+    assert {hook.span for hook in spans.HOOKS} <= tracer.resolved
+    metrics = tracer.layer_metrics()
+    assert set(spans.LAYER_SPANS) | set(spans.LAYER_COUNTS) <= set(metrics)

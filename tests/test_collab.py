@@ -2,7 +2,9 @@
 
 import math
 import random
+import warnings
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,7 @@ from synthcorpus import (
     random_corpus_lines,
     random_graph,
     record_line,
+    table1_lines,
     table1_store,
 )
 
@@ -104,6 +107,22 @@ def test_window_semantics_outside_papers_ignored():
     n2 = build_window(s2, 2012, 5)
     assert edge_labels(s1, n1) == edge_labels(s2, n2)
     assert node_labels(s1, n1) == node_labels(s2, n2)
+
+
+def test_readme_library_example(tmp_path, monkeypatch):
+    """The README's "Library use" snippet runs as written on the table-1
+    corpus: 9-2-4-6-5 is the shortest route in the 2018 window."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("## Library use")) + len("```python\n")
+    snippet = readme[start:readme.index("```", start)]
+    (tmp_path / "corpus.jsonl").write_text("\n".join(table1_lines()) + "\n")
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResourceWarning)  # the snippet leaves its file open
+        exec(snippet, names)
+    assert names["d"] == Distance.finite(4)
+    assert names["ledger"].year == 2018
 
 
 def test_distance_fixture_paths():

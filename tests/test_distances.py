@@ -3,13 +3,16 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from citedist.codec import (
     StateLines,
+    decode_indices,
     decode_ledger,
     decode_states,
+    encode_indices,
     encode_ledger,
     encode_states,
 )
@@ -29,6 +32,7 @@ from citedist.distances import (
     paper_distance_tallies,
 )
 from citedist.errors import IncompleteStateError
+from citedist.indices import IndexRecord
 
 from synthcorpus import (
     expected_code,
@@ -428,15 +432,22 @@ def test_state_lines_follow_the_running_x():
     lambda lines: lines[:-1] + [lines[-1] + "x"],  # trailing garbage
     lambda lines: lines[:-1] + [lines[-1] + ", " + lines[-1]],  # two values on a line
     lambda lines: lines[:1] + [lines[1] + lines[2]] + lines[3:],  # lost newline
-], ids=["truncated", "blank-middle", "blank-end", "garbage", "two-values", "joined"])
+    lambda lines: lines[1:],  # header line dropped
+], ids=["truncated", "blank-middle", "blank-end", "garbage", "two-values", "joined",
+        "no-header"])
 def test_codec_rejects_damaged_lines(damage):
+    """Every artifact decoder (ledger, states, index snapshot) raises
+    ValueError on the same table of damaged lines."""
     store = parse_records([record_line("p0", 2000, ["a", "b", "c"])], Config())
     ledger = YearLedger(2000, cap=None)
     ledger.credit([0, 1, 2], 3)
     states = {0: 1, 1: 2, 2: 3}
+    records = [IndexRecord(label, 2000, 1, 1, 1, Fraction(1, 2), 0, Fraction(k, 6))
+               for k, label in enumerate("abc", 1)]
     for text, decode in (
         (encode_ledger(ledger, store, "cfg"), lambda t: decode_ledger(t, store)),
         (encode_states(2000, states, store, 6, "cfg"), lambda t: decode_states(t, store, "cfg")),
+        (encode_indices(records, 2000, 6, "cfg", ["l"]), lambda t: decode_indices(t, 1, ["l"])),
     ):
         decode(text)
         lines = text.split("\n")[:-1]
