@@ -17,12 +17,10 @@ _SOURCES = {
                "assortativity", "avg_clustering", "build_window", "connected_components",
                "network_report", "shortest_distance"),
     "config": ("Config", "load_config", "parse_config_text"),
-    "corpus": ("CitationEvent", "CorpusStore", "PaperRecord", "citations_in_year",
-               "load_corpus", "parse_records", "yearly_counts"),
-    "distances": ("DistanceTally", "LedgerSeries", "YearLedger", "batch_year_distances",
-                  "citation_distance", "distance_histogram", "paper_distance_tallies"),
+    "corpus": ("CorpusStore", "PaperRecord", "load_corpus", "parse_records", "yearly_counts"),
+    "distances": ("DistanceTally", "YearLedger", "batch_year_distances", "distance_histogram"),
     "indices": ("IndexRecord", "ScholarIndexState", "WeightConfig", "c_index", "g_index",
-                "h_index", "scholar_snapshot", "update_x", "weight", "x_increment"),
+                "h_index", "update_x", "weight", "x_increment"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

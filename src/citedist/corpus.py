@@ -44,16 +44,6 @@ class PaperRecord(NamedTuple):
     reference_ids: tuple[str, ...]
 
 
-class CitationEvent(NamedTuple):
-    """One directed citation edge, dated by the citing paper's year."""
-
-    cited_paper_id: str
-    citing_paper_id: str
-    citing_year: int
-    cited_authors: frozenset[int]
-    citing_authors: frozenset[int]
-
-
 class _SummaryFields(NamedTuple):
     papers: int = 0
     authors: int = 0
@@ -121,15 +111,6 @@ class CorpusStore:
 
     def author_id(self, label: str) -> int:
         return self.author_index[label]
-
-    @cached_property
-    def cited_by(self) -> list[list[int]]:
-        """The citing papers of each paper, ascending, built on first use."""
-        cited_by = [[] for _ in range(self.num_papers)]
-        for pid, refs in enumerate(self.paper_refs):
-            for ref in refs:
-                cited_by[ref].append(pid)
-        return cited_by
 
     @cached_property
     def json_labels(self) -> list[str]:
@@ -358,24 +339,6 @@ def yearly_counts(store: CorpusStore, years: Iterable[int]) -> list[tuple[int, i
         cites = sum(len(store.paper_refs[p]) for p in papers)
         out.append((y, len(papers), cites))
     return out
-
-
-def citations_in_year(store: CorpusStore, year: int) -> list[CitationEvent]:
-    """All resolved citation events whose citing paper was published in ``year``."""
-    events = []
-    for pid in store.papers_in_year(year):
-        citing_authors = frozenset(store.paper_authors[pid])
-        for ref in store.paper_refs[pid]:
-            events.append(
-                CitationEvent(
-                    cited_paper_id=store.paper_labels[ref],
-                    citing_paper_id=store.paper_labels[pid],
-                    citing_year=year,
-                    cited_authors=frozenset(store.paper_authors[ref]),
-                    citing_authors=citing_authors,
-                )
-            )
-    return events
 
 
 def canonical_from_dblp_v12(obj: dict) -> dict | None:

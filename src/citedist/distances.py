@@ -22,14 +22,14 @@ they are called, and ``collab`` takes the distance codes from here.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 from .config import Config
 from .errors import IncompleteStateError
 
 if TYPE_CHECKING:
-    from .collab import CollabNetwork, Distance
-    from .corpus import CitationEvent, CorpusStore
+    from .collab import CollabNetwork
+    from .corpus import CorpusStore
 
 # Integer distance codes, as the search returns and the ledgers tally
 # them: hop counts are >= 0.
@@ -108,49 +108,6 @@ class YearLedger:
                 tally = self.scholars[author] = DistanceTally(cap=self.cap)
             tally.add_code(code)
 
-    def merge(self, other: "YearLedger") -> None:
-        if other.year != self.year or other.cap != self.cap:
-            raise ValueError("can only merge ledgers for the same year and cap")
-        self.events.update(other.events)
-        pool_into(self.scholars, other.scholars)
-
-    def total_credited(self) -> int:
-        return sum(t.total() for t in self.scholars.values())
-
-
-class LedgerSeries:
-    """Ordered collection of yearly ledgers for multi-year lookups."""
-
-    def __init__(self, ledgers: Mapping[int, YearLedger]):
-        self._by_year = dict(ledgers)
-
-    @property
-    def years(self) -> list[int]:
-        return sorted(self._by_year)
-
-    def ledger(self, year: int) -> YearLedger | None:
-        return self._by_year.get(year)
-
-    def __iter__(self) -> Iterator[YearLedger]:
-        """The ledgers in year order."""
-        return (self._by_year[year] for year in self.years)
-
-    def ensure_contiguous_through(self, year: int) -> None:
-        ensure_contiguous(self._by_year, year)
-
-    def year_slices(self, scholar: int, up_to_year: int) -> Iterator[tuple[int, DistanceTally]]:
-        for year in self.years:
-            if year > up_to_year:
-                break
-            tally = self._by_year[year].scholars.get(scholar)
-            if tally is not None:
-                yield year, tally
-
-    def pooled_tally(self, scholar: int, up_to_year: int) -> DistanceTally:
-        pooled = DistanceTally()
-        for _, tally in self.year_slices(scholar, up_to_year):
-            pooled.update(tally)
-        return pooled
 
 
 def pool_into(pooled: dict[int, DistanceTally], tallies: Mapping[int, DistanceTally]) -> None:
@@ -175,18 +132,6 @@ def ensure_contiguous(years: Collection[int], through: int) -> None:
 
 
 # -- distance computation ----------------------------------------------------
-
-
-def citation_distance(net: CollabNetwork, event: CitationEvent,
-                      cap: int | None = None) -> Distance:
-    """Distance of one citation event on the citing year's network."""
-    from .collab import shortest_distance
-
-    if net.year != event.citing_year:
-        raise ValueError(
-            f"network is for year {net.year}, event cites in {event.citing_year}"
-        )
-    return shortest_distance(net, event.citing_authors, event.cited_authors, cap)
 
 
 def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
@@ -234,29 +179,6 @@ def batch_year_distances(store: CorpusStore, year: int, cfg: Config,
     for cited_pid, _citing_pid, code in compute_event_distances(store, net, year, cap):
         ledger.credit(paper_authors[cited_pid], code)
     return ledger
-
-
-def paper_distance_tallies(store: CorpusStore, years: Iterable[int],
-                           cfg: Config) -> dict[int, DistanceTally]:
-    """Distance tallies keyed by *cited paper* over the given years.
-
-    The per-paper view backs paper-level index computation; a scholar's
-    credited counts are exactly the union of the tallies of the papers
-    they authored.
-    """
-    from .collab import WindowSlider
-
-    cap = cfg.distance_cap
-    tallies: dict[int, DistanceTally] = {}
-    slider = WindowSlider(store, cfg.window_length)
-    for year in years:
-        net = slider.window(year)
-        for cited_pid, _citing_pid, code in compute_event_distances(store, net, year, cap):
-            tally = tallies.get(cited_pid)
-            if tally is None:
-                tally = tallies[cited_pid] = DistanceTally(cap=cap)
-            tally.add_code(code)
-    return tallies
 
 
 # -- distributions -----------------------------------------------------------

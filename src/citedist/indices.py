@@ -9,8 +9,9 @@ citations, so only the current year's distances ever need to be stored.
 
 Every weight is a multiple of 1/n, so x is kept as an exact integer in
 units of 1/x_scale(n) (``x_increment_scaled``).  That count is linear in
-the distance counts, so incremental replay, one-shot batch computation
-over pooled counts, and per-paper accumulation agree to the last bit.
+the distance counts, so the running x that ``run`` adds up year by year
+and the x an index report takes from a scholar's pooled counts agree to
+the last bit.
 ``fractions.Fraction`` appears only where a value leaves as an
 :class:`IndexRecord` (and in the per-citation :func:`weight`).  Reports
 render x with 2 decimals.
@@ -34,7 +35,7 @@ from .config import INDEX_NAMES  # noqa: F401  (re-exported)
 from .errors import IncompleteStateError, SequencingError
 
 if TYPE_CHECKING:
-    from .distances import DistanceTally, LedgerSeries
+    from .distances import DistanceTally
 
 
 class _WeightFields(NamedTuple):
@@ -232,14 +233,6 @@ def c_index(distances: Iterable, alpha=1):
     return _c_from_counts(finite, infinite, alpha)
 
 
-def c_index_from_tally(tally: DistanceTally, alpha=1):
-    if not tally.is_exact():
-        raise ValueError("c-index needs exact distances; tally contains capped counts")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    return _c_from_counts(tally.finite, tally.infinite, alpha)
-
-
 # -- snapshots ---------------------------------------------------------------
 
 
@@ -328,19 +321,3 @@ def index_record(label: str, year: int, pooled: DistanceTally,
         x=Fraction(x_increment_scaled(pooled, cfg.n), x_scale(cfg.n)),
         alpha=Fraction(cfg.alpha),
     )
-
-
-def scholar_snapshot(scholar: int | str, year: int, ledgers: LedgerSeries,
-                     per_paper_counts: Sequence[int], cfg: WeightConfig,
-                     label: str | None = None) -> IndexRecord:
-    """Assemble Q, h, g, c, N_w, and x for one scholar from the same
-    underlying events.
-
-    ``ledgers`` must cover every year from its first through ``year``;
-    exact (uncapped) ledgers are required because c-index and N_w need
-    true distances.  ``per_paper_counts`` are the citation counts of the
-    scholar's papers up to the same year.
-    """
-    ledgers.ensure_contiguous_through(year)
-    return index_record(label if label is not None else str(scholar), year,
-                        ledgers.pooled_tally(scholar, year), per_paper_counts, cfg)

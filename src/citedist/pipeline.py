@@ -36,7 +36,7 @@ from .workspace import Workspace
 if TYPE_CHECKING:
     from .collab import CollabNetwork, WindowSlider
     from .corpus import CorpusStore
-    from .distances import DistanceTally, LedgerSeries, YearLedger
+    from .distances import DistanceTally, YearLedger
     from .indices import IndexRecord
 
 _T = TypeVar("_T")
@@ -209,15 +209,6 @@ def report_ledgers(ws: Workspace, store: CorpusStore, cfg: Config, up_to_year: i
         del ledger  # free it before the next one is read
 
 
-def load_series(ws: Workspace, store: CorpusStore, cfg: Config,
-                up_to_year: int) -> LedgerSeries:
-    """The ledgers of :func:`report_years`, verified against the config."""
-    from .distances import LedgerSeries
-
-    return LedgerSeries({ledger.year: ledger
-                         for ledger in report_ledgers(ws, store, cfg, up_to_year)})
-
-
 def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int, YearLedger]:
     """The ledgers of :func:`report_years` in ``[lo, hi]``, verified
     against the config, with their events tallies only (what
@@ -261,9 +252,9 @@ def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year:
     citation up to ``year``, in label order.  Requires exact (uncapped)
     ledgers.
 
-    ``ledgers`` is a :class:`LedgerSeries` or a stream such as
-    :func:`report_ledgers`; a stream is held one decoded ledger at a
-    time.  x, Q, c and N_w come from each scholar's pooled counts."""
+    ``ledgers`` is any iterable of year ledgers, such as the stream of
+    :func:`report_ledgers`, which holds one decoded ledger at a time.
+    x, Q, c and N_w come from each scholar's pooled counts."""
     from .indices import WeightConfig, index_record
 
     with _cyclic_gc_paused():

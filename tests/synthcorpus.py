@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+from collections import Counter, defaultdict
+from fractions import Fraction
+from itertools import combinations
 
 from citedist.config import Config
 from citedist.corpus import parse_records
@@ -19,9 +23,15 @@ TABLE1_PAPERS = [
 ]
 
 
-def table1_lines() -> list[str]:
+# Citations added to the table-1 papers for the end-to-end golden: one
+# event per distance kind in each citing year (0, finite, INF).
+TABLE1_REFERENCES = {"p5": ["p3"], "p6": ["p1", "p5"], "p7": ["p1", "p2", "p4"]}
+
+
+def table1_lines(references: dict[str, list[str]] | None = None) -> list[str]:
+    references = references or {}
     return [
-        json.dumps({"id": p, "year": y, "authors": a, "references": []})
+        json.dumps({"id": p, "year": y, "authors": a, "references": references.get(p, [])})
         for p, y, a in TABLE1_PAPERS
     ]
 
@@ -216,6 +226,82 @@ def oracle_set_distance(dist_matrix, sources, targets) -> float:
             if dist_matrix[s, t] < best:
                 best = dist_matrix[s, t]
     return best
+
+
+def oracle_index_run(lines, cfg: Config,
+                     year: int | None = None) -> tuple[str, dict[int, Counter]]:
+    """The ``report index-table --year year`` CSV text (the last corpus
+    year by default) that ingest and an exact run of ``cfg`` (with its
+    default year range) over the corpus ``lines`` give, and each planned
+    year's event distances (a Counter; ``math.inf`` for no path), from
+    the definitions alone, calling no engine code.
+
+    Each planned year's window network joins every two authors of a paper
+    from the last ``window_length`` years; hop distances come from
+    :func:`floyd_warshall`, and an event's distance is the minimum over
+    (citing author, cited author) pairs, 0 for a shared author.  Every
+    distinct author of the cited paper is credited the whole citation;
+    crediting by cited paper instead must give each scholar the sum over
+    their papers.  At the report year, per scholar credited in a planned
+    year up to it: Q; h and g over the citations from every year up to
+    it; c = max_v min(alpha v, d_v) over the distances in decreasing
+    order (INF first); N_w = #INF; and x = sum of min(d, n) / n (INF, and
+    every citation when n = 0, weigh 1), printed as
+    ``IndexRecord.csv_row`` does and sorted by label.
+    """
+    papers = {}
+    for line in lines:
+        rec = json.loads(line)
+        papers.setdefault(rec["id"], rec)  # the first of a repeated id
+    published = {pid: rec["year"] for pid, rec in papers.items()}
+    authors = {pid: list(dict.fromkeys(rec["authors"])) for pid, rec in papers.items()}
+    refs = {pid: [r for r in dict.fromkeys(rec.get("references", [])) if r != pid and r in papers]
+            for pid, rec in papers.items()}
+    slot = {a: i for i, a in enumerate(dict.fromkeys(a for names in authors.values() for a in names))}
+    lo, hi = min(published.values()), max(published.values())
+    report_year = hi if year is None else year
+    w = cfg.window_length
+
+    events: dict[int, Counter] = {}
+    by_scholar: dict[str, Counter] = defaultdict(Counter)
+    by_paper: dict[str, Counter] = defaultdict(Counter)
+    for y in range(lo + w - 1 if cfg.strict_window else lo, hi + 1):
+        edges = [(slot[a], slot[b]) for pid in papers if y - w < published[pid] <= y
+                 for a, b in combinations(authors[pid], 2)]
+        dist = floyd_warshall(len(slot), edges)
+        events[y] = Counter()
+        for pid in (pid for pid in papers if published[pid] == y):
+            for ref in refs[pid]:
+                d = oracle_set_distance(dist, [slot[a] for a in authors[pid]],
+                                        [slot[a] for a in authors[ref]])
+                d = int(d) if d < math.inf else math.inf
+                events[y][d] += 1
+                if y <= report_year:
+                    by_paper[ref][d] += 1
+                    for a in authors[ref]:
+                        by_scholar[a][d] += 1
+
+    papers_of = defaultdict(list)
+    for pid, names in authors.items():
+        for a in names:
+            papers_of[a].append(pid)
+    for a, tally in by_scholar.items():
+        assert tally == sum((by_paper[p] for p in papers_of[a]), Counter()), a
+    cites = Counter(ref for pid in papers if published[pid] <= report_year for ref in refs[pid])
+
+    n, alpha = cfg.n, Fraction(cfg.alpha)
+    rows = ["scholar,year,Q,h,g,c,N_w,x"]
+    for a in sorted(by_scholar):
+        ds = sorted(by_scholar[a].elements(), reverse=True)
+        counts = sorted((cites[p] for p in papers_of[a]), reverse=True)
+        h = max(k for k in range(len(counts) + 1) if sum(c >= k for c in counts) >= k)
+        g = max(k for k in range(len(counts) + 1) if sum(counts[:k]) >= k * k)
+        c = max((min(alpha * v, d) for v, d in enumerate(ds, 1)), default=0)
+        x = sum(Fraction(1) if d == math.inf or n == 0 else Fraction(min(d, n), n) for d in ds)
+        shown_c = str(int(c)) if c == int(c) else f"{float(c):.2f}"
+        rows.append(f"{a},{report_year},{len(ds)},{h},{g},{shown_c},"
+                    f"{ds.count(math.inf)},{float(x):.2f}")
+    return "\n".join(rows) + "\n", events
 
 
 def expected_code(exact: float, cap: int | None) -> int:

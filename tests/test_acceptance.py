@@ -22,17 +22,12 @@ from citedist.collab import (
 )
 from citedist.config import Config
 from citedist.corpus import parse_records
-from citedist.distances import (
-    DistanceTally,
-    LedgerSeries,
-    batch_year_distances,
-    paper_distance_tallies,
-)
+from citedist.distances import DistanceTally, batch_year_distances
 from citedist.indices import (
     ScholarIndexState,
     WeightConfig,
     c_index,
-    scholar_snapshot,
+    index_record,
     update_x,
     x_from_slices,
     x_increment,
@@ -50,7 +45,7 @@ from synthcorpus import (
     write_scale_corpus,
 )
 from test_analytics import COHORT_I, cohort_records
-from test_indices import EXPERIMENT_PROFILES
+from test_indices import EXPERIMENT_PROFILES, pooled_tally, series_for
 
 
 def ok(criterion: int, message: str) -> None:
@@ -150,28 +145,23 @@ def test_c05_incremental_equals_batch_fifty_corpora():
         cfg = Config(exact_distances=bool(trial % 2))
         lo, hi = store.year_span()
         years = range(lo, hi + 1)
-        ledgers = LedgerSeries({y: batch_year_distances(store, y, cfg) for y in years})
+        ledgers = {y: batch_year_distances(store, y, cfg) for y in years}
 
         # replay year by year through the incremental update
         states: dict[int, ScholarIndexState] = {}
         for year in years:
-            ledger = ledgers.ledger(year)
+            ledger = ledgers[year]
             for scholar in range(store.num_authors):
                 state = states.get(scholar) or ScholarIndexState(scholar, lo - 1, Fraction(0))
                 tally = ledger.scholars.get(scholar, DistanceTally(cap=ledger.cap))
                 states[scholar] = update_x(state, year, x_increment(tally, cfg.n))
 
-        by_paper = paper_distance_tallies(store, years, cfg)
+        # one shot over each scholar's year slices
         for scholar in range(store.num_authors):
-            batch = x_from_slices(ledgers.year_slices(scholar, hi), cfg.n)
-            assert states[scholar].x == batch  # exact, same arithmetic
-            paper_sum = sum(
-                (x_increment(by_paper[p], cfg.n) for p in store.author_papers[scholar]
-                 if p in by_paper),
-                Fraction(0),
-            )
-            assert paper_sum == batch
-    ok(5, "yearly replay, one-shot batch, and per-paper sums agree exactly on 50 corpora")
+            slices = [(y, ledger.scholars[scholar]) for y, ledger in ledgers.items()
+                      if scholar in ledger.scholars]
+            assert states[scholar].x == x_from_slices(slices, cfg.n)  # exact, same arithmetic
+    ok(5, "yearly replay and one-shot batch agree exactly on 50 corpora")
 
 
 def test_c06_degeneracy_thousand_multisets():
@@ -238,11 +228,8 @@ def test_c09_bound_suite():
             year: {d: rng.randint(0, 5) for d in range(-1, rng.randint(1, 9))}
             for year in range(2000, 2000 + rng.randint(1, 5))
         }
-        from test_indices import series_for
-
-        series = series_for("s", profiles)
-        last = max(profiles)
-        q = series.pooled_tally("s", last).total()
+        pooled = pooled_tally(series_for(profiles))
+        q = pooled.total()
         papers = []
         remaining = q
         while remaining:
@@ -250,7 +237,7 @@ def test_c09_bound_suite():
             papers.append(take)
             remaining -= take
         for n in (0, 1, 6, 11):
-            rec = scholar_snapshot("s", last, series, papers, WeightConfig(n=n))
+            rec = index_record("s", max(profiles), pooled, papers, WeightConfig(n=n))
             assert 0 <= rec.x <= rec.q
             if n == 0:
                 assert rec.x == rec.q

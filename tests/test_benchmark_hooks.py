@@ -3,8 +3,10 @@
 ``perfbench/spans.py`` rebinds package functions and methods by name and
 reads the arguments of some of them in its count hooks.  A renamed or
 reshaped target silently drops its layer metrics, or makes a count hook
-raise inside a traced step.  This test loads the hook table as it stands
-and runs each CLI step the benchmark traces under it.
+raise inside a traced step.  These tests load the hook table as it
+stands and run under it the CLI steps that the benchmark traces, once
+with exact distances (the steps of giant-exact) and once capped (those
+of sparse-x and giant-x).
 """
 
 import importlib
@@ -32,28 +34,44 @@ def load_spans():
     return module
 
 
-def test_every_hook_resolves_and_feeds_its_layer_metrics(tmp_path):
+def run_traced(tmp_path, exact, reports):
+    """Ingest, run, resume and ``reports`` under a tracer of the hook
+    table: every step exits 0, every hook resolves, every layer metric is
+    present, and the run's search was seen."""
     spans = load_spans()
     for info in pkgutil.iter_modules(citedist.__path__):
         if info.name != "__main__":  # the entry point runs the CLI when imported
             importlib.import_module(f"citedist.{info.name}")
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("\n".join(random_corpus_lines(random.Random(7), 60, 20, 2000, 2005)) + "\n")
-    config = tmp_path / "exact.cfg"
-    config.write_text("exact_distances = true\nwindow_length = 3\n")
+    config = tmp_path / "engine.cfg"
+    config.write_text(f"exact_distances = {str(exact).lower()}\nwindow_length = 3\n")
     ws = str(tmp_path / "ws")
     common = ["--workspace", ws, "--config", str(config)]
     steps = [
         ("ingest", ["ingest", str(corpus), *common]),
-        ("run", ["run", *common]),
-        ("resume", ["run", *common]),
-        *((name, ["report", name, *common])
-          for name in ("network-stats", "index-table", "distance-histogram", "heatmap")),
+        ("run", ["run", "--jobs", "1", *common]),
+        ("resume", ["run", "--jobs", "1", *common]),
+        *(("report", ["report", *report, *common]) for report in reports),
     ]
     with spans.Tracer() as tracer:
         for step, argv in steps:
             tracer.step = step
-            assert main(argv) == 0, step
+            assert main(argv) == 0, argv
     assert {hook.span for hook in spans.HOOKS} <= tracer.resolved
     metrics = tracer.layer_metrics()
     assert set(spans.LAYER_SPANS) | set(spans.LAYER_COUNTS) <= set(metrics)
+    assert metrics["distances.events"] > 0
+
+
+def test_every_hook_resolves_and_feeds_its_layer_metrics(tmp_path):
+    run_traced(tmp_path, True, [
+        ["network-stats"], ["index-table"], ["rank", "--index", "x"],
+        ["c-eq-nw", "--bins", "0,10,20,40"], ["scatter", "--q-max", "20"],
+        ["distance-histogram"], ["heatmap"],
+        ["closeness", "--q-min", "0", "--q-max", "1000", "--size", "4"],
+    ])
+
+
+def test_every_hook_resolves_on_a_capped_run(tmp_path):
+    run_traced(tmp_path, False, [["network-stats"], ["distance-histogram"]])

@@ -26,7 +26,7 @@ from citedist.collab import build_window
 from citedist.config import Config
 from citedist.corpus import parse_records
 from citedist.distances import batch_year_distances
-from citedist.pipeline import build_index_records, load_series, run_pipeline
+from citedist.pipeline import build_index_records, report_ledgers, run_pipeline
 from citedist import workspace as workspace_module
 from citedist.workspace import Workspace, _atomic_write
 
@@ -833,8 +833,7 @@ def test_pipeline_states_match_index_records(tmp_path):
     ws.write_corpus(store, cfg)
     run_pipeline(ws, cfg)
     states = ws.read_states(2006, store, cfg.config_hash())
-    series = load_series(ws, store, cfg, 2006)
-    records = build_index_records(store, series, 2006, cfg)
+    records = build_index_records(store, report_ledgers(ws, store, cfg, 2006), 2006, cfg)
     by_label = {r.scholar: r for r in records}
     for author, scaled in states.items():
         label = store.author_labels[author]

@@ -11,7 +11,6 @@ from citedist.config import Config
 from citedist.corpus import (
     _SNAPSHOT_BLOCK,
     canonical_from_dblp_v12,
-    citations_in_year,
     load_corpus,
     parse_records,
     parse_snapshot,
@@ -131,9 +130,7 @@ def test_dangling_references_excluded_from_events():
     store = parse_records(lines, Config())
     assert store.summary.citations == 1
     assert store.summary.dangling_references == 1
-    events = citations_in_year(store, 2001)
-    assert len(events) == 1
-    assert events[0].cited_paper_id == "p0"
+    assert list(store.iter_citations(2001)) == [(store.paper_index["p0"], store.paper_index["p1"])]
 
 
 def test_yearly_counts_table1():
@@ -153,12 +150,10 @@ def test_yearly_counts_single_edge():
 def test_citations_in_year_examples():
     lines = [record_line("A", 2000, ["x"]), record_line("B", 2001, ["y"], ["A"])]
     store = parse_records(lines, Config())
-    events = citations_in_year(store, 2001)
-    assert len(events) == 1
-    ev = events[0]
-    assert ev.citing_year == 2001
-    assert ev.cited_authors == frozenset({store.author_index["x"]})
-    assert citations_in_year(store, 1999) == []
+    [(cited, citing)] = store.iter_citations(2001)
+    assert store.paper_year[citing] == 2001
+    assert store.paper_authors[cited] == (store.author_index["x"],)
+    assert list(store.iter_citations(1999)) == []
 
 
 def test_citation_partition_over_years():
@@ -167,7 +162,7 @@ def test_citation_partition_over_years():
     rng = random.Random(7)
     store = parse_records(random_corpus_lines(rng, 300, 60, 1990, 2005), Config())
     lo, hi = store.year_span()
-    total = sum(len(citations_in_year(store, y)) for y in range(lo, hi + 1))
+    total = sum(len(list(store.iter_citations(y))) for y in range(lo, hi + 1))
     assert total == store.summary.citations
     # yearly paper totals cover the interned papers
     assert sum(n for _, n, _ in yearly_counts(store, range(lo, hi + 1))) == store.num_papers
@@ -198,7 +193,6 @@ def test_dump_round_trip():
     assert again.paper_authors == store.paper_authors
     assert again.paper_refs == store.paper_refs
     assert again.years_index == store.years_index
-    assert again.cited_by == store.cited_by
     assert again.summary.citations == store.summary.citations
 
 
@@ -271,7 +265,7 @@ def test_table1_round_trip():
 
 STORE_TABLES = ("author_labels", "author_index", "paper_labels", "paper_index",
                 "paper_year", "paper_authors", "paper_refs", "years_index",
-                "cited_by", "author_papers", "summary")
+                "author_papers", "summary")
 
 
 def test_snapshot_loader_matches_parse_records(tmp_path):

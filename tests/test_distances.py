@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -17,22 +18,20 @@ from citedist.codec import (
     encode_states,
 )
 from citedist.config import Config
-from citedist.corpus import CitationEvent, citations_in_year, parse_records
-from citedist.collab import Distance, build_window, connected_components
+from citedist.corpus import parse_records
+from citedist.collab import Distance, build_window, connected_components, shortest_distance
 from citedist.distances import (
     EXCEEDS_CODE,
     INF_CODE,
     DistanceTally,
-    LedgerSeries,
     YearLedger,
     batch_year_distances,
-    citation_distance,
     compute_event_distances,
     distance_histogram,
-    paper_distance_tallies,
+    ensure_contiguous,
 )
 from citedist.errors import IncompleteStateError
-from citedist.indices import IndexRecord
+from citedist.indices import IndexRecord, x_from_slices, x_increment
 
 from synthcorpus import (
     expected_code,
@@ -45,45 +44,30 @@ from synthcorpus import (
 )
 
 
-def make_event(store, cited_labels, citing_labels, year):
-    a = store.author_index
-    return CitationEvent(
-        cited_paper_id="i",
-        citing_paper_id="j",
-        citing_year=year,
-        cited_authors=frozenset(a[x] for x in cited_labels),
-        citing_authors=frozenset(a[x] for x in citing_labels),
-    )
+def event_distance(store, net, citing_labels, cited_labels):
+    """Distance from the citing to the cited author labels on ``net``."""
+    ids = store.author_index
+    return shortest_distance(net, [ids[x] for x in citing_labels], [ids[x] for x in cited_labels])
 
 
 def test_citation_distance_on_2018_window():
     store = table1_store()
     net = build_window(store, 2018, 5)
     # cited by {5}, citing by {9, 2}: min(d(9,5)=4, d(2,5)=3) = 3
-    ev = make_event(store, ["5"], ["9", "2"], 2018)
-    assert citation_distance(net, ev) == Distance.finite(3)
+    assert event_distance(store, net, ["9", "2"], ["5"]) == Distance.finite(3)
 
 
 def test_self_citation_is_zero_even_off_network():
     store = table1_store()
     net = build_window(store, 2018, 5)
-    ev = make_event(store, ["2", "3"], ["3", "8"], 2018)  # author 8 not in the window
-    assert citation_distance(net, ev) == Distance.finite(0)
+    # author 8 is not in the window
+    assert event_distance(store, net, ["3", "8"], ["2", "3"]) == Distance.finite(0)
 
 
 def test_disconnected_event_is_infinite():
     store = table1_store()
     net = build_window(store, 2016, 5)
-    ev = make_event(store, ["1"], ["7"], 2016)
-    assert citation_distance(net, ev).is_infinite
-
-
-def test_year_mismatch_is_an_error():
-    store = table1_store()
-    net = build_window(store, 2018, 5)
-    ev = make_event(store, ["5"], ["2"], 2016)
-    with pytest.raises(ValueError):
-        citation_distance(net, ev)
+    assert event_distance(store, net, ["7"], ["1"]).is_infinite
 
 
 def test_batch_empty_year():
@@ -106,25 +90,32 @@ def test_batch_self_citing_pair_credits_every_coauthor():
         assert tally.finite == {0: 1}
 
 
+def tally_codes(tally):
+    """An exact tally as a Counter of distance codes."""
+    return +Counter({**tally.finite, INF_CODE: tally.infinite})
+
+
 def test_batch_matches_per_event_recomputation():
     rng = random.Random(31)
     store = parse_records(random_corpus_lines(rng, 250, 50, 1995, 2005), Config())
     cfg = Config(exact_distances=True)
     lo, hi = store.year_span()
+    paper_authors = store.paper_authors
     for year in range(lo, hi + 1):
         net = build_window(store, year, cfg.window_length)
         ledger = batch_year_distances(store, year, cfg, net=net)
-        # recount the ledger event by event
-        expected = YearLedger(year, cap=None)
-        for ev in citations_in_year(store, year):
-            d = citation_distance(net, ev)
-            expected.credit(sorted(ev.cited_authors), 0 if d.hops == 0 else (d.hops if d.is_finite else -1))
-        assert ledger.events.finite == expected.events.finite
-        assert ledger.events.infinite == expected.events.infinite
-        assert set(ledger.scholars) == set(expected.scholars)
-        for scholar, tally in ledger.scholars.items():
-            other = expected.scholars[scholar]
-            assert tally.finite == other.finite and tally.infinite == other.infinite
+        # recount the ledger event by event, one set distance per reference
+        events = Counter()
+        credit = defaultdict(Counter)
+        for pid in store.papers_in_year(year):
+            for ref in store.paper_refs[pid]:
+                d = shortest_distance(net, paper_authors[pid], paper_authors[ref])
+                code = d.hops if d.is_finite else INF_CODE
+                events[code] += 1
+                for author in paper_authors[ref]:
+                    credit[author][code] += 1
+        assert tally_codes(ledger.events) == events
+        assert {a: tally_codes(t) for a, t in ledger.scholars.items()} == credit
 
 
 def test_batch_capped_consistent_with_exact():
@@ -156,31 +147,13 @@ def test_ledger_conservation():
     for year in range(lo, hi + 1):
         ledger = batch_year_distances(store, year, cfg)
         total_events += ledger.events.total()
-        total_credited += ledger.total_credited()
+        total_credited += sum(t.total() for t in ledger.scholars.values())
     assert total_events == store.summary.citations
+    # every author of a cited paper is credited each citation of it
     expected_credit = sum(
-        len(store.paper_authors[cited]) * len(store.cited_by[cited])
-        for cited in range(store.num_papers)
+        len(store.paper_authors[ref]) for refs in store.paper_refs for ref in refs
     )
     assert total_credited == expected_credit
-
-
-def test_ledger_merge_is_commutative():
-    a = YearLedger(2000, cap=None)
-    b = YearLedger(2000, cap=None)
-    a.credit([1, 2], 3)
-    a.credit([1], -1)
-    b.credit([2], 0)
-    ab = YearLedger(2000, cap=None)
-    ab.merge(a)
-    ab.merge(b)
-    ba = YearLedger(2000, cap=None)
-    ba.merge(b)
-    ba.merge(a)
-    assert ab.scholars.keys() == ba.scholars.keys()
-    for k in ab.scholars:
-        assert ab.scholars[k].finite == ba.scholars[k].finite
-        assert ab.scholars[k].infinite == ba.scholars[k].infinite
 
 
 def test_histogram_normalization():
@@ -219,17 +192,27 @@ def test_paper_tallies_match_scholar_ledgers():
     store = parse_records(random_corpus_lines(rng, 150, 25, 1990, 1999), Config())
     cfg = Config(exact_distances=True)
     lo, hi = store.year_span()
-    years = range(lo, hi + 1)
-    by_paper = paper_distance_tallies(store, years, cfg)
-    ledgers = LedgerSeries({y: batch_year_distances(store, y, cfg) for y in years})
+    ledgers = {}
+    by_paper = defaultdict(DistanceTally)  # every year's events, keyed by cited paper
+    for year in range(lo, hi + 1):
+        net = build_window(store, year, cfg.window_length)
+        ledgers[year] = batch_year_distances(store, year, cfg, net)
+        for cited, _citing, code in compute_event_distances(store, net, year):
+            by_paper[cited].add_code(code)
     for scholar in range(store.num_authors):
-        pooled = ledgers.pooled_tally(scholar, hi)
+        slices = [(y, ledger.scholars[scholar]) for y, ledger in ledgers.items()
+                  if scholar in ledger.scholars]
+        pooled = DistanceTally()
+        for _, tally in slices:
+            pooled.update(tally)
         merged = DistanceTally()
         for pid in store.author_papers[scholar]:
             if pid in by_paper:
                 merged.update(by_paper[pid])
-        assert merged.finite == pooled.finite
-        assert merged.infinite == pooled.infinite
+        assert merged == pooled
+        assert x_from_slices(slices, 6) == sum(
+            (x_increment(by_paper[p], 6) for p in store.author_papers[scholar] if p in by_paper),
+            Fraction(0))
 
 
 def test_event_distances_match_replaced_engine():
@@ -303,11 +286,9 @@ def test_event_distances_on_giant_components():
 
 
 def test_series_coverage_check():
-    series = LedgerSeries({2000: YearLedger(2000), 2002: YearLedger(2002)})
-    with pytest.raises(IncompleteStateError):
-        series.ensure_contiguous_through(2002)
-    series2 = LedgerSeries({2000: YearLedger(2000), 2001: YearLedger(2001)})
-    series2.ensure_contiguous_through(2001)
+    with pytest.raises(IncompleteStateError, match=r"missing ledger years: \[2001\]"):
+        ensure_contiguous({2000, 2002}, 2002)
+    ensure_contiguous({2000, 2001}, 2001)
 
 
 # -- artifact line codec -------------------------------------------------------

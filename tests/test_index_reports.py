@@ -1,4 +1,4 @@
-"""Index reports: the one-pass ledger fold against per-scholar snapshots,
+"""Index reports: the one-pass ledger fold against the end-to-end oracle,
 its errors, its memory profile, and how c is rendered."""
 
 import random
@@ -9,17 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from citedist import cli as cli_module
-from citedist import pipeline as pipeline_module
 from citedist.cli import main
 from citedist.config import Config
 from citedist.corpus import parse_records
+from citedist.distances import pool_into
 from citedist.errors import IncompleteStateError
-from citedist.indices import WeightConfig, scholar_snapshot, x_from_slices
-from citedist.pipeline import build_index_records, load_series, report_ledgers, run_pipeline
+from citedist.indices import IndexRecord, x_from_slices
+from citedist.pipeline import build_index_records, report_ledgers, run_pipeline
 from citedist.workspace import Workspace
 
-from synthcorpus import fraction_c_oracle, random_corpus_lines, table1_lines
+from synthcorpus import fraction_c_oracle, oracle_index_run, random_corpus_lines, table1_lines
 
 INDEX_REPORTS = (
     ["index-table"],
@@ -38,51 +37,41 @@ def make_workspace(root, lines, cfg):
     return ws, store
 
 
-def reference_records(store, series, year, wcfg):
-    """One ``scholar_snapshot`` per scholar credited through ``year``."""
-    credited = set()
-    for y in series.years:
-        if y <= year:
-            credited.update(series.ledger(y).scholars)
-    paper_counts = store.paper_citation_counts(year)
-    records = [
-        scholar_snapshot(s, year, series, [paper_counts[p] for p in store.author_papers[s]],
-                         wcfg, label=store.author_labels[s])
-        for s in credited
-    ]
-    return sorted(records, key=lambda r: r.scholar)
-
-
 @pytest.mark.parametrize("seed", [3, 71])
 def test_fold_matches_per_scholar_snapshots(tmp_path, seed):
     """Every (n, alpha) and report year: the fold over a stream of
-    ledgers equals the per-scholar snapshots over the whole series, down
-    to the type of c, and x and c equal the slice-wise and Fraction
-    formulas."""
+    ledgers prints the end-to-end oracle's rows and equals the fold over
+    the ledgers held in a list; c has the value and the type of the
+    Fraction formula, and x is exactly the sum over the year slices."""
     rng = random.Random(seed)
     lines = random_corpus_lines(rng, 160, 25, 1998, 2005)
     cfg = Config(exact_distances=True)
     ws, store = make_workspace(tmp_path / "ws", lines, cfg)
-    series = load_series(ws, store, cfg, 2005)
+    ledgers = list(report_ledgers(ws, store, cfg, 2005))
     checked = 0
     for year in (2001, 2005):
+        held = [ledger for ledger in ledgers if ledger.year <= year]
+        pooled = {}
+        for ledger in held:
+            pool_into(pooled, ledger.scholars)
         for n in (0, 1, 6):
             for alpha in (Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(3)):
                 run_cfg = Config(**{**cfg._asdict(), "n": n, "alpha": alpha})
-                wcfg = WeightConfig(n=n, alpha=alpha)
-                expected = reference_records(store, series, year, wcfg)
+                expected_csv, _ = oracle_index_run(lines, run_cfg, year)
                 streamed = build_index_records(store, report_ledgers(ws, store, cfg, year),
                                                year, run_cfg)
-                from_series = build_index_records(store, series, year, run_cfg)
-                assert streamed == from_series == expected
-                assert expected, "the corpus credits no scholar"
-                for got, ref in zip(streamed, expected):
-                    assert type(got.c) is type(ref.c)
+                assert streamed == build_index_records(store, ledgers, year, run_cfg)
+                assert [IndexRecord.CSV_HEADER, *(r.csv_row() for r in streamed)] == \
+                    expected_csv.splitlines()
+                assert streamed, "the corpus credits no scholar"
+                for got in streamed:
                     author = store.author_index[got.scholar]
-                    pooled = series.pooled_tally(author, year)
-                    oracle_c = fraction_c_oracle(pooled.finite, pooled.infinite, alpha)
+                    tally = pooled[author]
+                    oracle_c = fraction_c_oracle(tally.finite, tally.infinite, alpha)
                     assert got.c == oracle_c and type(got.c) is type(oracle_c)
-                    assert got.x == x_from_slices(series.year_slices(author, year), n)
+                    slices = [(ledger.year, ledger.scholars[author]) for ledger in held
+                              if author in ledger.scholars]
+                    assert got.x == x_from_slices(slices, n)
                     checked += 1
     assert checked > 100
 
@@ -160,14 +149,9 @@ def test_index_reports_hold_one_ledger_at_a_time(tmp_path, monkeypatch):
         checked.append(year)
         return original_digest(self, year, config_hash)
 
-    def no_series(*args, **kwargs):
-        raise AssertionError("index reports must not load the whole ledger series")
-
     monkeypatch.setattr(Workspace, "read_ledger", tracking_read)
     monkeypatch.setattr(Workspace, "load_store", tracking_load)
     monkeypatch.setattr(Workspace, "ledger_digest", tracking_digest)
-    monkeypatch.setattr(pipeline_module, "load_series", no_series)
-    monkeypatch.setattr(cli_module, "load_series", no_series, raising=False)
     for report in INDEX_REPORTS:
         argv = ["report", *report, "--workspace", str(ws.root),
                 "--config", str(tmp_path / "engine.cfg")]

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citedist.collab import Distance
-from citedist.distances import DistanceTally, LedgerSeries, YearLedger
+from citedist.distances import DistanceTally, ensure_contiguous
 from citedist.errors import IncompleteStateError, SequencingError
 from citedist.indices import (
     IndexRecord,
     ScholarIndexState,
     WeightConfig,
     c_index,
-    c_index_from_tally,
     g_index,
     h_index,
-    scholar_snapshot,
+    index_record,
     update_x,
     weight,
     x_from_slices,
@@ -148,6 +147,11 @@ class TestUpdateX:
             assert state.x >= 0
 
 
+def tally_c(tally, alpha):
+    """The c that an index record takes from a scholar's pooled tally."""
+    return index_record("s", 2000, tally, [], WeightConfig(alpha=alpha)).c
+
+
 class TestCIndex:
     def test_worked_example(self):
         assert c_index([12, 9, 7, 5, 5, 4, 3, 2, 1, 0], 1) == 5
@@ -211,16 +215,15 @@ class TestCIndex:
                 expected = fraction_c_oracle(finite, infinite, alpha)
                 got = c_index(multiset, alpha)
                 assert got == expected and type(got) is type(expected), (finite, infinite, alpha)
-                tally = DistanceTally(finite=dict(finite), infinite=infinite)
-                from_tally = c_index_from_tally(tally, alpha)
+                from_tally = tally_c(DistanceTally(finite=dict(finite), infinite=infinite), alpha)
                 assert from_tally == expected and type(from_tally) is type(expected)
 
     def test_from_tally_matches_multiset(self):
         tally = DistanceTally(finite={0: 3, 4: 2, 9: 1}, infinite=2)
         multiset = [0, 0, 0, 4, 4, 9, math.inf, math.inf]
-        assert c_index_from_tally(tally, 1) == c_index(multiset, 1)
-        with pytest.raises(ValueError):
-            c_index_from_tally(DistanceTally(exceeds=1, cap=6), 1)
+        assert tally_c(tally, 1) == c_index(multiset, 1)
+        with pytest.raises(IncompleteStateError):
+            tally_c(DistanceTally(exceeds=1, cap=6), 1)
 
 
 class TestHG:
@@ -262,26 +265,30 @@ class TestHG:
             assert g_index(counts) == best
 
 
-def series_for(scholar, profiles_by_year, cap=None):
-    ledgers = {}
-    for year, counts in profiles_by_year.items():
-        ledger = YearLedger(year, cap=cap)
-        tally = DistanceTally(
-            finite={d: c for d, c in counts.items() if d >= 0},
-            infinite=counts.get(-1, 0),
-            cap=cap,
-        )
-        ledger.scholars[scholar] = tally
-        ledgers[year] = ledger
-    return LedgerSeries(ledgers)
+def series_for(profiles_by_year, cap=None):
+    """One scholar's yearly tallies, from {distance: count} profiles
+    where distance -1 counts unreachable citations."""
+    return {
+        year: DistanceTally(finite={d: c for d, c in counts.items() if d >= 0},
+                            infinite=counts.get(-1, 0), cap=cap)
+        for year, counts in profiles_by_year.items()
+    }
+
+
+def pooled_tally(series):
+    """The sum of the yearly tallies, as the index fold pools them."""
+    pooled = DistanceTally()
+    for tally in series.values():
+        pooled.update(tally)
+    return pooled
 
 
 class TestSnapshot:
     def test_published_profile_with_synthetic_papers(self):
         counts = {0: 20, 1: 1, 2: 4, 3: 6, 4: 19, 5: 31, 6: 121}
-        series = series_for("s7", {2018: counts})
+        pooled = pooled_tally(series_for({2018: counts}))
         per_paper = [30, 20, 15, 15, 15, 15, 10, 10] + [8] * 9  # sums to 202
-        rec = scholar_snapshot("s7", 2018, series, per_paper, WeightConfig())
+        rec = index_record("s7", 2018, pooled, per_paper, WeightConfig())
         assert rec.q == 202
         assert rec.x_display == "164.00"
         assert rec.h == 8
@@ -289,8 +296,7 @@ class TestSnapshot:
         assert sum(per_paper) == rec.q
 
     def test_zero_citation_scholar(self):
-        series = series_for("other", {2000: {0: 1}})
-        rec = scholar_snapshot("nobody", 2000, series, [0, 0], WeightConfig())
+        rec = index_record("nobody", 2000, DistanceTally(), [0, 0], WeightConfig())
         assert (rec.q, rec.h, rec.g, rec.c, rec.n_w) == (0, 0, 0, 0, 0)
         assert rec.x == 0
 
@@ -302,9 +308,9 @@ class TestSnapshot:
                 profiles[year] = {
                     d: rng.randint(0, 6) for d in range(-1, rng.randint(0, 10))
                 }
-            series = series_for("s", profiles)
+            series = series_for(profiles)
             last = max(profiles)
-            pooled = series.pooled_tally("s", last)
+            pooled = pooled_tally(series)
             q = pooled.total()
             papers = []
             remaining = q
@@ -312,26 +318,25 @@ class TestSnapshot:
                 take = rng.randint(1, remaining)
                 papers.append(take)
                 remaining -= take
-            rec = scholar_snapshot("s", last, series, papers, WeightConfig())
+            rec = index_record("s", last, pooled, papers, WeightConfig())
             assert rec.q == q == sum(papers)
             multiset = [d for d, c in pooled.finite.items() for _ in range(c)]
             multiset += [math.inf] * pooled.infinite
             assert rec.c == c_index(multiset, 1)
             assert rec.n_w == pooled.infinite
             assert rec.h == h_index(papers) and rec.g == g_index(papers)
-            assert rec.x == x_from_slices(series.year_slices("s", last), 6)
+            assert rec.x == x_from_slices(series.items(), 6)
             assert 0 <= rec.x <= rec.q
 
     def test_requires_exact_ledgers(self):
-        series = series_for("s", {2000: {2: 1}}, cap=6)
-        series.ledger(2000).scholars["s"].exceeds = 2
+        series = series_for({2000: {2: 1}}, cap=6)
+        series[2000].exceeds = 2
         with pytest.raises(IncompleteStateError):
-            scholar_snapshot("s", 2000, series, [3], WeightConfig())
+            index_record("s", 2000, pooled_tally(series), [3], WeightConfig())
 
     def test_missing_years_raise(self):
-        series = LedgerSeries({2000: YearLedger(2000), 2003: YearLedger(2003)})
         with pytest.raises(IncompleteStateError):
-            scholar_snapshot("s", 2003, series, [], WeightConfig())
+            ensure_contiguous(series_for({2000: {}, 2003: {}}), 2003)
 
 
 class TestIndexRecord:

@@ -10,7 +10,7 @@ from citedist.analytics import (ClosenessResult, CohortSelection, DegeneracyRow,
                                 PairCloseness, RankedRecord, RepeatMatrix)
 from citedist.collab import ComponentStats, Distance, NetworkStats
 from citedist.config import Config, ConfigError
-from citedist.corpus import CitationEvent, PaperRecord, ValidationSummary
+from citedist.corpus import PaperRecord, ValidationSummary
 from citedist.distances import DistanceTally, HistogramResult, YearHistogram
 from citedist.indices import IndexRecord, ScholarIndexState, WeightConfig
 from citedist.pipeline import RunResult
@@ -36,9 +36,6 @@ RECORDS = [
                         avg_clustering=0.0, first_component=_COMPONENT,
                         second_component=None, diameter=1), {}, True, True),
     (PaperRecord, dict(paper_id="p", year=2001, author_ids=("a",), reference_ids=("q",)),
-     {}, True, True),
-    (CitationEvent, dict(cited_paper_id="q", citing_paper_id="p", citing_year=2001,
-                         cited_authors=frozenset({1}), citing_authors=frozenset({2})),
      {}, True, True),
     (ValidationSummary, dict(papers=3, authors=2, citations=1, dangling_references=1,
                              duplicates=0, skipped_lines=1, skipped_reasons={"bad_json": 1}),
