@@ -13,9 +13,9 @@ it imports.  The public names below are loaded on first use (PEP 562).
 import importlib
 
 _SOURCES = {
-    "collab": ("INFINITE", "CollabNetwork", "Distance", "NetworkStats", "WindowSlider",
-               "assortativity", "avg_clustering", "build_window", "connected_components",
-               "network_report", "shortest_distance"),
+    "collab": ("INFINITE", "CollabNetwork", "Distance", "NetworkStats", "assortativity",
+               "avg_clustering", "build_window", "connected_components", "network_report",
+               "shortest_distance"),
     "config": ("Config", "load_config", "parse_config_text"),
     "corpus": ("CorpusStore", "PaperRecord", "load_corpus", "parse_records", "yearly_counts"),
     "distances": ("DistanceTally", "YearLedger", "batch_year_distances", "distance_histogram"),

@@ -17,7 +17,7 @@ import statistics
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InsufficientCohortError
-from .indices import INDEX_NAMES, IndexRecord  # noqa: F401  (INDEX_NAMES re-exported)
+from .indices import IndexRecord
 
 if TYPE_CHECKING:
     from .collab import CollabNetwork

@@ -194,13 +194,11 @@ def decode_ledger(text: str, store: CorpusStore | None) -> tuple[YearLedger, str
     events = None
     for obj in json_lines(body):
         counts = obj["counts"].items()
-        exceeds = obj["exceeds"]
         tally = DistanceTally(
             {int(k): v for k, v in counts} if counts else {},
-            obj["infinite"], exceeds, cap if exceeds else None,
+            obj["infinite"], obj["exceeds"], cap,
         )
         if obj["kind"] == "events":
-            tally.cap = cap
             ledger.events = events = tally
         else:
             scholars[index[obj["id"]]] = tally

@@ -13,13 +13,12 @@ plus one tuple per window node.  Networks are immutable after
 construction; queries are read-only.
 
 Windows of consecutive years share most of their authors, so
-:class:`WindowSlider` builds each window from the previous one: it
+:func:`build_window` given the previous year's network slides it: it
 rebuilds only the authors of the papers that enter or leave the window
 and shares every other neighbour tuple with the previous network.  A
 fresh window is the same rebuild, of every author of the window's
-papers, on an empty adjacency.  ``run`` slides one window through every
-year it computes; :func:`build_window` is a single fresh window of a
-new slider.
+papers, on an empty adjacency.  ``run`` passes each window to the next
+year's build, so it slides through every year it computes.
 
 Each network labels its connected components once, on first use.  The
 distance kernel, :meth:`BFSSearcher.distances_from`, measures one
@@ -103,12 +102,14 @@ def _check_id(author: int, num_slots: int) -> None:
 
 class CollabNetwork:
     def __init__(self, year: int, window_length: int, num_slots: int,
-                 nodes: frozenset[int], adj: list[tuple[int, ...]], edge_count: int):
+                 nodes: frozenset[int], adj: list[tuple[int, ...]], edge_count: int,
+                 store: CorpusStore | None = None):
         self.year = year
         self.window_length = window_length
         self.num_slots = num_slots
         self.nodes = nodes
         self.edge_count = edge_count
+        self.store = store  # the store a window was built from; None from edges
         self._adj = adj
         self._labels: list[int] | None = None
 
@@ -187,77 +188,62 @@ class CollabNetwork:
         return labels
 
 
-class WindowSlider:
-    """The window networks of one store, each built from the last.
-
-    :meth:`window` rebuilds authors in one loop, each from their own
-    papers inside the window, and the node set and the degree sum follow
-    the rebuilt authors.  For the year after the previous call it copies
-    the previous adjacency list and rebuilds only the authors of papers
-    in the year that enters the window and in the year that leaves it:
-    every other author keeps the same papers in the window, hence the
-    same neighbours.  Any other year (the first call, a gap, or a step
-    backwards) is a fresh window: every author of the window's papers is
-    rebuilt on an empty adjacency list.  A network once returned is
-    never changed: the next window works on a copy of its list and
-    shares only the neighbour tuples that stay.
-    """
-
-    def __init__(self, store: CorpusStore, window_length: int = 5):
-        if window_length < 1:
-            raise ValueError("window_length must be >= 1")
-        self.store = store
-        self.window_length = window_length
-        self._last: CollabNetwork | None = None
-
-    def window(self, year: int) -> CollabNetwork:
-        """Co-authorship network over papers published in the closed
-        window ``[year - window_length + 1, year]``."""
-        store = self.store
-        paper_authors = store.paper_authors
-        paper_year = store.paper_year
-        author_papers = store.author_papers
-        lo = year - self.window_length + 1
-        last = self._last
-        if last is not None and year == last.year + 1:
-            adj = last._adj.copy()
-            nodes = set(last.nodes)
-            degree_sum = 2 * last.edge_count
-            years: Iterable[int] = (year, lo - 1)
-        else:
-            adj = [()] * store.num_authors
-            nodes = set()
-            degree_sum = 0
-            years = range(lo, year + 1)
-        changed: set[int] = set()
-        for yy in years:
-            for pid in store.papers_in_year(yy):
-                changed.update(paper_authors[pid])
-        for a in changed:
-            neigh: set[int] = set()
-            for p in author_papers[a]:
-                if lo <= paper_year[p] <= year:
-                    neigh.update(paper_authors[p])
-            degree_sum -= len(adj[a])
-            if neigh:
-                neigh.discard(a)
-                adj[a] = tuple(sorted(neigh))
-                degree_sum += len(neigh)
-                nodes.add(a)
-            else:  # the author's last paper left the window
-                adj[a] = ()
-                nodes.discard(a)
-        net = CollabNetwork(year, self.window_length, store.num_authors,
-                            frozenset(nodes), adj, degree_sum // 2)
-        self._last = net
-        return net
-
-
-def build_window(store: CorpusStore, year: int, window_length: int = 5) -> CollabNetwork:
+def build_window(store: CorpusStore, year: int, window_length: int = 5,
+                 previous: CollabNetwork | None = None) -> CollabNetwork:
     """Co-authorship network over papers published in the closed window
-    ``[year - window_length + 1, year]`` (truncated at the corpus start):
-    one :meth:`WindowSlider.window` call."""
-    return WindowSlider(store, window_length).window(year)
+    ``[year - window_length + 1, year]`` (truncated at the corpus start).
+
+    Authors are rebuilt in one loop, each from their own papers inside
+    the window, and the node set and the degree sum follow the rebuilt
+    authors.  When ``previous`` is the window of ``store`` for
+    ``year - 1`` with the same length, the new window starts from a copy
+    of its adjacency list and rebuilds only the authors of papers in the
+    year that enters the window and in the year that leaves it: every
+    other author keeps the same papers in the window, hence the same
+    neighbours.  Any other ``previous`` (another store or length, a gap,
+    a step backwards, or a network built from edges) gives a fresh
+    window: every author of the window's papers is rebuilt on an empty
+    adjacency list.  Either way the network is the same; ``previous`` is
+    never changed, and the new window shares only the neighbour tuples
+    that stay.
+    """
+    if window_length < 1:
+        raise ValueError("window_length must be >= 1")
+    paper_authors = store.paper_authors
+    paper_year = store.paper_year
+    author_papers = store.author_papers
+    lo = year - window_length + 1
+    if (previous is not None and previous.store is store and previous.year == year - 1
+            and previous.window_length == window_length):
+        adj = previous._adj.copy()
+        nodes = set(previous.nodes)
+        degree_sum = 2 * previous.edge_count
+        years: Iterable[int] = (year, lo - 1)
+    else:
+        adj = [()] * store.num_authors
+        nodes = set()
+        degree_sum = 0
+        years = range(lo, year + 1)
+    changed: set[int] = set()
+    for yy in years:
+        for pid in store.papers_in_year(yy):
+            changed.update(paper_authors[pid])
+    for a in changed:
+        neigh: set[int] = set()
+        for p in author_papers[a]:
+            if lo <= paper_year[p] <= year:
+                neigh.update(paper_authors[p])
+        degree_sum -= len(adj[a])
+        if neigh:
+            neigh.discard(a)
+            adj[a] = tuple(sorted(neigh))
+            degree_sum += len(neigh)
+            nodes.add(a)
+        else:  # the author's last paper left the window
+            adj[a] = ()
+            nodes.discard(a)
+    return CollabNetwork(year, window_length, store.num_authors,
+                         frozenset(nodes), adj, degree_sum // 2, store)
 
 
 class BFSSearcher:

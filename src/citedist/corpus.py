@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .codec import json_lines
-from .config import Config, config_span  # noqa: F401  (config_span re-exported)
+from .config import Config
 from .errors import EmptyCorpusError, IngestError
 
 

@@ -31,7 +31,6 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .config import INDEX_NAMES  # noqa: F401  (re-exported)
 from .errors import IncompleteStateError, SequencingError
 
 if TYPE_CHECKING:

@@ -34,7 +34,7 @@ from .errors import IncompleteStateError, WorkspaceError
 from .workspace import Workspace
 
 if TYPE_CHECKING:
-    from .collab import CollabNetwork, WindowSlider
+    from .collab import CollabNetwork
     from .corpus import CorpusStore
     from .distances import DistanceTally, YearLedger
     from .indices import IndexRecord
@@ -95,9 +95,9 @@ def run_pipeline(ws: Workspace, cfg: Config,
 
     The snapshot is loaded at the first year that is not complete, so a
     resume that finds every year complete reads only the meta and the
-    artifact headers.  One :class:`WindowSlider` per loaded store slides
-    a window through every year computed, each built from the previous
-    one (years without citing papers too), and the x states and their
+    artifact headers.  Every year computed gets its window from
+    ``collab.build_window`` (years without citing papers too), each slid
+    from the previous year's network, and the x states and their
     encoded lines are carried from year to year in a :class:`StateLines`.
     The whole year loop, the store load included, runs with the cyclic
     collector paused (``_cyclic_gc_paused``).  A year's log line splits
@@ -116,7 +116,7 @@ def run_pipeline(ws: Workspace, cfg: Config,
     processed: list[int] = []
     skipped: list[int] = []
     store: CorpusStore | None = None
-    slider: WindowSlider | None = None
+    net: CollabNetwork | None = None
     states: StateLines | None = None
     with _cyclic_gc_paused():
         for year in years:
@@ -127,17 +127,16 @@ def run_pipeline(ws: Workspace, cfg: Config,
             if store is None:  # the first year to compute: import what computing needs
                 import logging
 
-                from .collab import WindowSlider
+                from .collab import build_window
                 from .indices import x_increment_scaled
 
                 log = logging.getLogger("citedist")
                 store = ws.load_store(cfg)
-                slider = WindowSlider(store, cfg.window_length)
             if states is None:
                 prior = _load_chain_state(ws, store, cfg_hash, year, planned[0])
                 states = StateLines(store, prior)
             started = time.perf_counter()
-            net = slider.window(year)
+            net = build_window(store, year, cfg.window_length, net)
             built = time.perf_counter()
             ledger = year_ledger(store, year, cfg, net)
             for author, tally in ledger.scholars.items():

@@ -37,7 +37,7 @@ def load_spans():
 def run_traced(tmp_path, exact, reports):
     """Ingest, run, resume and ``reports`` under a tracer of the hook
     table: every step exits 0, every hook resolves, every layer metric is
-    present, and the run's search was seen."""
+    present, and the run's windows and search were seen."""
     spans = load_spans()
     for info in pkgutil.iter_modules(citedist.__path__):
         if info.name != "__main__":  # the entry point runs the CLI when imported
@@ -54,14 +54,20 @@ def run_traced(tmp_path, exact, reports):
         ("resume", ["run", "--jobs", "1", *common]),
         *(("report", ["report", *report, *common]) for report in reports),
     ]
+    windows = {}
     with spans.Tracer() as tracer:
         for step, argv in steps:
             tracer.step = step
+            before = tracer.counts["collab.windows"]
             assert main(argv) == 0, argv
+            windows[step] = tracer.counts["collab.windows"] - before
     assert {hook.span for hook in spans.HOOKS} <= tracer.resolved
     metrics = tracer.layer_metrics()
     assert set(spans.LAYER_SPANS) | set(spans.LAYER_COUNTS) <= set(metrics)
     assert metrics["distances.events"] > 0
+    computed = len(list((tmp_path / "ws" / "ledgers").glob("*.jsonl")))
+    assert tracer.span_seconds("collab.build_window", step="run") > 0
+    assert computed > 1 and windows["run"] >= computed
 
 
 def test_every_hook_resolves_and_feeds_its_layer_metrics(tmp_path):

@@ -15,7 +15,6 @@ from citedist.collab import (
     BFSSearcher,
     CollabNetwork,
     Distance,
-    WindowSlider,
     build_window,
     connected_components,
     shortest_distance,
@@ -490,27 +489,31 @@ def slider_cases():
         yield store, window_length
 
 
+def shares_tuples(net, previous):
+    return any(t and t is u for t, u in zip(net._adj, previous._adj))
+
+
 def test_window_slider_matches_fresh_windows():
-    """Differential test of the slider: consecutive years from before the
-    corpus start (the truncated first windows) to past its end, then a
-    gap and a backward jump, each window against a fresh ``build_window``
-    and the papers-only reference.  A network handed out never changes
-    when the slider moves on, and a slide shares the neighbour tuples of
-    authors it did not rebuild."""
+    """Differential test of the slide: each window built from the last,
+    over consecutive years from before the corpus start (the truncated
+    first windows) to past its end, then a gap and a backward jump, each
+    window against a fresh ``build_window`` and the papers-only
+    reference.  A network handed out never changes when it is slid
+    from, and a slide shares the neighbour tuples of authors it did not
+    rebuild."""
     slid = shared = 0
     for store, window_length in slider_cases():
         lo, hi = store.year_span()
-        slider = WindowSlider(store, window_length)
         years = list(range(lo - 2, hi + 3)) + [hi - 1, hi + 1, lo, lo + 1, hi + 10, lo]
         prev = None
         for year in years:
-            net = slider.window(year)
+            net = build_window(store, year, window_length, prev and prev[0])
             assert_window(store, net, year, window_length)
             if prev is not None:
                 assert frozen_copy(prev[0]) == prev[1]
                 if year == prev[0].year + 1:
                     slid += 1
-                    shared += any(t and t is prev[0]._adj[u] for u, t in enumerate(net._adj))
+                    shared += shares_tuples(net, prev[0])
             prev = net, frozen_copy(net)
     assert slid > 200 and shared > 100
 
@@ -523,20 +526,47 @@ def test_window_slider_drops_authors_whose_papers_left():
         record_line("p3", 2003, ["s"]),
     ], Config())
     a, b, c, solo = (store.author_index[x] for x in ("a", "b", "c", "s"))
-    slider = WindowSlider(store, 2)
-    assert [slider.window(y).node_count for y in (2000, 2001)] == [3, 4]
-    net = slider.window(2002)  # window 2001-2002: p0 and p1 have left
+    net = build_window(store, 2000, 2)
+    assert net.node_count == 3
+    net = build_window(store, 2001, 2, net)
+    assert net.node_count == 4
+    net = build_window(store, 2002, 2, net)  # window 2001-2002: p0 and p1 have left
     assert net.nodes == {b, c} and net.edge_count == 1
     assert net.neighbors(b) == [c] and net.degree(a) == 0
-    net = slider.window(2003)
+    net = build_window(store, 2003, 2, net)
     assert net.nodes == {solo} and net.edge_count == 0
-    net = slider.window(2004)
+    net = build_window(store, 2004, 2, net)
     assert net.nodes == {solo} and net.degree(solo) == 0
-    assert slider.window(2005).node_count == 0
+    assert build_window(store, 2005, 2, net).node_count == 0
 
 
 def test_window_slider_rejects_empty_window_length():
+    store = table1_store()
     with pytest.raises(ValueError):
-        WindowSlider(table1_store(), 0)
+        build_window(store, 2018, 0, build_window(store, 2017, 1))
     with pytest.raises(ValueError):
-        build_window(table1_store(), 2018, 0)
+        build_window(store, 2018, 0)
+
+
+def test_build_window_slides_only_from_its_own_store_and_length():
+    """A ``previous`` for the year before is not slid from when another
+    store or window length built it, or when it was built from edges:
+    the window is fresh, equal to one built without ``previous``, and
+    shares no neighbour tuple with it."""
+    stores = [store for store, window_length in slider_cases() if window_length == 3]
+    for store, other in zip(stores, stores[1:] + stores[:1]):
+        lo, hi = store.year_span()
+        for year in range(lo, hi + 2):
+            fresh = build_window(store, year, 3)
+            others = [
+                build_window(other, year - 1, 3),
+                build_window(store, year - 1, 2),
+                CollabNetwork.from_edges(fresh.nodes, fresh.edges(), year - 1, 3,
+                                         store.num_authors),
+            ]
+            for previous in others:
+                kept = frozen_copy(previous)
+                net = build_window(store, year, 3, previous)
+                assert_window(store, net, year, 3)
+                assert net._adj == fresh._adj and not shares_tuples(net, previous)
+                assert frozen_copy(previous) == kept

@@ -339,10 +339,6 @@ ODD_LABELS = [
 ]
 
 
-def _tallies_equal(a, b):
-    return (a.finite, a.infinite, a.exceeds) == (b.finite, b.infinite, b.exceeds)
-
-
 @pytest.mark.parametrize("cap", [None, 6])
 def test_codec_matches_json_dumps_and_round_trips(cap):
     lines = [record_line(f"p{k}", 2000, [label]) for k, label in enumerate(ODD_LABELS)]
@@ -365,10 +361,7 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
         assert text == reference_ledger_text(ledger, store, "cfg")
         back, recorded = decode_ledger(text, store)
         assert recorded == "cfg" and (back.year, back.cap) == (2000, cap)
-        assert _tallies_equal(back.events, ledger.events) and back.events.cap == cap
-        assert back.scholars.keys() == ledger.scholars.keys()
-        for author, tally in ledger.scholars.items():
-            assert _tallies_equal(back.scholars[author], tally)
+        assert back.events == ledger.events and back.scholars == ledger.scholars
         if trial == 0:
             assert text.count("\n") == 2  # header and events, no scholars
         if trial == 1:
@@ -383,6 +376,26 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
         assert decode_states(text, store, "cfg") == {a: v for a, v in states.items() if v}
         assert decode_states(text, store, "other") is None
     assert seen_infinite and (seen_exceeds or cap is None)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["capped", "exact"])
+def test_year_ledgers_round_trip(exact):
+    """Every year's ledger of a seeded corpus decodes to the ledger that
+    was encoded, tally by tally, the cap of every scholar tally too."""
+    store = parse_records(random_corpus_lines(random.Random(3), 120, 40, 2000, 2008), Config())
+    cfg = Config(n=2, exact_distances=exact)
+    scholars = exceeds = 0
+    for year in range(2000, 2009):
+        ledger = batch_year_distances(store, year, cfg)
+        back, _ = decode_ledger(encode_ledger(ledger, store, "cfg"), store)
+        assert (back.year, back.cap) == (year, cfg.distance_cap)
+        assert back.events == ledger.events
+        assert back.scholars.keys() == ledger.scholars.keys()
+        for author, tally in ledger.scholars.items():
+            assert back.scholars[author] == tally, (year, author)
+        scholars += len(ledger.scholars)
+        exceeds += ledger.events.exceeds
+    assert scholars > 100 and (exceeds > 0) != exact
 
 
 def test_state_lines_follow_the_running_x():
