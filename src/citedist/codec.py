@@ -1,15 +1,14 @@
-"""Line format of the per-year artifacts ``ledgers/<year>.jsonl`` and
-``states/<year>.jsonl``, and of the derived ``indices/<year>.jsonl``.
+"""Line format of the per-year ledgers ``ledgers/<year>.jsonl``, of the
+x snapshot ``states/<year>.jsonl``, and of the derived
+``indices/<year>.jsonl``.
 
 Each artifact is a header line followed by one line per record, and
 every line is byte-identical to ``json.dumps(obj, sort_keys=True)`` of
-the object it holds.  The encoder formats the lines directly from the
-store's cached JSON-escaped author labels and from integers; a run
-keeps each scholar's state line in :class:`StateLines` and re-encodes it
-only when the scholar's x changes.  Each decoder splits off the header
-with ``read_header`` and parses all record lines of a file with one
-``json.loads`` (``json_lines``, which also decodes the corpus snapshot
-in blocks of lines).
+the object it holds.  The encoders format the lines directly from the
+store's cached JSON-escaped author labels and from integers.  Each
+decoder splits off the header with ``read_header`` and parses all record
+lines of a file with one ``json.loads`` (``json_lines``, which also
+decodes the corpus snapshot in blocks of lines).
 
 Ledger::
 
@@ -17,7 +16,8 @@ Ledger::
     {"counts": {"1": 3, "10": 1, "2": 5}, "exceeds": 0, "infinite": 2, "kind": "events"}
     {"counts": {"0": 1}, "exceeds": 0, "id": "<author>", "infinite": 0, "kind": "scholar"}
 
-State (x scaled by ``scale``, scholars with x = 0 omitted)::
+State, written once per run, after the last planned year (x folded from
+every ledger and scaled by ``scale``, scholars with x = 0 omitted)::
 
     {"config": "<hash>", "kind": "header", "n": 6, "scale": 6, "year": 2000}
     {"id": "<author>", "kind": "state", "xn": 4}
@@ -92,44 +92,19 @@ def encode_ledger(ledger: YearLedger, store: CorpusStore, config_hash: str) -> s
     return "".join(lines)
 
 
-class StateLines:
-    """The running x of every scholar and the state line of each.
-
-    Both are lists indexed by author id: ``add`` re-encodes the one line
-    whose x changed, and ``encode`` joins the lines (empty for x = 0) in
-    id order, so a year's state file costs one join, not one line per
-    scholar.  ``states`` seeds the running x, as decoded from a snapshot.
-    """
-
-    def __init__(self, store: CorpusStore, states: Mapping[int, int] | None = None):
-        self._labels = store.json_labels
-        self._xn = [0] * store.num_authors
-        self._lines = [""] * store.num_authors
-        for author, xn in (states or {}).items():
-            self.add(author, xn)
-
-    def add(self, author: int, delta: int) -> None:
-        """Add ``delta`` to the scholar's scaled x and re-encode their line."""
-        xn = self._xn[author] = self._xn[author] + delta
-        self._lines[author] = (
-            f'{{"id": {self._labels[author]}, "kind": "state", "xn": {xn}}}\n' if xn else ""
-        )
-
-    def values(self) -> list[int]:
-        """The scaled x of every author, 0 for those never credited."""
-        return self._xn
-
-    def encode(self, year: int, n: int, config_hash: str) -> str:
-        from .indices import x_scale
-
-        head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n),
-                "config": config_hash}
-        return json.dumps(head, sort_keys=True) + "\n" + "".join(self._lines)
-
-
 def encode_states(year: int, states: Mapping[int, int], store: CorpusStore, n: int,
                   config_hash: str) -> str:
-    return StateLines(store, states).encode(year, n, config_hash)
+    """The x snapshot of ``states`` (scaled x by author id) after ``year``:
+    one line per scholar in author-id order, those at x = 0 left out."""
+    from .indices import x_scale
+
+    head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n), "config": config_hash}
+    labels = store.json_labels
+    lines = [json.dumps(head, sort_keys=True) + "\n"]
+    for author in sorted(states):
+        if xn := states[author]:
+            lines.append(f'{{"id": {labels[author]}, "kind": "state", "xn": {xn}}}\n')
+    return "".join(lines)
 
 
 CORPUS_KEY = "corpus_sha256"

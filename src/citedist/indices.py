@@ -9,9 +9,9 @@ citations, so only the current year's distances ever need to be stored.
 
 Every weight is a multiple of 1/n, so x is kept as an exact integer in
 units of 1/x_scale(n) (``x_increment_scaled``).  That count is linear in
-the distance counts, so the running x that ``run`` adds up year by year
-and the x an index report takes from a scholar's pooled counts agree to
-the last bit.
+the distance counts, so the x that ``run`` folds from the ledgers into
+its snapshot and the x an index report takes from a scholar's pooled
+counts agree to the last bit.
 ``fractions.Fraction`` appears only where a value leaves as an
 :class:`IndexRecord` (and in the per-citation :func:`weight`).  Reports
 render x with 2 decimals.

@@ -1,13 +1,11 @@
-"""Year-by-year pipeline: network build, distance batch, x-index update.
+"""Year-by-year pipeline: network build, distance batch, x-index fold.
 
 For each year the pipeline builds the window network, distances every
-citation event of the year, credits the ledger, and advances each cited
-scholar's running x by the year's weighted count.  Ledger and state
-snapshots are persisted per year, so an interrupted run resumes at the
-first incomplete year and replays to the same final state.
-
-Years must be processed consecutively: the x state of year y is defined
-in terms of year y-1 plus year y's ledger alone.
+citation event of the year and credits the year's ledger.  A scholar's
+x is a sum over the yearly ledgers, so it is not carried from year to
+year: a run folds every planned ledger into one x snapshot, written
+after the last planned year.  An interrupted run resumes at the years
+whose ledger is missing and writes the same snapshot.
 
 The run's year loop and the index folds allocate many objects and make
 no reference cycles, so each runs inside one guard,
@@ -16,9 +14,9 @@ ends, however it ends.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``run_pipeline`` imports the window
-code, the ledger types and ``logging`` at the first year it computes,
-and each report function imports what it folds, so a resume that
-finds every year complete compiles none of them.
+code, the ledger types and ``logging`` once it has work, and each
+report function imports what it folds, so a resume that finds every
+year complete compiles none of them.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TypeVar
 
-from .codec import StateLines
 from .config import Config
 from .errors import IncompleteStateError, WorkspaceError
 from .workspace import Workspace
@@ -93,16 +90,18 @@ def run_pipeline(ws: Workspace, cfg: Config,
                  year_range: tuple[int, int] | None = None) -> RunResult:
     """Process (or resume) the yearly pipeline over the workspace corpus.
 
-    The snapshot is loaded at the first year that is not complete, so a
-    resume that finds every year complete reads only the meta and the
-    artifact headers.  Every year computed gets its window from
-    ``collab.build_window`` (years without citing papers too), each slid
-    from the previous year's network, and the x states and their
-    encoded lines are carried from year to year in a :class:`StateLines`.
-    The whole year loop, the store load included, runs with the cyclic
-    collector paused (``_cyclic_gc_paused``).  A year's log line splits
-    its time into the window build, the search, credit and x fold
-    ("compute"), and the artifact writes."""
+    A year is complete once its ledger is, so the years to compute are
+    found first, from the artifact headers.  Each gets its window from
+    ``collab.build_window``, slid from the previous year's network when
+    that year was computed just before.  When the years reach the last
+    planned year, the x snapshot of that year is written, unless no year
+    was computed and it is complete: every planned ledger folded, those
+    computed as they are made and the others read back first (a missing
+    one stops the run before any year is computed).  The store is
+    loaded, with the cyclic collector paused (``_cyclic_gc_paused``),
+    only when there is a year to compute or a snapshot to write.  A
+    year's log line splits its time into the window build, the search,
+    credit and x fold ("compute"), and the ledger write."""
     planned = workspace_years(ws, cfg)
     ws.ensure_dirs()
     cfg_hash = cfg.config_hash()
@@ -113,60 +112,56 @@ def run_pipeline(ws: Workspace, cfg: Config,
     if not years:
         return RunResult([], [])
 
-    processed: list[int] = []
-    skipped: list[int] = []
-    store: CorpusStore | None = None
-    net: CollabNetwork | None = None
-    states: StateLines | None = None
+    todo = [y for y in years if not ws.year_complete(y, cfg_hash)]
+    skipped = [y for y in years if y not in todo]
+    last = planned[-1]
+    write_x = years[-1] == last and bool(todo or not ws.states_complete(last, cfg_hash))
+    if not write_x and not todo:
+        return RunResult([], skipped)
+
+    import logging
+
+    from .collab import build_window
+    from .indices import x_increment_scaled
+
+    log = logging.getLogger("citedist")
+    xs: dict[int, int] = {}
+
+    def fold(ledger: YearLedger) -> None:
+        for author, tally in ledger.scholars.items():
+            if delta := x_increment_scaled(tally, cfg.n):
+                xs[author] = xs.get(author, 0) + delta
+
     with _cyclic_gc_paused():
-        for year in years:
-            if ws.year_complete(year, cfg_hash):
-                skipped.append(year)
-                states = None  # reload lazily from the last completed snapshot
-                continue
-            if store is None:  # the first year to compute: import what computing needs
-                import logging
-
-                from .collab import build_window
-                from .indices import x_increment_scaled
-
-                log = logging.getLogger("citedist")
-                store = ws.load_store(cfg)
-            if states is None:
-                prior = _load_chain_state(ws, store, cfg_hash, year, planned[0])
-                states = StateLines(store, prior)
+        store = ws.load_store(cfg)
+        if write_x:
+            for year in planned:
+                if year not in todo:
+                    ledger = ws.read_ledger(year, store, cfg_hash)
+                    if ledger is None:
+                        raise WorkspaceError(
+                            f"the year-{last} x snapshot needs the year-{year} ledger; "
+                            f"run the preceding years first"
+                        )
+                    fold(ledger)
+        net: CollabNetwork | None = None
+        for year in todo:
             started = time.perf_counter()
             net = build_window(store, year, cfg.window_length, net)
             built = time.perf_counter()
             ledger = year_ledger(store, year, cfg, net)
-            for author, tally in ledger.scholars.items():
-                delta = x_increment_scaled(tally, cfg.n)
-                if delta:
-                    states.add(author, delta)
+            fold(ledger)
             computed = time.perf_counter()
             ws.write_ledger(ledger, store, cfg_hash)
-            ws.write_states(year, states, cfg, cfg_hash)
-            processed.append(year)
             log.info(
                 "year %d: %d citation events, %d scholars credited "
                 "(window %.2fs, compute %.2fs, write %.2fs)",
                 year, ledger.events.total(), len(ledger.scholars),
                 built - started, computed - built, time.perf_counter() - computed,
             )
-    return RunResult(processed, skipped)
-
-
-def _load_chain_state(ws: Workspace, store: CorpusStore, cfg_hash: str,
-                      year: int, first_year: int) -> dict[int, int]:
-    if year == first_year:
-        return {}
-    prior = ws.read_states(year - 1, store, cfg_hash)
-    if prior is None:
-        raise WorkspaceError(
-            f"year {year} needs the year-{year - 1} state snapshot; "
-            f"run the preceding years first"
-        )
-    return prior
+        if write_x:
+            ws.write_states(last, xs, store, cfg, cfg_hash)
+    return RunResult(todo, skipped)
 
 
 # -- report assembly ---------------------------------------------------------

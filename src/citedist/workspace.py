@@ -5,17 +5,18 @@ Layout under the workspace root:
     corpus.jsonl          normalized corpus snapshot (canonical format)
     corpus.meta.json      validation summary, corpus/config hashes, paper years
     ledgers/<year>.jsonl  per-year distance ledgers
-    states/<year>.jsonl   per-year x-index state snapshots (append-only history)
+    states/<year>.jsonl   x snapshot after the last planned year (run)
     indices/<year>.jsonl  per-year index snapshots, derived from the ledgers
     reports/              CSV reports with JSON manifests
     .lock                 flock: exclusive for ingest and run, shared for report
 
 Artifacts are written atomically (per-process temp file + rename), so an
 interrupted stage never leaves a half-written year behind and re-running
-a stage with the same inputs produces byte-identical files.  State
-snapshots store x scaled by n as an exact integer.  ``citedist.codec``
-owns the line format of ledgers, states and index snapshots, and each
-of the three is written through ``_write_artifact``, which stamps it.
+a stage with the same inputs produces byte-identical files.  A year is
+complete once its ledger is; the x snapshot stores x scaled by n as an
+exact integer.  ``citedist.codec`` owns the line format of ledgers,
+states and index snapshots, and each of the three is written through
+``_write_artifact``, which stamps it.
 
 An index snapshot holds every scholar's indices at its year, as the
 first index report of that year under a config computed them, and lists
@@ -36,11 +37,11 @@ produced it, the sha256 of the ingested corpus, and the sha256 of its
 record lines.  Every read checks the header first: an artifact of
 another configuration reads as absent; one stamped for another corpus,
 or whose record lines do not match their digest, raises a
-WorkspaceError that names the file.  ``year_complete`` stops there, so
-the resume check decodes no record; ``read_ledger_events`` decodes the
-first two lines alone, the header and the events line, with
-``decode_ledger`` and no store, and checks the corpus stamp but not the
-digest.
+WorkspaceError that names the file.  ``year_complete`` and
+``states_complete`` stop there, so the resume check decodes no record;
+``read_ledger_events`` decodes the first two lines alone, the header and
+the events line, with ``decode_ledger`` and no store, and checks the
+corpus stamp but not the digest.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``load_store`` imports the snapshot
@@ -57,17 +58,17 @@ import os
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .codec import (
     CORPUS_KEY,
     RECORDS_KEY,
-    StateLines,
     decode_indices,
     decode_ledger,
     decode_states,
     encode_indices,
     encode_ledger,
+    encode_states,
     read_header,
     stamp,
 )
@@ -123,7 +124,11 @@ class Workspace:
 
     def ensure_dirs(self) -> None:
         for d in (self.root, self.ledger_dir, self.state_dir, self.report_dir):
-            d.mkdir(parents=True, exist_ok=True)
+            try:
+                d.mkdir(parents=True, exist_ok=True)
+            except (FileExistsError, NotADirectoryError):
+                raise WorkspaceError(
+                    f"cannot make {d}: it or a path above it is not a directory") from None
 
     @contextmanager
     def lock(self, shared: bool = False):
@@ -136,6 +141,8 @@ class Workspace:
             fp = open(self.root / ".lock", "a")
         except FileNotFoundError:
             raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first") from None
+        except NotADirectoryError:
+            raise WorkspaceError(f"workspace {self.root} is not a directory") from None
         with fp:  # closing the file releases the lock
             try:
                 fcntl.flock(fp, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
@@ -289,13 +296,15 @@ class Workspace:
         _atomic_write(path, lambda fp: fp.write(data), binary=True)
 
     def year_complete(self, year: int, config_hash: str) -> bool:
-        """Whether the year's ledger and state were both written under
-        ``config_hash``, judged from their headers and record digests
-        alone; raises as ``_artifact`` does."""
-        return all(
-            self._artifact(path, config_hash) is not None
-            for path in (self.ledger_path(year), self.state_path(year))
-        )
+        """Whether the year's ledger was written under ``config_hash``,
+        judged from its header and record digest alone; raises as
+        ``_artifact`` does."""
+        return self._artifact(self.ledger_path(year), config_hash) is not None
+
+    def states_complete(self, last: int, config_hash: str) -> bool:
+        """Whether the x snapshot after ``last`` was written under
+        ``config_hash``, checked as ``year_complete`` checks a ledger."""
+        return self._artifact(self.state_path(last), config_hash) is not None
 
     # -- ledgers ---------------------------------------------------------
 
@@ -331,10 +340,11 @@ class Workspace:
     def state_path(self, year: int) -> Path:
         return self.state_dir / f"{year}.jsonl"
 
-    def write_states(self, year: int, states: StateLines, cfg: Config,
-                     config_hash: str) -> None:
-        """Snapshot the running x of every scholar with x > 0 after ``year``."""
-        self._write_artifact(self.state_path(year), states.encode(year, cfg.n, config_hash))
+    def write_states(self, year: int, states: Mapping[int, int], store: CorpusStore,
+                     cfg: Config, config_hash: str) -> None:
+        """Snapshot ``states``, each scholar's scaled x after ``year``."""
+        self._write_artifact(self.state_path(year),
+                             encode_states(year, states, store, cfg.n, config_hash))
 
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
@@ -371,14 +381,13 @@ class Workspace:
             ) from exc
 
     def completed_years(self) -> list[int]:
+        """The years that have a ledger file, in order."""
         years = []
         for path in self.ledger_dir.glob("*.jsonl"):
             try:
-                year = int(path.stem)
+                years.append(int(path.stem))
             except ValueError:
                 continue
-            if self.state_path(year).exists():
-                years.append(year)
         return sorted(years)
 
     # -- reports -----------------------------------------------------------

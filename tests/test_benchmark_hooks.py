@@ -1,4 +1,5 @@
-"""The benchmark's span hooks still find what they wrap.
+"""The benchmark's span hooks still find what they wrap, and its output
+checks hold.
 
 ``perfbench/spans.py`` rebinds package functions and methods by name and
 reads the arguments of some of them in its count hooks.  A renamed or
@@ -7,6 +8,11 @@ raise inside a traced step.  These tests load the hook table as it
 stands and run under it the CLI steps that the benchmark traces, once
 with exact distances (the steps of giant-exact) and once capped (those
 of sparse-x and giant-x).
+
+``perfbench/checks.py`` reads the workspace files as plain JSON.  Its
+check (b), the x snapshot against the fold of every ledger, runs here on
+a workspace that the benchmark never makes: one resumed after a run
+over part of its years.
 """
 
 import importlib
@@ -16,18 +22,20 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 import citedist
 from citedist.cli import main
 
 from synthcorpus import random_corpus_lines
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    """``perfbench/spans.py`` as a module, registered before it runs (its
-    dataclass looks its module up in ``sys.modules``)."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module, registered before it runs (the
+    dataclass of ``spans`` looks its module up in ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
@@ -38,7 +46,7 @@ def run_traced(tmp_path, exact, reports):
     """Ingest, run, resume and ``reports`` under a tracer of the hook
     table: every step exits 0, every hook resolves, every layer metric is
     present, and the run's windows and search were seen."""
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for info in pkgutil.iter_modules(citedist.__path__):
         if info.name != "__main__":  # the entry point runs the CLI when imported
             importlib.import_module(f"citedist.{info.name}")
@@ -81,3 +89,22 @@ def test_every_hook_resolves_and_feeds_its_layer_metrics(tmp_path):
 
 def test_every_hook_resolves_on_a_capped_run(tmp_path):
     run_traced(tmp_path, False, [["network-stats"], ["distance-histogram"]])
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["capped", "exact"])
+def test_check_b_holds_after_a_partial_run_and_a_resume(tmp_path, exact):
+    checks = load_perfbench("checks")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(random_corpus_lines(random.Random(29), 150, 30, 2000, 2009)) + "\n")
+    config = tmp_path / "engine.cfg"
+    config.write_text(f"exact_distances = {str(exact).lower()}\n")
+    ws = tmp_path / "ws"
+    common = ["--workspace", str(ws), "--config", str(config)]
+    assert main(["ingest", str(corpus), *common]) == 0
+    assert main(["run", "--years", "2000:2004", *common]) == 0
+    assert not any((ws / "states").iterdir())  # the years stop before the last
+    assert main(["run", *common]) == 0
+    assert len((ws / "states" / "2009.jsonl").read_text().splitlines()) > 10
+    ops = checks.Ops()
+    checks.check_x_states(ops, ws, 6)
+    assert (ops.attempted, ops.failed) == (1, 0), ops.failures

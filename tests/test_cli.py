@@ -31,6 +31,7 @@ from citedist import workspace as workspace_module
 from citedist.workspace import Workspace, _atomic_write
 
 from synthcorpus import random_corpus_lines, record_line, table1_lines
+from test_benchmark_hooks import load_perfbench
 
 
 @pytest.fixture
@@ -71,12 +72,10 @@ def test_ingest_and_run_table1(table1_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "7 papers, 9 authors, 0 citations" in out
     assert main(["run", "--workspace", str(ws)]) == 0
-    # no citations anywhere: every yearly state snapshot is empty
+    # no citations anywhere: the one x snapshot, after 2018, is empty
     store = parse_records(table1_lines(), Config())
-    workspace = Workspace(ws)
-    for year in range(2012, 2019):
-        states = workspace.read_states(year, store, Config().config_hash())
-        assert states == {}
+    assert [p.name for p in (ws / "states").iterdir()] == ["2018.jsonl"]
+    assert Workspace(ws).read_states(2018, store, Config().config_hash()) == {}
 
 
 def test_ingest_malformed_line_exits_2(tmp_path, capsys):
@@ -153,6 +152,18 @@ def test_run_before_ingest_exits_3(tmp_path, capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["ingest", None], ["run"], ["report", "distance-histogram"]],
+                         ids=["ingest", "run", "report"])
+def test_workspace_that_is_not_a_directory_exits_3(table1_file, tmp_path, capsys, command):
+    path = tmp_path / "ws"
+    path.write_text("a regular file\n")
+    argv = [str(table1_file) if arg is None else arg for arg in command]
+    assert main([*argv, "--workspace", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "error: " in err and str(path) in err and "is not a directory" in err
+    assert path.read_text() == "a regular file\n"
+
+
 def test_two_paper_pipeline_hand_computed(tmp_path):
     # bridge c: cited paper {a, c}, citing paper {b}, path b-c-a of length 1
     # via the shared co-authorship window
@@ -226,9 +237,10 @@ def test_resume_matches_uninterrupted(tmp_path):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_interrupted_run_resumes_byte_identical(tmp_path, monkeypatch, exact):
-    """A run stopped after a middle year, in the next year's state write,
-    resumes from the decoded year-end states to the same artifacts as an
-    uninterrupted run."""
+    """A run stopped in the ledger write of the year after a middle year,
+    or in the write of the x snapshot after the last year, leaves no
+    snapshot and resumes to the same artifacts as an uninterrupted run;
+    the benchmark's check of the snapshot against the ledgers holds."""
     rng = random.Random(83)
     src = tmp_path / "c.jsonl"
     src.write_text("\n".join(random_corpus_lines(rng, 160, 30, 2000, 2008)) + "\n")
@@ -236,25 +248,33 @@ def test_interrupted_run_resumes_byte_identical(tmp_path, monkeypatch, exact):
     ws_full = tmp_path / "full"
     assert main(["ingest", str(src), "--workspace", str(ws_full), *cfg]) == 0
     assert main(["run", "--workspace", str(ws_full), *cfg]) == 0
-    write_states = Workspace.write_states
+    assert [p.name for p in (ws_full / "states").iterdir()] == ["2008.jsonl"]
+    checks = load_perfbench("checks")
 
-    for stop in (2002, 2005):
-        def write_or_stop(self, year, *args):
-            if year == stop + 1:
+    for method, stop in (("write_ledger", 2003), ("write_ledger", 2006),
+                         ("write_states", 2008)):
+        write = getattr(Workspace, method)
+
+        def write_or_stop(self, first, *args):
+            if (first if method == "write_states" else first.year) == stop:
                 raise KeyboardInterrupt
-            write_states(self, year, *args)
+            write(self, first, *args)
 
-        ws = tmp_path / f"part-{stop}"
+        ws = tmp_path / f"part-{method}-{stop}"
         assert main(["ingest", str(src), "--workspace", str(ws), *cfg]) == 0
-        monkeypatch.setattr(Workspace, "write_states", write_or_stop)
+        monkeypatch.setattr(Workspace, method, write_or_stop)
         with pytest.raises(KeyboardInterrupt):
             main(["run", "--workspace", str(ws), *cfg])
-        monkeypatch.setattr(Workspace, "write_states", write_states)
-        assert Workspace(ws).completed_years() == list(range(2000, stop + 1))
-        assert (ws / "ledgers" / f"{stop + 1}.jsonl").exists()  # its state is not
+        monkeypatch.setattr(Workspace, method, write)
+        done = range(2000, 2009 if method == "write_states" else stop)
+        assert Workspace(ws).completed_years() == list(done)
+        assert not any((ws / "states").iterdir())
         assert main(["run", "--workspace", str(ws), *cfg]) == 0
         assert tree_bytes(ws / "ledgers") == tree_bytes(ws_full / "ledgers")
         assert tree_bytes(ws / "states") == tree_bytes(ws_full / "states")
+        ops = checks.Ops()
+        checks.check_x_states(ops, ws, 6)
+        assert (ops.attempted, ops.failed) == (1, 0), ops.failures
 
 
 @pytest.mark.parametrize("missing", ["ledgers", "states"])
@@ -347,8 +367,8 @@ def _ledger_count_digit(ws, src):
 
 
 def _state_xn_digit(ws, src):
-    _change_digit(ws / "states" / "2002.jsonl", r'"xn": (\d)')
-    return [["run"]], "2002.jsonl"
+    _change_digit(ws / "states" / "2003.jsonl", r'"xn": (\d)')
+    return [["run"]], "2003.jsonl"
 
 
 def _ledger_events_line_dropped(ws, src):
@@ -910,12 +930,13 @@ def tree_digest(root, subdirs):
     return h.hexdigest()
 
 
-# Digests of ledgers/, states/ and reports/ (the distance-histogram report)
-# for the corpus below, pinned so that a change to the engine is shown to
-# leave every artifact byte-identical.
+# Digests of ledgers/, states/ (the one x snapshot, after 2005) and
+# reports/ (the distance-histogram report) for the corpus below, pinned
+# so that a change to the engine is shown to leave every artifact
+# byte-identical.
 PINNED_ARTIFACT_DIGESTS = {
-    False: "d8077bb95bb18a56c2383a6a2b4f29c454f5a901976a5fb1ee6ed721e613dfd0",
-    True: "8b26ca2e8f772cc3db0a85002c6187b024cda907a0ddec843339e04b5991b733",
+    False: "d12d8706725a3f89a4ff3d01f439d6236fb44408f7ee75c851eecb76f4300324",
+    True: "c8a2393cbeb2520c4b26c57a4311948ed65bc207628d161166eac3af545fb2dc",
 }
 
 

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from citedist.codec import (
-    StateLines,
     decode_indices,
     decode_ledger,
     decode_states,
@@ -396,27 +395,6 @@ def test_year_ledgers_round_trip(exact):
         scholars += len(ledger.scholars)
         exceeds += ledger.events.exceeds
     assert scholars > 100 and (exceeds > 0) != exact
-
-
-def test_state_lines_follow_the_running_x():
-    """StateLines encodes what ``encode_states`` of the running x gives,
-    after every step, whether it starts empty or is seeded from a decoded
-    snapshot (as a resumed run is)."""
-    lines = [record_line(f"p{k}", 2000, [label]) for k, label in enumerate(ODD_LABELS)]
-    store = parse_records(lines, Config())
-    rng = random.Random(41)
-    running: dict[int, int] = {}
-    incremental = StateLines(store)
-    for step in range(60):
-        for author in rng.sample(range(len(ODD_LABELS)), rng.randint(0, 4)):
-            delta = rng.choice([0, 1, 5, 123456789012])
-            running[author] = running.get(author, 0) + delta
-            incremental.add(author, delta)
-        text = incremental.encode(2000 + step, 6, "cfg")
-        assert text == reference_states_text(2000 + step, running, store, 6, "cfg")
-        seeded = StateLines(store, decode_states(text, store, "cfg"))
-        assert seeded.encode(2000 + step, 6, "cfg") == text
-        assert list(seeded.values()) == list(incremental.values())
 
 
 @pytest.mark.parametrize("damage", [

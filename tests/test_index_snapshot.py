@@ -127,13 +127,12 @@ def test_snapshot_of_other_ledgers_is_rebuilt(tmp_path):
 
 
 def test_snapshot_does_not_hide_a_deleted_year(tmp_path, capsys):
-    """A middle year's ledger and state deleted: the reports fail with
-    the gap error as without a snapshot; once ``run`` restores the year,
-    they serve the same bytes again."""
+    """A middle year's ledger deleted: the reports fail with the gap
+    error as without a snapshot; once ``run`` restores the year, they
+    serve the same bytes again."""
     ws, cfg = ran_workspace(tmp_path)
     expected = report_outputs(ws, cfg, 2006)
     ws.ledger_path(2003).unlink()
-    ws.state_path(2003).unlink()
     capsys.readouterr()
     assert [code for code, _, _ in report_outputs(ws, cfg, 2006)] == [3] * len(INDEX_REPORTS)
     assert "missing ledger years: [2003]" in capsys.readouterr().err

@@ -41,15 +41,29 @@ def ledger_events(ws, year):
     return {int(d): c for d, c in events["counts"].items() if c}, events
 
 
+def snapshot_x(ws, year):
+    """Each scholar's x in the run's one x snapshot, ``states/<year>.jsonl``,
+    read as plain JSON and shown with 2 decimals as the index-table
+    shows it."""
+    assert [p.name for p in (ws / "states").iterdir()] == [f"{year}.jsonl"]
+    head, *records = map(json.loads, (ws / "states" / f"{year}.jsonl").read_text().splitlines())
+    assert (head["kind"], head["year"]) == ("header", year)
+    return {r["id"]: f"{float(Fraction(r['xn'], head['scale'])):.2f}" for r in records}
+
+
 def check_cli_against_oracle(tmp_path, lines, n, alpha, strict_window, window):
     """Ingest and run ``lines`` exact and capped: the events line of every
     ledger equals the oracle's distances (capped: finite codes within the
-    cap exactly, INF + exceeds as one sum), and the exact index-table
-    equals the oracle's CSV byte for byte."""
+    cap exactly, INF + exceeds as one sum), the x of every scholar in the
+    x snapshot equals the x column of the oracle's CSV (with cap = n,
+    capped x is exact x), and the exact index-table equals the oracle's
+    CSV byte for byte."""
     src = tmp_path / "corpus.jsonl"
     src.write_text("\n".join(lines) + "\n")
     expected_csv, expected_events = oracle_index_run(
         lines, Config(window_length=window, n=n, alpha=alpha, strict_window=strict_window))
+    expected_x = {row.split(",", 1)[0]: row.rsplit(",", 1)[1]
+                  for row in expected_csv.splitlines()[1:]}
     for exact in (True, False):
         ws = tmp_path / f"ws-{exact}"
         config = tmp_path / f"{exact}.cfg"
@@ -70,6 +84,9 @@ def check_cli_against_oracle(tmp_path, lines, n, alpha, strict_window, window):
                 assert finite == {d: c for d, c in tally.items() if d <= n}, year
                 assert events["infinite"] + events["exceeds"] == \
                     sum(c for d, c in tally.items() if d > n), year
+        x = snapshot_x(ws, max(expected_events))
+        assert x.keys() <= expected_x.keys()
+        assert {a: x.get(a, "0.00") for a in expected_x} == expected_x
         if exact:
             assert main(["report", "index-table", *common]) == 0
             assert (ws / "reports" / "index-table.csv").read_text() == expected_csv
