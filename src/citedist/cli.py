@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ingest, run, report, validate.  Exit codes: 0 success,
-1 usage error, 2 data error (including lossy ingestion), 3 incomplete
-workspace (a prerequisite stage has not run), a damaged artifact or one
-written for another corpus, or a workspace locked by another stage,
-141 stdout closed early (a broken pipe).
+1 usage error, 2 data error (a lossy ingestion, an unwritable --out),
+3 incomplete workspace (a prerequisite stage has not run), a damaged
+artifact or one written for another corpus, or a workspace locked by
+another stage, 141 stdout closed early (a broken pipe).
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  Each command imports the modules it
@@ -285,10 +285,11 @@ def _index_table(args, records):
 def _rank(args, records):
     from .analytics import rank
 
+    display = {"c": "c_display", "x": "x_display"}.get(args.index)  # as index-table prints
     rows = [f"rank,scholar,{args.index},Q"]
     rows.extend(
         f"{r.position},{r.record.scholar},"
-        f"{r.record.c_display if args.index == 'c' else r.value},{r.record.q}"
+        f"{getattr(r.record, display) if display else r.value},{r.record.q}"
         for r in rank(records, args.index)
     )
     return rows, {"index": args.index}

@@ -35,14 +35,15 @@ to the header: ``corpus_sha256``, the sha256 of the ingested corpus
 snapshot, and ``records_sha256``, the sha256 of every byte after the
 header line.  The record lines stay as above.  ``read_header`` parses
 the header line alone and returns the record bytes, so a reader can
-check both stamps without decoding a record.
+check both stamps without decoding a record.  No decoder checks the
+config: the workspace checks every header first.
 
 Decoding raises ValueError, KeyError, TypeError, AttributeError or
 ZeroDivisionError on a damaged file, and KeyError on an author label the
 store lacks.  A text whose first line is not a header object, and a
 ledger without an events line, raise ValueError.
 ``decode_ledger`` without a store decodes the header and events line
-alone, the first two lines, for the reports that bin events only.
+alone, the first record line, for the reports that bin events only.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  The decoders import the record types
@@ -150,17 +151,20 @@ def json_lines(text: str) -> list:
     return values
 
 
-def decode_ledger(text: str, store: CorpusStore | None) -> tuple[YearLedger, str]:
-    """The ledger in ``text`` and the config hash its header records.
-    Raises ValueError when ``text`` has no header or no events line.
+def decode_ledger(text: str, store: CorpusStore | None) -> YearLedger:
+    """The ledger in ``text``.  Raises ValueError when ``text`` has no
+    header or no events line.
 
-    With ``store=None`` no author label resolves, so a scholar line
-    raises KeyError: the text to decode is then the header and events
-    lines alone, and the ledger has no scholars.
+    With ``store=None`` only the first record line is decoded and the
+    ledger has no scholars; that line must be the events line, since no
+    author label resolves without a store (a scholar line raises KeyError).
     """
     from .distances import DistanceTally, YearLedger
 
     head, body = read_header(text)
+    if store is None:  # slice the first line, not copy the rest as partition would
+        end = body.find("\n")
+        body = body if end < 0 else body[:end]
     cap = head["cap"]
     ledger = YearLedger(year=head["year"], cap=cap)
     ledger.records_sha256 = head.get(RECORDS_KEY)
@@ -179,15 +183,12 @@ def decode_ledger(text: str, store: CorpusStore | None) -> tuple[YearLedger, str
             scholars[index[obj["id"]]] = tally
     if events is None:
         raise ValueError("ledger file missing events line")
-    return ledger, head["config"]
+    return ledger
 
 
-def decode_states(text: str, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
-    """The x states in ``text``, or None when its header records another
-    config; raises ValueError when ``text`` has no header."""
-    head, body = read_header(text)
-    if head.get("config") != config_hash:
-        return None
+def decode_states(text: str, store: CorpusStore) -> dict[int, int]:
+    """The x states in ``text``; raises ValueError without a header."""
+    _head, body = read_header(text)
     index = store.author_index
     return {index[obj["id"]]: obj["xn"] for obj in json_lines(body)}
 

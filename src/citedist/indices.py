@@ -34,27 +34,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 from .errors import IncompleteStateError, SequencingError
 
 if TYPE_CHECKING:
+    from .config import Config
     from .distances import DistanceTally
-
-
-class _WeightFields(NamedTuple):
-    n: int = 6
-    alpha: Fraction = Fraction(1)
-
-
-class WeightConfig(_WeightFields):
-    """Knobs of the index computations (threshold n, c-index slope)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        return self
 
 
 def x_scale(n: int) -> int:
@@ -300,9 +281,10 @@ class IndexRecord(_RecordFields):
 
 
 def index_record(label: str, year: int, pooled: DistanceTally,
-                 per_paper_counts: Sequence[int], cfg: WeightConfig) -> IndexRecord:
+                 per_paper_counts: Sequence[int], cfg: Config) -> IndexRecord:
     """Q, h, g, c, N_w and x of one scholar from the exact distance
-    counts ``pooled`` over all years through ``year``.  x is the scaled
+    counts ``pooled`` over all years through ``year``, with ``cfg``'s
+    threshold n and c-index slope alpha.  x is the scaled
     increment of the pooled counts, which equals the sum over the year
     slices because the increment is linear in the counts."""
     if not pooled.is_exact():

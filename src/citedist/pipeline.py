@@ -39,21 +39,13 @@ if TYPE_CHECKING:
 _T = TypeVar("_T")
 
 
-def _window_years(lo: int, hi: int, cfg: Config) -> list[int]:
+def workspace_years(ws: Workspace, cfg: Config) -> list[int]:
+    """Years the pipeline processes: the span of the workspace snapshot
+    loaded with ``cfg``, from its meta alone, with the leading years
+    dropped when strict windowing demands a full window."""
+    lo, hi = ws.year_span(cfg)
     start = lo + cfg.window_length - 1 if cfg.strict_window else lo
     return list(range(start, hi + 1))
-
-
-def planned_years(store: CorpusStore, cfg: Config) -> list[int]:
-    """Years the pipeline processes: the corpus span, with the leading
-    years dropped when strict windowing demands a full window."""
-    return _window_years(*store.year_span(), cfg)
-
-
-def workspace_years(ws: Workspace, cfg: Config) -> list[int]:
-    """:func:`planned_years` of the workspace snapshot loaded with
-    ``cfg``, from its meta alone."""
-    return _window_years(*ws.year_span(cfg), cfg)
 
 
 def year_ledger(store: CorpusStore, year: int, cfg: Config, net: CollabNetwork) -> YearLedger:
@@ -249,17 +241,16 @@ def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year:
     ``ledgers`` is any iterable of year ledgers, such as the stream of
     :func:`report_ledgers`, which holds one decoded ledger at a time.
     x, Q, c and N_w come from each scholar's pooled counts."""
-    from .indices import WeightConfig, index_record
+    from .indices import index_record
 
     with _cyclic_gc_paused():
         pooled = _pool_tallies(ledgers, year)
-        wcfg = WeightConfig(n=cfg.n, alpha=cfg.alpha)
         paper_counts = store.paper_citation_counts(year)
         author_papers = store.author_papers
         labels = store.author_labels
         records = [
             index_record(labels[scholar], year, tally,
-                         [paper_counts[p] for p in author_papers[scholar]], wcfg)
+                         [paper_counts[p] for p in author_papers[scholar]], cfg)
             for scholar, tally in pooled.items()
         ]
     records.sort(key=lambda r: r.scholar)

@@ -39,9 +39,8 @@ another configuration reads as absent; one stamped for another corpus,
 or whose record lines do not match their digest, raises a
 WorkspaceError that names the file.  ``year_complete`` and
 ``states_complete`` stop there, so the resume check decodes no record;
-``read_ledger_events`` decodes the first two lines alone, the header and
-the events line, with ``decode_ledger`` and no store, and checks the
-corpus stamp but not the digest.
+``read_ledger_events`` checks the whole ledger too but decodes only
+its header and events line (``decode_ledger`` without a store).
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``load_store`` imports the snapshot
@@ -56,7 +55,6 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -73,7 +71,7 @@ from .codec import (
     stamp,
 )
 from .config import Config, config_span
-from .errors import WorkspaceError
+from .errors import CiteDistError, WorkspaceError
 
 if TYPE_CHECKING:
     from .corpus import CorpusStore
@@ -163,13 +161,10 @@ class Workspace:
         self.ensure_dirs()
         digest = hashlib.sha256()
         _atomic_write(self.corpus_path, lambda fp: store.dump(_HashedFile(fp, digest)), binary=True)
-        lo, hi = store.year_span()
         meta = {
             "summary": store.summary.as_dict(),
             "corpus_sha256": digest.hexdigest(),
             "config": cfg.config_hash(),
-            "year_min": lo,
-            "year_max": hi,
             "paper_years": sorted(store.years_index),
         }
         _atomic_write(self.meta_path, lambda fp: fp.write(json.dumps(meta, indent=2, sort_keys=True) + "\n"))
@@ -242,18 +237,14 @@ class Workspace:
 
     # -- artifacts ---------------------------------------------------------
 
-    def _artifact(self, path: Path, config_hash: str, lines: int | None = None) -> bytes | None:
-        """The bytes of an artifact, or of its first ``lines`` lines; None
-        when it is absent or its header records another config.  Raises a
-        WorkspaceError naming the file when it is empty, has no header,
-        is stamped for another corpus or, read whole, its record lines do
-        not match the digest in its header.  No record is decoded."""
+    def _artifact(self, path: Path, config_hash: str) -> bytes | None:
+        """The bytes of an artifact; None when it is absent or its header
+        records another config.  Raises a WorkspaceError naming the file
+        when it is empty, has no header, is stamped for another corpus or
+        its record lines do not match the digest in its header.  No record
+        is decoded."""
         try:
-            if lines is None:
-                data = path.read_bytes()
-            else:
-                with open(path, "rb") as fp:
-                    data = b"".join(islice(fp, lines))
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
         if not data:
@@ -270,18 +261,18 @@ class Workspace:
                 f"delete {self.ledger_dir}, {self.state_dir} and {self.index_dir} "
                 f"and run again"
             )
-        if lines is None and hashlib.sha256(records).hexdigest() != head.get(RECORDS_KEY):
+        if hashlib.sha256(records).hexdigest() != head.get(RECORDS_KEY):
             raise WorkspaceError(
                 f"cannot read {path}: damaged (its record lines do not match "
                 f"the {RECORDS_KEY} in its header)"
             )
         return data
 
-    def _read(self, path: Path, config_hash: str, decode, lines: int | None = None):
+    def _read(self, path: Path, config_hash: str, decode):
         """``decode(text)`` of a checked artifact (see ``_artifact``), or
         None when it is absent or of another config; a file that fails to
         decode raises a WorkspaceError naming it."""
-        data = self._artifact(path, config_hash, lines)
+        data = self._artifact(path, config_hash)
         if data is None:
             return None
         try:
@@ -318,7 +309,7 @@ class Workspace:
     def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
         return self._read(self.ledger_path(year), config_hash,
-                          lambda text: decode_ledger(text, store)[0])
+                          lambda text: decode_ledger(text, store))
 
     def ledger_digest(self, year: int, config_hash: str) -> str | None:
         """The ``records_sha256`` of the year's ledger, checked whole as
@@ -328,12 +319,12 @@ class Workspace:
         return None if data is None else read_header(data)[0][RECORDS_KEY]
 
     def read_ledger_events(self, year: int, config_hash: str) -> YearLedger | None:
-        """The year's ledger with its events tally and no scholars:
-        ``decode_ledger`` without a store of the first two lines of the
-        file, its header and events lines.  None when absent or built by
+        """The year's ledger with its events tally and no scholars, checked
+        whole as ``read_ledger`` checks it but decoded without a store (the
+        header and events lines alone).  None when absent or built by
         another config."""
         return self._read(self.ledger_path(year), config_hash,
-                          lambda text: decode_ledger(text, None)[0], lines=2)
+                          lambda text: decode_ledger(text, None))
 
     # -- x-index states ---------------------------------------------------
 
@@ -349,7 +340,7 @@ class Workspace:
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
         return self._read(self.state_path(year), config_hash,
-                          lambda text: decode_states(text, store, config_hash))
+                          lambda text: decode_states(text, store))
 
     # -- index snapshots ---------------------------------------------------
 
@@ -394,12 +385,16 @@ class Workspace:
 
     def write_report(self, name: str, rows: list[str], manifest: dict,
                      out: str | Path | None = None) -> Path:
+        """Write the CSV to ``out`` or ``reports/<name>.csv`` and its manifest
+        beside it; an unwritable path raises a CiteDistError naming it."""
         self.ensure_dirs()
         path = Path(out) if out else self.report_dir / f"{name}.csv"
-        _atomic_write(path, lambda fp: fp.write("\n".join(rows) + "\n"))
-        manifest_path = path.with_suffix(".manifest.json")
-        _atomic_write(
-            manifest_path,
-            lambda fp: fp.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
-        )
+        try:
+            _atomic_write(path, lambda fp: fp.write("\n".join(rows) + "\n"))
+            _atomic_write(
+                path.with_suffix(".manifest.json"),
+                lambda fp: fp.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+            )
+        except OSError as exc:
+            raise CiteDistError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return path

@@ -25,7 +25,6 @@ from citedist.corpus import parse_records
 from citedist.distances import DistanceTally, batch_year_distances
 from citedist.indices import (
     ScholarIndexState,
-    WeightConfig,
     c_index,
     index_record,
     update_x,
@@ -237,7 +236,7 @@ def test_c09_bound_suite():
             papers.append(take)
             remaining -= take
         for n in (0, 1, 6, 11):
-            rec = index_record("s", max(profiles), pooled, papers, WeightConfig(n=n))
+            rec = index_record("s", max(profiles), pooled, papers, Config(n=n))
             assert 0 <= rec.x <= rec.q
             if n == 0:
                 assert rec.x == rec.q

@@ -23,7 +23,7 @@ from citedist import pipeline as pipeline_module
 from citedist.cli import REPORT_NAMES, main
 from citedist.codec import encode_ledger
 from citedist.collab import build_window
-from citedist.config import Config
+from citedist.config import INDEX_NAMES, Config
 from citedist.corpus import parse_records
 from citedist.distances import batch_year_distances
 from citedist.pipeline import build_index_records, report_ledgers, run_pipeline
@@ -363,7 +363,7 @@ def _ledger_trailing_garbage(ws, src):
 
 def _ledger_count_digit(ws, src):
     _change_digit(ws / "ledgers" / "2003.jsonl", r'"kind": "events"}\n\{"counts": \{"\d+": (\d)')
-    return [["run"]], "2003.jsonl"
+    return [["run"], ["report", "distance-histogram"]], "2003.jsonl"
 
 
 def _state_xn_digit(ws, src):
@@ -817,6 +817,22 @@ def test_rank_and_histogram_reports(tmp_path):
     positions = [int(r.split(",")[0]) for r in rows[1:]]
     assert positions == list(range(1, len(positions) + 1))
 
+    # Each rank value cell is the scholar's cell in that index's
+    # index-table column: x and c print as index-table prints them.
+    assert main(["report", "index-table", "--workspace", str(ws), "--config", str(cfg),
+                 "--year", "2007"]) == 0
+    header, *table = (ws / "reports" / "index-table.csv").read_text().splitlines()
+    cells = {row.split(",")[0]: dict(zip(header.split(","), row.split(","))) for row in table}
+    assert any(not c["x"].endswith(".00") for c in cells.values())
+    for index in INDEX_NAMES:
+        assert main(["report", "rank", "--workspace", str(ws), "--config", str(cfg),
+                     "--year", "2007", "--index", index]) == 0
+        ranked = [row.split(",") for row in
+                  (ws / "reports" / "rank.csv").read_text().splitlines()[1:]]
+        assert len(ranked) == len(cells)
+        for _position, scholar, value, _q in ranked:
+            assert value == cells[scholar][index], (index, scholar)
+
     assert main(["report", "distance-histogram", "--workspace", str(ws),
                  "--config", str(cfg), "--years", "2000:2007"]) == 0
     hist_rows = (ws / "reports" / "distance-histogram.csv").read_text().splitlines()
@@ -841,6 +857,23 @@ def test_rank_and_histogram_reports(tmp_path):
     assert cn_rows[0] == "q_lo,q_hi,scholars,degenerate,ratio"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_report_out_exits_2(tmp_path, capsys, where):
+    """``--out`` in a missing directory, or naming a directory, gives one
+    error line that names the path and exit 2, and leaves no temp file."""
+    ws = _ran_workspace(tmp_path)
+    out = tmp_path / "nope" / "x.csv" if where == "missing-dir" else tmp_path / "out"
+    if where == "a-dir":
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["report", "distance-histogram", "--workspace", str(ws),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_pipeline_states_match_index_records(tmp_path):
     """The incremental run and the one-shot snapshot agree exactly."""
     rng = random.Random(61)
@@ -853,6 +886,7 @@ def test_pipeline_states_match_index_records(tmp_path):
     ws.write_corpus(store, cfg)
     run_pipeline(ws, cfg)
     states = ws.read_states(2006, store, cfg.config_hash())
+    assert ws.read_states(2006, store, Config().config_hash()) is None  # another config
     records = build_index_records(store, report_ledgers(ws, store, cfg, 2006), 2006, cfg)
     by_label = {r.scholar: r for r in records}
     for author, scaled in states.items():

@@ -17,7 +17,6 @@ from citedist.corpus import (
     yearly_counts,
 )
 from citedist.errors import EmptyCorpusError, IngestError
-from citedist.pipeline import planned_years, workspace_years
 from citedist.workspace import Workspace
 
 from synthcorpus import (
@@ -270,8 +269,8 @@ STORE_TABLES = ("author_labels", "author_index", "paper_labels", "paper_index",
 
 def test_snapshot_loader_matches_parse_records(tmp_path):
     """The workspace loader builds the same store from a snapshot as the
-    validating parser does from the same bytes, and the meta plans the
-    same years, for configs whose year range cuts references."""
+    validating parser does from the same bytes, and the meta gives the
+    same year span, for configs whose year range cuts references."""
     corpora = [random_corpus_lines(random.Random(seed), 150, 30, 2000, 2011)
                for seed in (31, 37, 41)]
     scale = tmp_path / "scale.jsonl"
@@ -291,7 +290,7 @@ def test_snapshot_loader_matches_parse_records(tmp_path):
             parsed = parse_records(snapshot.splitlines(), cfg)
             for table in STORE_TABLES:
                 assert getattr(loaded, table) == getattr(parsed, table), (k, cfg, table)
-            assert workspace_years(ws, cfg) == planned_years(parsed, cfg)
+            assert ws.year_span(cfg) == parsed.year_span()
         cut = parse_records(snapshot.splitlines(), configs[2]).summary
         assert cut.dangling_references > 0 and cut.skipped_reasons["year_out_of_range"] > 0
 

@@ -358,8 +358,8 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
         seen_exceeds += ledger.events.exceeds
         text = encode_ledger(ledger, store, "cfg")
         assert text == reference_ledger_text(ledger, store, "cfg")
-        back, recorded = decode_ledger(text, store)
-        assert recorded == "cfg" and (back.year, back.cap) == (2000, cap)
+        back = decode_ledger(text, store)
+        assert (back.year, back.cap) == (2000, cap)
         assert back.events == ledger.events and back.scholars == ledger.scholars
         if trial == 0:
             assert text.count("\n") == 2  # header and events, no scholars
@@ -372,8 +372,7 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
                   rng.sample(range(len(ODD_LABELS)), rng.randint(0, len(ODD_LABELS)))}
         text = encode_states(2000 + trial, states, store, n, "cfg")
         assert text == reference_states_text(2000 + trial, states, store, n, "cfg")
-        assert decode_states(text, store, "cfg") == {a: v for a, v in states.items() if v}
-        assert decode_states(text, store, "other") is None
+        assert decode_states(text, store) == {a: v for a, v in states.items() if v}
     assert seen_infinite and (seen_exceeds or cap is None)
 
 
@@ -386,7 +385,7 @@ def test_year_ledgers_round_trip(exact):
     scholars = exceeds = 0
     for year in range(2000, 2009):
         ledger = batch_year_distances(store, year, cfg)
-        back, _ = decode_ledger(encode_ledger(ledger, store, "cfg"), store)
+        back = decode_ledger(encode_ledger(ledger, store, "cfg"), store)
         assert (back.year, back.cap) == (year, cfg.distance_cap)
         assert back.events == ledger.events
         assert back.scholars.keys() == ledger.scholars.keys()
@@ -418,7 +417,7 @@ def test_codec_rejects_damaged_lines(damage):
                for k, label in enumerate("abc", 1)]
     for text, decode in (
         (encode_ledger(ledger, store, "cfg"), lambda t: decode_ledger(t, store)),
-        (encode_states(2000, states, store, 6, "cfg"), lambda t: decode_states(t, store, "cfg")),
+        (encode_states(2000, states, store, 6, "cfg"), lambda t: decode_states(t, store)),
         (encode_indices(records, 2000, 6, "cfg", ["l"]), lambda t: decode_indices(t, 1, ["l"])),
     ):
         decode(text)
@@ -430,8 +429,8 @@ def test_codec_rejects_damaged_lines(damage):
 def test_decode_ledger_needs_its_events_line():
     """``decode_ledger`` raises on a text without an events line, with a
     store or without one (then a scholar line raises KeyError first);
-    without a store, the header and events lines alone give the events
-    tally of the full decode and no scholars."""
+    without a store, it decodes the first record line alone, which gives
+    the events tally of the full decode and no scholars."""
     store = parse_records([record_line("p0", 2000, ["a", "b", "c"])], Config())
     for cap in (None, 6):
         ledger = YearLedger(2000, cap=cap)
@@ -440,10 +439,11 @@ def test_decode_ledger_needs_its_events_line():
         ledger.credit([1], 0 if cap is None else EXCEEDS_CODE)
         text = encode_ledger(ledger, store, "cfg")
         head, events, rest = text.split("\n", 2)
-        full, _ = decode_ledger(text, store)
-        part, recorded = decode_ledger(f"{head}\n{events}\n", None)
-        assert recorded == "cfg" and (part.year, part.cap) == (2000, cap)
-        assert part.events == full.events and not part.scholars
+        full = decode_ledger(text, store)
+        assert full.scholars
+        for part in (decode_ledger(text, None), decode_ledger(f"{head}\n{events}\n", None)):
+            assert (part.year, part.cap) == (2000, cap)
+            assert part.events == full.events and not part.scholars
         for dropped, without_store in ((f"{head}\n{rest}", KeyError), (f"{head}\n", ValueError)):
             with pytest.raises(ValueError, match="events line"):
                 decode_ledger(dropped, store)

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citedist.collab import Distance
+from citedist.config import Config
 from citedist.distances import DistanceTally, ensure_contiguous
 from citedist.errors import IncompleteStateError, SequencingError
 from citedist.indices import (
     IndexRecord,
     ScholarIndexState,
-    WeightConfig,
     c_index,
     g_index,
     h_index,
@@ -149,7 +149,7 @@ class TestUpdateX:
 
 def tally_c(tally, alpha):
     """The c that an index record takes from a scholar's pooled tally."""
-    return index_record("s", 2000, tally, [], WeightConfig(alpha=alpha)).c
+    return index_record("s", 2000, tally, [], Config(alpha=alpha)).c
 
 
 class TestCIndex:
@@ -288,7 +288,7 @@ class TestSnapshot:
         counts = {0: 20, 1: 1, 2: 4, 3: 6, 4: 19, 5: 31, 6: 121}
         pooled = pooled_tally(series_for({2018: counts}))
         per_paper = [30, 20, 15, 15, 15, 15, 10, 10] + [8] * 9  # sums to 202
-        rec = index_record("s7", 2018, pooled, per_paper, WeightConfig())
+        rec = index_record("s7", 2018, pooled, per_paper, Config())
         assert rec.q == 202
         assert rec.x_display == "164.00"
         assert rec.h == 8
@@ -296,7 +296,7 @@ class TestSnapshot:
         assert sum(per_paper) == rec.q
 
     def test_zero_citation_scholar(self):
-        rec = index_record("nobody", 2000, DistanceTally(), [0, 0], WeightConfig())
+        rec = index_record("nobody", 2000, DistanceTally(), [0, 0], Config())
         assert (rec.q, rec.h, rec.g, rec.c, rec.n_w) == (0, 0, 0, 0, 0)
         assert rec.x == 0
 
@@ -318,7 +318,7 @@ class TestSnapshot:
                 take = rng.randint(1, remaining)
                 papers.append(take)
                 remaining -= take
-            rec = index_record("s", last, pooled, papers, WeightConfig())
+            rec = index_record("s", last, pooled, papers, Config())
             assert rec.q == q == sum(papers)
             multiset = [d for d, c in pooled.finite.items() for _ in range(c)]
             multiset += [math.inf] * pooled.infinite
@@ -332,7 +332,7 @@ class TestSnapshot:
         series = series_for({2000: {2: 1}}, cap=6)
         series[2000].exceeds = 2
         with pytest.raises(IncompleteStateError):
-            index_record("s", 2000, pooled_tally(series), [3], WeightConfig())
+            index_record("s", 2000, pooled_tally(series), [3], Config())
 
     def test_missing_years_raise(self):
         with pytest.raises(IncompleteStateError):
