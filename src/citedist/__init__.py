@@ -4,10 +4,11 @@ The package has two layers.  The graph layer (``corpus``, ``collab`` and
 ``analytics``) parses the corpus and builds and searches the window
 networks.  Every other module is in the light layer: the config, the
 errors, the artifact codec and workspace, the distance tallies and
-ledgers, the indices, and the pipeline.  A light module imports no
-graph module at module level, only inside the function that uses it,
-because each CLI step is a fresh interpreter that compiles every module
-it imports.  The public names below are loaded on first use (PEP 562).
+ledgers, the indices, the pipeline and its forked workers.  A light
+module imports no graph module at module level, only inside the
+function that uses it, because each CLI step is a fresh interpreter
+that compiles every module it imports.  The public names below are
+loaded on first use (PEP 562).
 """
 
 import importlib

@@ -56,14 +56,22 @@ def _years_pair(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An argument type: an integer no less than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(0)
 
 
 def _bin_edges(text: str) -> list[int]:
@@ -116,8 +124,10 @@ def build_parser() -> _Parser:
                        help="run (or resume) the yearly distance/index pipeline")
     p.add_argument("--workspace", type=Path, required=True)
     p.add_argument("--years", type=_years_pair, default=None, metavar="A:B")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="accepted for compatibility and ignored: years always run serially")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N",
+                   help="compute the years in up to N contiguous blocks, each in its own "
+                        "process pinned to its own CPU (at most one per CPU this process "
+                        "may use); outputs are byte-identical for any N")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", parents=[common], help="emit a CSV report",
@@ -193,7 +203,7 @@ def cmd_run(args) -> int:
     cfg = _load_cfg(args)
     ws = Workspace(args.workspace)
     with ws.lock():
-        result = run_pipeline(ws, cfg, year_range=args.years)
+        result = run_pipeline(ws, cfg, year_range=args.years, jobs=args.jobs)
     print(f"processed {len(result.years_processed)} years, "
           f"skipped {len(result.years_skipped)} already complete")
     return 0

@@ -6,9 +6,10 @@ Each artifact is a header line followed by one line per record, and
 every line is byte-identical to ``json.dumps(obj, sort_keys=True)`` of
 the object it holds.  The encoders format the lines directly from the
 store's cached JSON-escaped author labels and from integers.  Each
-decoder splits off the header with ``read_header`` and parses all record
-lines of a file with one ``json.loads`` (``json_lines``, which also
-decodes the corpus snapshot in blocks of lines).
+decoder splits off the header with ``read_header``, unless given it,
+and parses all record lines of a file with one ``json.loads``
+(``json_lines``, which also decodes the corpus snapshot in blocks of
+lines).
 
 Ledger::
 
@@ -33,10 +34,11 @@ when it is a Fraction, ``[numerator, denominator]``)::
 A workspace writes each artifact through ``stamp``, which adds two keys
 to the header: ``corpus_sha256``, the sha256 of the ingested corpus
 snapshot, and ``records_sha256``, the sha256 of every byte after the
-header line.  The record lines stay as above.  ``read_header`` parses
-the header line alone and returns the record bytes, so a reader can
-check both stamps without decoding a record.  No decoder checks the
-config: the workspace checks every header first.
+header line.  The record lines stay as above.  ``split_header`` parses
+the header line alone and gives the offset of the record bytes, so a
+reader can check both stamps without copying or decoding a record; it
+then hands each decoder the parsed header with the record lines alone.
+No decoder checks the config: the workspace checks every header first.
 
 Decoding raises ValueError, KeyError, TypeError, AttributeError or
 ZeroDivisionError on a damaged file, and KeyError on an author label the
@@ -121,15 +123,24 @@ def stamp(text: str, corpus_sha256: str) -> bytes:
     return (json.dumps(head, sort_keys=True) + "\n").encode("utf-8") + records
 
 
-def read_header(data: bytes | str) -> tuple[dict, bytes | str]:
-    """The header object of an artifact and its record lines (all after
-    the header line), of the type of ``data``; raises ValueError unless
-    the first line is a JSON object of kind "header"."""
-    head_line, _, records = data.partition(b"\n" if isinstance(data, bytes) else "\n")
-    head = json.loads(head_line)
+def split_header(data: bytes | str) -> tuple[dict, int]:
+    """The header object of an artifact and the offset of its record
+    lines in ``data``; the header line alone is parsed and nothing is
+    copied but that line.  Raises ValueError unless the first line is a
+    JSON object of kind "header"."""
+    end = data.find(b"\n" if isinstance(data, bytes) else "\n")
+    end = len(data) if end < 0 else end
+    head = json.loads(data[:end])
     if not isinstance(head, dict) or head.get("kind") != "header":
         raise ValueError("artifact missing header line")
-    return head, records
+    return head, end + 1
+
+
+def read_header(data: bytes | str) -> tuple[dict, bytes | str]:
+    """The header object of an artifact and its record lines (all after
+    the header line), of the type of ``data``; raises as ``split_header``."""
+    head, start = split_header(data)
+    return head, data[start:]
 
 
 def json_lines(text: str) -> list:
@@ -151,8 +162,9 @@ def json_lines(text: str) -> list:
     return values
 
 
-def decode_ledger(text: str, store: CorpusStore | None) -> YearLedger:
-    """The ledger in ``text``.  Raises ValueError when ``text`` has no
+def decode_ledger(text: str, store: CorpusStore | None, head: dict | None = None) -> YearLedger:
+    """The ledger in ``text``, or in the record lines ``text`` when
+    ``head`` is its parsed header.  Raises ValueError when it has no
     header or no events line.
 
     With ``store=None`` only the first record line is decoded and the
@@ -161,8 +173,8 @@ def decode_ledger(text: str, store: CorpusStore | None) -> YearLedger:
     """
     from .distances import DistanceTally, YearLedger
 
-    head, body = read_header(text)
-    if store is None:  # slice the first line, not copy the rest as partition would
+    head, body = read_header(text) if head is None else (head, text)
+    if store is None:  # decode the first line alone
         end = body.find("\n")
         body = body if end < 0 else body[:end]
     cap = head["cap"]
@@ -186,9 +198,10 @@ def decode_ledger(text: str, store: CorpusStore | None) -> YearLedger:
     return ledger
 
 
-def decode_states(text: str, store: CorpusStore) -> dict[int, int]:
-    """The x states in ``text``; raises ValueError without a header."""
-    _head, body = read_header(text)
+def decode_states(text: str, store: CorpusStore, head: dict | None = None) -> dict[int, int]:
+    """The x states in ``text``, or in the record lines ``text`` when
+    ``head`` is given; raises ValueError without a header."""
+    body = read_header(text)[1] if head is None else text
     index = store.author_index
     return {index[obj["id"]]: obj["xn"] for obj in json_lines(body)}
 
@@ -214,15 +227,16 @@ def encode_indices(records: Iterable[IndexRecord], year: int, scale: int,
     return "".join(lines)
 
 
-def decode_indices(text: str, alpha: Fraction,
-                   ledgers: Sequence[str]) -> list[IndexRecord] | None:
-    """The records of the index snapshot in ``text``, computed at slope
-    ``alpha``, or None when its header lists other ledgers than
-    ``ledgers`` (it was folded from other ledgers and is stale); raises
-    ValueError when ``text`` has no header."""
+def decode_indices(text: str, alpha: Fraction, ledgers: Sequence[str],
+                   head: dict | None = None) -> list[IndexRecord] | None:
+    """The records of the index snapshot in ``text``, or in the record
+    lines ``text`` when ``head`` is its parsed header, computed at slope
+    ``alpha``; None when its header lists other ledgers than ``ledgers``
+    (it was folded from other ledgers and is stale).  Raises ValueError
+    without a header."""
     from .indices import IndexRecord
 
-    head, body = read_header(text)
+    head, body = read_header(text) if head is None else (head, text)
     if head["ledgers"] != list(ledgers):
         return None
     year, scale, alpha = head["year"], head["scale"], Fraction(alpha)

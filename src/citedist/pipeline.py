@@ -7,6 +7,12 @@ year: a run folds every planned ledger into one x snapshot, written
 after the last planned year.  An interrupted run resumes at the years
 whose ledger is missing and writes the same snapshot.
 
+Since a year needs only its window, ``run --jobs N`` splits the years
+into contiguous blocks and computes all but the first in forked
+workers, each pinned to its own CPU; a worker writes its own ledgers
+and sends back only its block's x increments, which the run process
+adds before it writes the snapshot.
+
 The run's year loop and the index folds allocate many objects and make
 no reference cycles, so each runs inside one guard,
 ``_cyclic_gc_paused``, that keeps the cyclic collector off until it
@@ -14,14 +20,16 @@ ends, however it ends.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``run_pipeline`` imports the window
-code, the ledger types and ``logging`` once it has work, and each
-report function imports what it folds, so a resume that finds every
-year complete compiles none of them.
+code, the ledger types and ``logging`` once it has work and
+``workers`` only when it forks; each report function imports what it
+folds, so a resume that finds every year complete compiles none of
+them.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, TypeVar
@@ -79,7 +87,7 @@ class RunResult(NamedTuple):
 
 
 def run_pipeline(ws: Workspace, cfg: Config,
-                 year_range: tuple[int, int] | None = None) -> RunResult:
+                 year_range: tuple[int, int] | None = None, jobs: int = 1) -> RunResult:
     """Process (or resume) the yearly pipeline over the workspace corpus.
 
     A year is complete once its ledger is, so the years to compute are
@@ -93,7 +101,16 @@ def run_pipeline(ws: Workspace, cfg: Config,
     loaded, with the cyclic collector paused (``_cyclic_gc_paused``),
     only when there is a year to compute or a snapshot to write.  A
     year's log line splits its time into the window build, the search,
-    credit and x fold ("compute"), and the ledger write."""
+    credit and x fold ("compute"), and the ledger write.
+
+    With ``jobs`` above 1, the years to compute are split into
+    contiguous blocks of about equal citation count, at most ``jobs``,
+    one per CPU of the process's affinity set and one per year; all
+    blocks but the first go to forked workers (``workers.run_blocks``).
+    Each process slides its own window through its block and writes
+    its own ledgers, so every artifact is byte-identical to a serial
+    run's.
+    With ``jobs`` 1 the years are computed in this process, in order."""
     planned = workspace_years(ws, cfg)
     ws.ensure_dirs()
     cfg_hash = cfg.config_hash()
@@ -119,10 +136,27 @@ def run_pipeline(ws: Workspace, cfg: Config,
     log = logging.getLogger("citedist")
     xs: dict[int, int] = {}
 
-    def fold(ledger: YearLedger) -> None:
+    def fold(ledger: YearLedger, into: dict[int, int]) -> None:
         for author, tally in ledger.scholars.items():
             if delta := x_increment_scaled(tally, cfg.n):
-                xs[author] = xs.get(author, 0) + delta
+                into[author] = into.get(author, 0) + delta
+
+    def compute(block: list[int], into: dict[int, int]) -> None:
+        net: CollabNetwork | None = None
+        for year in block:
+            started = time.perf_counter()
+            net = build_window(store, year, cfg.window_length, net)
+            built = time.perf_counter()
+            ledger = year_ledger(store, year, cfg, net)
+            fold(ledger, into)
+            computed = time.perf_counter()
+            ws.write_ledger(ledger, store, cfg_hash)
+            log.info(
+                "year %d: %d citation events, %d scholars credited "
+                "(window %.2fs, compute %.2fs, write %.2fs)",
+                year, ledger.events.total(), len(ledger.scholars),
+                built - started, computed - built, time.perf_counter() - computed,
+            )
 
     with _cyclic_gc_paused():
         store = ws.load_store(cfg)
@@ -135,22 +169,16 @@ def run_pipeline(ws: Workspace, cfg: Config,
                             f"the year-{last} x snapshot needs the year-{year} ledger; "
                             f"run the preceding years first"
                         )
-                    fold(ledger)
-        net: CollabNetwork | None = None
-        for year in todo:
-            started = time.perf_counter()
-            net = build_window(store, year, cfg.window_length, net)
-            built = time.perf_counter()
-            ledger = year_ledger(store, year, cfg, net)
-            fold(ledger)
-            computed = time.perf_counter()
-            ws.write_ledger(ledger, store, cfg_hash)
-            log.info(
-                "year %d: %d citation events, %d scholars credited "
-                "(window %.2fs, compute %.2fs, write %.2fs)",
-                year, ledger.events.total(), len(ledger.scholars),
-                built - started, computed - built, time.perf_counter() - computed,
-            )
+                    fold(ledger, xs)
+        parts = 1 if jobs == 1 else min(jobs, len(os.sched_getaffinity(0)), len(todo))
+        if parts > 1:
+            from .workers import run_blocks, split_blocks
+
+            refs = store.paper_refs
+            citations = [sum(len(refs[p]) for p in store.papers_in_year(y)) for y in todo]
+            run_blocks(split_blocks(todo, citations, parts), compute, xs)
+        else:
+            compute(todo, xs)
         if write_x:
             ws.write_states(last, xs, store, cfg, cfg_hash)
     return RunResult(todo, skipped)

@@ -40,7 +40,7 @@ or whose record lines do not match their digest, raises a
 WorkspaceError that names the file.  ``year_complete`` and
 ``states_complete`` stop there, so the resume check decodes no record;
 ``read_ledger_events`` checks the whole ledger too but decodes only
-its header and events line (``decode_ledger`` without a store).
+its events line (``decode_ledger`` without a store).
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``load_store`` imports the snapshot
@@ -67,7 +67,7 @@ from .codec import (
     encode_indices,
     encode_ledger,
     encode_states,
-    read_header,
+    split_header,
     stamp,
 )
 from .config import Config, config_span
@@ -237,12 +237,13 @@ class Workspace:
 
     # -- artifacts ---------------------------------------------------------
 
-    def _artifact(self, path: Path, config_hash: str) -> bytes | None:
-        """The bytes of an artifact; None when it is absent or its header
-        records another config.  Raises a WorkspaceError naming the file
-        when it is empty, has no header, is stamped for another corpus or
-        its record lines do not match the digest in its header.  No record
-        is decoded."""
+    def _artifact(self, path: Path, config_hash: str) -> tuple[dict, bytes, int] | None:
+        """The header, bytes and record offset of an artifact; None when it
+        is absent or its header records another config.  Raises a
+        WorkspaceError naming the file when it is empty, has no header, is
+        stamped for another corpus or its record lines do not match the
+        digest in its header.  The record bytes are hashed in place, not
+        copied, and no record is decoded."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -250,7 +251,7 @@ class Workspace:
         if not data:
             raise WorkspaceError(f"cannot read {path}: the file is empty")
         try:
-            head, records = read_header(data)
+            head, start = split_header(data)
         except ValueError as exc:
             raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
         if head.get("config") != config_hash:
@@ -261,22 +262,27 @@ class Workspace:
                 f"delete {self.ledger_dir}, {self.state_dir} and {self.index_dir} "
                 f"and run again"
             )
-        if hashlib.sha256(records).hexdigest() != head.get(RECORDS_KEY):
+        if hashlib.sha256(memoryview(data)[start:]).hexdigest() != head.get(RECORDS_KEY):
             raise WorkspaceError(
                 f"cannot read {path}: damaged (its record lines do not match "
                 f"the {RECORDS_KEY} in its header)"
             )
-        return data
+        return head, data, start
 
-    def _read(self, path: Path, config_hash: str, decode):
-        """``decode(text)`` of a checked artifact (see ``_artifact``), or
-        None when it is absent or of another config; a file that fails to
-        decode raises a WorkspaceError naming it."""
-        data = self._artifact(path, config_hash)
-        if data is None:
+    def _read(self, path: Path, config_hash: str, decode, first_line: bool = False):
+        """``decode(body, head)`` of a checked artifact (see ``_artifact``),
+        where ``body`` is the text of its record lines, or of the first
+        alone when ``first_line``; None when it is absent or of another
+        config.  A file that fails to decode raises a WorkspaceError
+        naming it."""
+        checked = self._artifact(path, config_hash)
+        if checked is None:
             return None
+        head, data, start = checked
+        end = data.find(b"\n", start) if first_line else -1
         try:
-            return decode(data.decode("utf-8"))
+            return decode(str(memoryview(data)[start:end if end >= 0 else len(data)], "utf-8"),
+                          head)
         except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
 
@@ -309,14 +315,14 @@ class Workspace:
     def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
         return self._read(self.ledger_path(year), config_hash,
-                          lambda text: decode_ledger(text, store))
+                          lambda body, head: decode_ledger(body, store, head))
 
     def ledger_digest(self, year: int, config_hash: str) -> str | None:
         """The ``records_sha256`` of the year's ledger, checked whole as
         ``_artifact`` does but not decoded; None when absent or built by
         another config."""
-        data = self._artifact(self.ledger_path(year), config_hash)
-        return None if data is None else read_header(data)[0][RECORDS_KEY]
+        checked = self._artifact(self.ledger_path(year), config_hash)
+        return None if checked is None else checked[0][RECORDS_KEY]
 
     def read_ledger_events(self, year: int, config_hash: str) -> YearLedger | None:
         """The year's ledger with its events tally and no scholars, checked
@@ -324,7 +330,7 @@ class Workspace:
         header and events lines alone).  None when absent or built by
         another config."""
         return self._read(self.ledger_path(year), config_hash,
-                          lambda text: decode_ledger(text, None))
+                          lambda body, head: decode_ledger(body, None, head), first_line=True)
 
     # -- x-index states ---------------------------------------------------
 
@@ -340,7 +346,7 @@ class Workspace:
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
         return self._read(self.state_path(year), config_hash,
-                          lambda text: decode_states(text, store))
+                          lambda body, head: decode_states(body, store, head))
 
     # -- index snapshots ---------------------------------------------------
 
@@ -365,7 +371,7 @@ class Workspace:
         path = self.index_path(year)
         try:
             return self._read(path, cfg.config_hash(),
-                              lambda text: decode_indices(text, cfg.alpha, ledgers))
+                              lambda body, head: decode_indices(body, cfg.alpha, ledgers, head))
         except WorkspaceError as exc:
             raise WorkspaceError(
                 f"{exc}; deleting {path} is safe: the next index report rebuilds it"

@@ -6,13 +6,14 @@ import hashlib
 import importlib
 import json
 import logging
-import multiprocessing
 import os
 import pkgutil
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from citedist.collab import build_window
 from citedist.config import INDEX_NAMES, Config
 from citedist.corpus import parse_records
 from citedist.distances import batch_year_distances
+from citedist.errors import WorkspaceError
 from citedist.pipeline import build_index_records, report_ledgers, run_pipeline
 from citedist import workspace as workspace_module
+from citedist.workers import split_blocks
 from citedist.workspace import Workspace, _atomic_write
 
 from synthcorpus import random_corpus_lines, record_line, table1_lines
@@ -706,7 +709,7 @@ print(code, "citedist.analytics" in sys.modules, "statistics" in sys.modules)
 GRAPH_LAYER = {"citedist.collab", "citedist.corpus", "citedist.analytics"}
 STDLIB_HEAVY = {"dataclasses", "inspect"}  # no step and no module may load these
 LIGHT_LAYER = ("errors", "config", "codec", "distances", "indices", "workspace", "pipeline",
-               "cli")
+               "workers", "cli")
 
 
 def test_only_analytics_reports_import_analytics(tmp_path):
@@ -994,25 +997,194 @@ def test_jobs_parallel_matches_serial(tmp_path):
         assert tree_digest(ws1, ("ledgers", "states", "reports")) == pinned
 
 
-def test_jobs_starts_no_process(tmp_path, monkeypatch):
-    """``--jobs`` is accepted and ignored: a run forks nothing and writes
-    the same artifacts for any job count."""
-    def no_process(*args, **kwargs):
-        raise AssertionError("run started a process")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_process)
-    monkeypatch.setattr(os, "fork", no_process)
-    rng = random.Random(71)
-    lines = random_corpus_lines(rng, 120, 20, 2000, 2004)
+def _jobs_corpus(tmp_path):
+    """The corpus of ``test_jobs_parallel_matches_serial``, 2000-2005."""
+    lines = random_corpus_lines(random.Random(67), 200, 30, 2000, 2005)
     src = tmp_path / "c.jsonl"
     src.write_text("\n".join(lines) + "\n")
-    ws1, ws3 = tmp_path / "ws1", tmp_path / "ws3"
-    for ws, jobs in ((ws1, "1"), (ws3, "3")):
-        main(["ingest", str(src), "--workspace", str(ws)])
-        assert main(["run", "--workspace", str(ws), "--jobs", jobs]) == 0
-    assert tree_bytes(ws1 / "ledgers") == tree_bytes(ws3 / "ledgers")
-    assert tree_bytes(ws1 / "states") == tree_bytes(ws3 / "states")
-    assert len(tree_bytes(ws1 / "ledgers")) == 5
+    return src
+
+
+class _Cpus:
+    """Stands in for the host's CPUs: ``os.sched_getaffinity`` returns
+    ``cpus`` and ``os.sched_setaffinity`` records its mask and changes
+    nothing; ``os.fork`` counts the calls made in this process."""
+
+    def __init__(self, monkeypatch, cpus):
+        self.cpus, self.forks, self.masks, self.asked = set(cpus), 0, [], 0
+        real_fork = os.fork
+
+        def fork():
+            self.forks += 1
+            return real_fork()
+
+        def getaffinity(pid):
+            self.asked += 1
+            return set(self.cpus)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", getaffinity)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: self.masks.append(set(mask)))
+
+
+def test_jobs_fork_one_worker_per_cpu_and_year(tmp_path, monkeypatch):
+    """``run --jobs N`` forks min(N, CPUs of its affinity set, years to
+    compute) - 1 workers, pins itself to the first CPU for its own block
+    and restores its affinity after it; ``--jobs 1`` forks nothing and
+    asks for no affinity.  Every run, a resume of two non-adjacent years
+    too, writes what ``--jobs 1`` writes."""
+    src = _jobs_corpus(tmp_path)
+    host = _Cpus(monkeypatch, {0, 1})
+
+    def run(name, jobs, *options, cpus=(0, 1)):
+        host.cpus, host.forks, host.masks, host.asked = set(cpus), 0, [], 0
+        ws = tmp_path / name
+        if not ws.exists():
+            assert main(["ingest", str(src), "--workspace", str(ws)]) == 0
+        assert main(["run", "--workspace", str(ws), "--jobs", jobs, *options]) == 0
+        return ws
+
+    serial = run("serial", "1")
+    assert (host.forks, host.asked, host.masks) == (0, 0, [])
+    expected = {sub: tree_bytes(serial / sub) for sub in ("ledgers", "states")}
+    assert len(expected["ledgers"]) == 6
+
+    run("one-cpu", "3", cpus=(0,))
+    assert (host.forks, host.masks) == (0, [])
+    run("two-cpus", "3")
+    assert (host.forks, host.masks) == (1, [{0}, {0, 1}])
+    run("two-years", "3", "--years", "2001:2002", cpus=(0, 1, 2))
+    assert (host.forks, host.masks) == (1, [{0}, {0, 1, 2}])
+    for name in ("one-cpu", "two-cpus"):
+        assert {sub: tree_bytes(tmp_path / name / sub) for sub in expected} == expected
+    assert tree_bytes(tmp_path / "two-years" / "ledgers") == {
+        name: expected["ledgers"][name] for name in ("2001.jsonl", "2002.jsonl")}
+
+    gaps = tmp_path / "two-cpus"
+    (gaps / "ledgers" / "2001.jsonl").unlink()
+    (gaps / "ledgers" / "2004.jsonl").unlink()
+    run("two-cpus", "2")
+    assert host.forks == 1
+    assert {sub: tree_bytes(gaps / sub) for sub in expected} == expected
+
+
+@pytest.mark.parametrize("weights,parts,blocks", [
+    ([1, 1, 1, 1, 1, 1], 2, [[0, 1, 2], [3, 4, 5]]),
+    ([9, 1, 1, 1, 1, 1], 2, [[0], [1, 2, 3, 4, 5]]),
+    ([1, 1, 1, 1, 1, 9], 3, [[0, 1, 2, 3], [4], [5]]),
+    ([0, 0, 0], 3, [[0], [1], [2]]),
+    ([0, 0, 0, 0], 2, [[0], [1, 2, 3]]),
+])
+def test_year_blocks_balance_their_weights(weights, parts, blocks):
+    """Contiguous, non-empty blocks, cut where the running weight comes
+    closest to each share of the total (the earlier cut on a tie)."""
+    assert split_blocks(list(range(len(weights))), weights, parts) == blocks
+
+
+def _assert_no_worker_or_temp_file_left(ws):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not [p.name for p in ws.rglob("*.tmp")]
+
+
+def test_failed_worker_fails_the_run_after_reaping_it(tmp_path, monkeypatch, capsys):
+    """A worker whose ledger write fails ends the run with the worker's
+    error once every worker is reaped: no process and no temp file is
+    left, every ledger written is whole and a ``--jobs 1`` resume then
+    writes the pinned artifacts."""
+    src = _jobs_corpus(tmp_path)
+    cfg = str(write_config(tmp_path, exact_distances=False))
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(src), "--workspace", str(ws), "--config", cfg]) == 0
+    _Cpus(monkeypatch, {0, 1})
+    write_ledger = Workspace.write_ledger
+
+    def failing_write(self, ledger, store, config_hash):
+        if ledger.year != 2005:  # the last year is always in the worker's block
+            return write_ledger(self, ledger, store, config_hash)
+
+        def writer(fp):
+            fp.write("partial")
+            raise WorkspaceError("cannot write the year-2005 ledger")
+
+        _atomic_write(self.ledger_path(ledger.year), writer)
+
+    monkeypatch.setattr(Workspace, "write_ledger", failing_write)
+    capsys.readouterr()
+    assert main(["run", "--workspace", str(ws), "--config", cfg, "--jobs", "2"]) == 3
+    assert "error: cannot write the year-2005 ledger\n" in capsys.readouterr().err
+    _assert_no_worker_or_temp_file_left(ws)
+    cfg_hash = Config(exact_distances=False).config_hash()
+    written = Workspace(ws).completed_years()
+    assert 2000 in written and 2005 not in written
+    assert all(Workspace(ws).year_complete(year, cfg_hash) for year in written)
+    assert not list((ws / "states").iterdir())
+
+    monkeypatch.undo()
+    assert main(["run", "--workspace", str(ws), "--config", cfg, "--jobs", "1"]) == 0
+    assert main(["report", "distance-histogram", "--workspace", str(ws), "--config", cfg]) == 0
+    assert tree_digest(ws, ("ledgers", "states", "reports")) == PINNED_ARTIFACT_DIGESTS[False]
+
+
+def test_killed_worker_fails_the_run(tmp_path, monkeypatch):
+    """A worker that dies without a message fails the run with an error
+    that names its years and its exit status."""
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(_jobs_corpus(tmp_path)), "--workspace", str(ws)]) == 0
+    _Cpus(monkeypatch, {0, 1})
+    write_ledger = Workspace.write_ledger
+
+    def killing_write(self, ledger, store, config_hash):
+        if ledger.year == 2005:  # in the worker's block
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write_ledger(self, ledger, store, config_hash)
+
+    monkeypatch.setattr(Workspace, "write_ledger", killing_write)
+    with pytest.raises(RuntimeError, match=r"years 200\d-2005 ended without a result "
+                                           r"\(exit status -9\)"):
+        main(["run", "--workspace", str(ws), "--jobs", "2"])
+    _assert_no_worker_or_temp_file_left(ws)
+
+
+def test_interrupted_run_stops_its_workers(tmp_path, monkeypatch):
+    """An interrupt in the run's own block sends its worker SIGTERM, which
+    the worker turns into SystemExit mid-write, so its temp file is
+    removed; the run re-raises the interrupt once the worker is reaped."""
+    ws = tmp_path / "ws"
+    assert main(["ingest", str(_jobs_corpus(tmp_path)), "--workspace", str(ws)]) == 0
+    _Cpus(monkeypatch, {0, 1})
+    parent = os.getpid()
+
+    def write_ledger(self, ledger, store, config_hash):
+        if os.getpid() != parent:  # the worker hangs in its first write
+
+            def writer(fp):
+                fp.write("partial")
+                time.sleep(60)
+
+            _atomic_write(self.ledger_path(ledger.year), writer)
+        deadline = time.monotonic() + 30
+        while not list(self.ledger_dir.glob("*.tmp")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert list(self.ledger_dir.glob("*.tmp"))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Workspace, "write_ledger", write_ledger)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--workspace", str(ws), "--jobs", "2"])
+    assert time.monotonic() - started < 30
+    _assert_no_worker_or_temp_file_left(ws)
+    assert not list((ws / "ledgers").iterdir())
+
+
+@pytest.mark.parametrize("jobs,message", [("0", "must be >= 1, got 0"),
+                                          ("-3", "must be >= 1, got -3"),
+                                          ("x", "expected an integer, got 'x'")])
+def test_jobs_below_1_is_a_usage_error(tmp_path, capsys, jobs, message):
+    assert main(["run", "--workspace", str(tmp_path), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: citedist run") and f"argument --jobs: {message}" in err
 
 
 def test_report_years_default_to_report_config_span(tmp_path, capsys):
