@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import INDEX_NAMES, Config, load_config
-from .errors import CiteDistError, IncompleteStateError, SequencingError, WorkspaceError
+from .errors import CiteDistError, IncompleteStateError, WorkspaceError
 from .workspace import Workspace
 
 
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (WorkspaceError, IncompleteStateError, SequencingError) as exc:
+    except (WorkspaceError, IncompleteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CiteDistError as exc:

@@ -3,42 +3,51 @@ x snapshot ``states/<year>.jsonl``, and of the derived
 ``indices/<year>.jsonl``.
 
 Each artifact is a header line followed by one line per record, and
-every line is byte-identical to ``json.dumps(obj, sort_keys=True)`` of
-the object it holds.  The encoders format the lines directly from the
-store's cached JSON-escaped author labels and from integers.  Each
+every line is byte-identical to ``json.dumps(obj, sort_keys=True,
+separators=(",", ":"))`` of the object it holds (``json_line``), the
+compact style of ``corpus.jsonl``.  The encoders format the record
+lines directly from the store's cached JSON-escaped author labels and
+from integers; a computed year's scholar lines come from the credit
+sweep of ``distances.counted_ledger``, through ``scholar_line``.  Each
 decoder splits off the header with ``read_header``, unless given it,
 and parses all record lines of a file with one ``json.loads``
 (``json_lines``, which also decodes the corpus snapshot in blocks of
-lines).
+lines).  The decoders parse any JSON spacing, so the spaced lines of
+``json.dumps(obj, sort_keys=True)`` that older versions wrote decode
+to the same objects.
 
 Ledger::
 
-    {"cap": 6, "config": "<hash>", "kind": "header", "year": 2000}
-    {"counts": {"1": 3, "10": 1, "2": 5}, "exceeds": 0, "infinite": 2, "kind": "events"}
-    {"counts": {"0": 1}, "exceeds": 0, "id": "<author>", "infinite": 0, "kind": "scholar"}
+    {"cap":6,"config":"<hash>","kind":"header","year":2000}
+    {"counts":{"1":3,"10":1,"2":5},"exceeds":0,"infinite":2,"kind":"events"}
+    {"counts":{"0":1},"exceeds":0,"id":"<author>","infinite":0,"kind":"scholar"}
 
 State, written once per run, after the last planned year (x folded from
 every ledger and scaled by ``scale``, scholars with x = 0 omitted)::
 
-    {"config": "<hash>", "kind": "header", "n": 6, "scale": 6, "year": 2000}
-    {"id": "<author>", "kind": "state", "xn": 4}
+    {"config":"<hash>","kind":"header","n":6,"scale":6,"year":2000}
+    {"id":"<author>","kind":"state","xn":4}
 
 Index snapshot (every scholar's ``IndexRecord`` at ``year``, in label
 order; ``ledgers`` lists the ``records_sha256`` of each ledger folded
 into it, in year order; x is scaled by ``scale``, and c is an int or,
 when it is a Fraction, ``[numerator, denominator]``)::
 
-    {"config": "<hash>", "kind": "header", "ledgers": ["<sha256>"], "scale": 6, "year": 2000}
-    {"c": [2, 1], "g": 2, "h": 1, "id": "<author>", "n_w": 0, "q": 3, "xn": 10}
+    {"config":"<hash>","kind":"header","ledgers":["<sha256>"],"scale":6,"year":2000}
+    {"c":[2,1],"g":2,"h":1,"id":"<author>","n_w":0,"q":3,"xn":10}
 
-A workspace writes each artifact through ``stamp``, which adds two keys
-to the header: ``corpus_sha256``, the sha256 of the ingested corpus
-snapshot, and ``records_sha256``, the sha256 of every byte after the
-header line.  The record lines stay as above.  ``split_header`` parses
-the header line alone and gives the offset of the record bytes, so a
-reader can check both stamps without copying or decoding a record; it
-then hands each decoder the parsed header with the record lines alone.
-No decoder checks the config: the workspace checks every header first.
+Each artifact is built as its header object and its record text
+(``ledger_head`` with ``distances.counted_ledger``'s records,
+``states_artifact``, ``indices_artifact``).  A workspace writes each
+artifact through ``stamp``, which encodes the record text once, hashes
+those bytes and composes the header line once, with two more keys:
+``corpus_sha256``, the sha256 of the ingested corpus snapshot, and
+``records_sha256``, the sha256 of every byte after the header line.
+``split_header`` parses the header line alone and gives
+the offset of the record bytes, so a reader can check both stamps
+without copying or decoding a record; it then hands each decoder the
+parsed header with the record lines alone.  No decoder checks the
+config: the workspace checks every header first.
 
 Decoding raises ValueError, KeyError, TypeError, AttributeError or
 ZeroDivisionError on a damaged file, and KeyError on an author label the
@@ -63,64 +72,62 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .corpus import CorpusStore
-    from .distances import YearLedger
+    from .distances import DistanceTally, YearLedger
     from .indices import IndexRecord
-
-
-def _counts(finite: dict[int, int]) -> str:
-    if not finite:
-        return ""
-    # sort_keys orders the distance keys as strings ("1" < "10" < "2").
-    # Sorting the formatted '"<d>": <c>' entries gives the same order,
-    # because the closing quote sorts below every digit.
-    return ", ".join(sorted([f'"{d}": {c}' for d, c in finite.items()]))
-
-
-def encode_ledger(ledger: YearLedger, store: CorpusStore, config_hash: str) -> str:
-    head = {"kind": "header", "year": ledger.year, "cap": ledger.cap, "config": config_hash}
-    events = ledger.events
-    labels = store.json_labels
-    scholars = ledger.scholars
-    lines = [
-        json.dumps(head, sort_keys=True) + "\n",
-        f'{{"counts": {{{_counts(events.finite)}}}, "exceeds": {events.exceeds}, '
-        f'"infinite": {events.infinite}, "kind": "events"}}\n',
-    ]
-    for author in sorted(scholars):
-        t = scholars[author]
-        lines.append(
-            f'{{"counts": {{{_counts(t.finite)}}}, "exceeds": {t.exceeds}, '
-            f'"id": {labels[author]}, "infinite": {t.infinite}, "kind": "scholar"}}\n'
-        )
-    return "".join(lines)
-
-
-def encode_states(year: int, states: Mapping[int, int], store: CorpusStore, n: int,
-                  config_hash: str) -> str:
-    """The x snapshot of ``states`` (scaled x by author id) after ``year``:
-    one line per scholar in author-id order, those at x = 0 left out."""
-    from .indices import x_scale
-
-    head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n), "config": config_hash}
-    labels = store.json_labels
-    lines = [json.dumps(head, sort_keys=True) + "\n"]
-    for author in sorted(states):
-        if xn := states[author]:
-            lines.append(f'{{"id": {labels[author]}, "kind": "state", "xn": {xn}}}\n')
-    return "".join(lines)
-
 
 CORPUS_KEY = "corpus_sha256"
 RECORDS_KEY = "records_sha256"
 
 
-def stamp(text: str, corpus_sha256: str) -> bytes:
-    """The encoded artifact ``text`` as bytes, its header line extended by
-    the corpus hash and the sha256 of its record lines."""
-    head, records = read_header(text.encode("utf-8"))
-    head[CORPUS_KEY] = corpus_sha256
-    head[RECORDS_KEY] = hashlib.sha256(records).hexdigest()
-    return (json.dumps(head, sort_keys=True) + "\n").encode("utf-8") + records
+def json_line(obj) -> str:
+    """``obj`` as one artifact line: compact, keys sorted, newline ended."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def tally_counts(finite: dict[int, int]) -> str:
+    """The members of a tally's ``counts`` object, as ``json_line`` writes
+    them: keys in string order ("1" < "10" < "2").  Sorting the formatted
+    '"<d>":<c>' entries gives that order, because the closing quote sorts
+    below every digit."""
+    return ",".join(sorted([f'"{d}":{c}' for d, c in finite.items()]))
+
+
+def events_line(events: DistanceTally) -> str:
+    return (f'{{"counts":{{{tally_counts(events.finite)}}},"exceeds":{events.exceeds},'
+            f'"infinite":{events.infinite},"kind":"events"}}\n')
+
+
+def scholar_line(label: str, counts: str, infinite: int, exceeds: int) -> str:
+    """One scholar line of a ledger: ``label`` is the JSON-escaped author
+    label and ``counts`` the members of its counts object."""
+    return (f'{{"counts":{{{counts}}},"exceeds":{exceeds},"id":{label},'
+            f'"infinite":{infinite},"kind":"scholar"}}\n')
+
+
+def ledger_head(year: int, cap: int | None, config_hash: str) -> dict:
+    return {"kind": "header", "year": year, "cap": cap, "config": config_hash}
+
+
+def states_artifact(year: int, states: Mapping[int, int], store: CorpusStore, n: int,
+                    config_hash: str) -> tuple[dict, str]:
+    """The header and record text of the x snapshot of ``states`` (scaled
+    x by author id) after ``year``: one line per scholar in author-id
+    order, those at x = 0 left out."""
+    from .indices import x_scale
+
+    head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n), "config": config_hash}
+    labels = store.json_labels
+    return head, "".join([f'{{"id":{labels[author]},"kind":"state","xn":{xn}}}\n'
+                          for author in sorted(states) if (xn := states[author])])
+
+
+def stamp(head: dict, records: str, corpus_sha256: str) -> tuple[bytes, bytes]:
+    """The header line and the record lines of an artifact as bytes:
+    ``records`` encoded once, and ``head`` extended by the corpus hash and
+    the sha256 of those bytes."""
+    data = records.encode("utf-8")
+    head = {**head, CORPUS_KEY: corpus_sha256, RECORDS_KEY: hashlib.sha256(data).hexdigest()}
+    return json_line(head).encode("utf-8"), data
 
 
 def split_header(data: bytes | str) -> tuple[dict, int]:
@@ -206,25 +213,26 @@ def decode_states(text: str, store: CorpusStore, head: dict | None = None) -> di
     return {index[obj["id"]]: obj["xn"] for obj in json_lines(body)}
 
 
-def encode_indices(records: Iterable[IndexRecord], year: int, scale: int,
-                   config_hash: str, ledgers: Sequence[str]) -> str:
-    """The index snapshot of ``records`` (x in units of ``1/scale``),
-    folded from the ledgers whose record digests ``ledgers`` lists."""
+def indices_artifact(records: Iterable[IndexRecord], year: int, scale: int,
+                     config_hash: str, ledgers: Sequence[str]) -> tuple[dict, str]:
+    """The header and record text of the index snapshot of ``records`` (x
+    in units of ``1/scale``), folded from the ledgers whose record
+    digests ``ledgers`` lists."""
     head = {"kind": "header", "year": year, "config": config_hash, "scale": scale,
             "ledgers": list(ledgers)}
-    lines = [json.dumps(head, sort_keys=True) + "\n"]
+    lines = []
     for r in records:
         c, x = r.c, r.x
         per, rest = divmod(scale, x.denominator)
         if rest:
             raise ValueError(f"x={x} of {r.scholar} is not a multiple of 1/{scale}")
         if isinstance(c, Fraction):
-            c = f"[{c.numerator}, {c.denominator}]"
+            c = f"[{c.numerator},{c.denominator}]"
         lines.append(
-            f'{{"c": {c}, "g": {r.g}, "h": {r.h}, "id": {json.dumps(r.scholar)}, '
-            f'"n_w": {r.n_w}, "q": {r.q}, "xn": {x.numerator * per}}}\n'
+            f'{{"c":{c},"g":{r.g},"h":{r.h},"id":{json.dumps(r.scholar)},'
+            f'"n_w":{r.n_w},"q":{r.q},"xn":{x.numerator * per}}}\n'
         )
-    return "".join(lines)
+    return head, "".join(lines)
 
 
 def decode_indices(text: str, alpha: Fraction, ledgers: Sequence[str],

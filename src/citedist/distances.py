@@ -14,6 +14,12 @@ cap.  A capped run (cap = n) is sufficient for the x-index,
 whose weights saturate at n; exact runs are required for the c-index,
 N_w, and the maximum finite distance.
 
+A year is credited in one pass (``counted_ledger``): one ``Counter`` over
+collision-free (scholar, distance code) keys, then one sweep over its
+sorted keys, which gives each scholar's ledger line and x increment.
+``run`` writes those lines as they are; ``batch_year_distances`` decodes
+them into a ``YearLedger``.
+
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  The tallies, ledgers and histograms
 need no network; the functions that search one import ``collab`` when
@@ -22,6 +28,8 @@ they are called, and ``collab`` takes the distance codes from here.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import groupby
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
 from .config import Config
@@ -57,14 +65,6 @@ class DistanceTally:
     def __repr__(self) -> str:
         return f"DistanceTally({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
-    def add_code(self, code: int, count: int = 1) -> None:
-        if code >= 0:
-            self.finite[code] = self.finite.get(code, 0) + count
-        elif code == INF_CODE:
-            self.infinite += count
-        else:
-            self.exceeds += count
-
     def copy(self) -> "DistanceTally":
         return DistanceTally(dict(self.finite), self.infinite, self.exceeds, self.cap)
 
@@ -99,14 +99,6 @@ class YearLedger:
         self.records_sha256: str | None = None
         self.scholars: dict[int, DistanceTally] = {}
         self.events = DistanceTally(cap=cap)
-
-    def credit(self, cited_authors: Iterable[int], code: int) -> None:
-        self.events.add_code(code)
-        for author in cited_authors:
-            tally = self.scholars.get(author)
-            if tally is None:
-                tally = self.scholars[author] = DistanceTally(cap=self.cap)
-            tally.add_code(code)
 
 
 
@@ -162,23 +154,84 @@ def compute_event_distances(store: CorpusStore, net: CollabNetwork, year: int,
     return out
 
 
+class CountedLedger(NamedTuple):
+    """One computed year's ledger as ``run`` writes it (see
+    :func:`counted_ledger`)."""
+
+    year: int
+    cap: int | None
+    events: DistanceTally
+    credited: int  # how many scholars were credited
+    records: str  # the record lines: the events line, then one per scholar
+    increments: dict[int, int]  # author id -> x increment in units of 1/x_scale(n), if not 0
+
+
+def counted_ledger(store: CorpusStore, year: int, events: list[tuple[int, int, int]],
+                   cap: int | None, n: int) -> CountedLedger:
+    """Credit ``events``, the year's (cited, citing, code) triples, to
+    every author of each cited paper.
+
+    One ``Counter`` counts the key ``author * stride + code + 2`` of every
+    credit, where ``stride`` exceeds the largest ``code + 2``, so each
+    key names one (scholar, code).  The sorted keys run by author id,
+    and one sweep over them gives each scholar's ledger line
+    (``codec.scholar_line``) and x increment, each count weighed by
+    ``indices.scaled_weight``.  Raises ValueError, as
+    ``indices.x_increment_scaled`` does, when a distance is capped below n.
+    """
+    from .codec import events_line, scholar_line
+    from .indices import require_cap, scaled_weight
+
+    codes = Counter([code for _cited, _citing, code in events])
+    unreached, exceeded = codes.pop(INF_CODE, 0), codes.pop(EXCEEDS_CODE, 0)
+    tally = DistanceTally(dict(codes), unreached, exceeded, cap)
+    require_cap(tally, n)  # every scholar's tally exceeds only where this one does
+    stride = max(codes, default=0) + 3
+    paper_authors = store.paper_authors
+    credits = Counter(author * stride + code + 2
+                      for cited, _citing, code in events for author in paper_authors[cited])
+    labels = store.json_labels
+    lines = [events_line(tally)]
+    increments: dict[int, int] = {}
+    for author, keys in groupby(sorted(credits), stride.__rfloordiv__):
+        base = author * stride + 2
+        counts = []
+        infinite = exceeds = xn = 0
+        for key in keys:
+            count, code = credits[key], key - base
+            xn += scaled_weight(code, n) * count
+            if code >= 0:
+                counts.append(f'"{code}":{count}')
+            elif code == INF_CODE:
+                infinite = count
+            else:
+                exceeds = count
+        if code >= 10:  # the keys sort as strings: "10" < "2" (``codec.tally_counts``)
+            counts.sort()
+        lines.append(scholar_line(labels[author], ",".join(counts), infinite, exceeds))
+        if xn:
+            increments[author] = xn
+    return CountedLedger(year, cap, tally, len(lines) - 1, "".join(lines), increments)
+
+
 def batch_year_distances(store: CorpusStore, year: int, cfg: Config,
                          net: CollabNetwork | None = None) -> YearLedger:
-    """Distance every citation event of ``year`` and credit the ledger.
+    """Distance every citation event of ``year`` and credit the ledger:
+    the ledger that ``run`` writes for the year, decoded.
 
     Uses the capped search when the configuration only needs the x-index
     (cap = n) and exact search otherwise.
     """
+    from .codec import decode_ledger
+
     if net is None:
         from .collab import build_window
 
         net = build_window(store, year, cfg.window_length)
     cap = cfg.distance_cap
-    ledger = YearLedger(year, cap=cap)
-    paper_authors = store.paper_authors
-    for cited_pid, _citing_pid, code in compute_event_distances(store, net, year, cap):
-        ledger.credit(paper_authors[cited_pid], code)
-    return ledger
+    counted = counted_ledger(store, year, compute_event_distances(store, net, year, cap),
+                             cap, cfg.n)
+    return decode_ledger(counted.records, store, {"year": year, "cap": cap})
 
 
 # -- distributions -----------------------------------------------------------

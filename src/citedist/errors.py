@@ -20,10 +20,6 @@ class EmptyCorpusError(IngestError):
         super().__init__(message)
 
 
-class SequencingError(CiteDistError):
-    """A yearly index update was applied out of order."""
-
-
 class IncompleteStateError(CiteDistError):
     """A computation needs ledger or state years that are not available."""
 

@@ -3,15 +3,17 @@
 A citation at finite distance d gets weight d/n for d <= n and weight 1
 beyond (n = 0 uses the 0/0 = 1 convention, so the x-index degenerates to
 the plain citation count).  Unreachable citations weigh 1.  The x-index
-is the weighted citation total, maintained incrementally: the value for
-year y is the value for year y-1 plus the weighted count of year y's
-citations, so only the current year's distances ever need to be stored.
+is the weighted citation total: the value for year y is the value for
+year y-1 plus the weighted count of year y's citations, so it is a sum
+over the yearly ledgers.
 
 Every weight is a multiple of 1/n, so x is kept as an exact integer in
 units of 1/x_scale(n) (``x_increment_scaled``).  That count is linear in
 the distance counts, so the x that ``run`` folds from the ledgers into
 its snapshot and the x an index report takes from a scholar's pooled
-counts agree to the last bit.
+counts agree to the last bit.  ``distances.counted_ledger`` weighs
+each (scholar, distance) count of a computed year by the same
+``scaled_weight``.
 ``fractions.Fraction`` appears only where a value leaves as an
 :class:`IndexRecord` (and in the per-citation :func:`weight`).  Reports
 render x with 2 decimals.
@@ -31,7 +33,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import IncompleteStateError, SequencingError
+from .distances import INF_CODE
+from .errors import IncompleteStateError
 
 if TYPE_CHECKING:
     from .config import Config
@@ -85,18 +88,30 @@ def weight(d, n: int) -> Fraction:
     return Fraction(int(hops), n)
 
 
-def x_increment_scaled(tally: DistanceTally, n: int) -> int:
-    """Year increment of the x-index, in units of 1/x_scale(n)."""
+def require_cap(tally: DistanceTally, n: int) -> None:
+    """Raise ValueError when ``tally`` holds a citation known only to
+    exceed a cap below n, whose weight is then unknown."""
     if tally.exceeds and (tally.cap is None or tally.cap < n):
         raise ValueError(
             f"tally holds distances capped below n={n}; recompute with cap >= n or exact"
         )
+
+
+def scaled_weight(code: int, n: int) -> int:
+    """The weight of one citation at distance code ``code``, in units of
+    1/x_scale(n): min(d, n) for a hop count d, n for an unreachable or
+    capped one, and 1 for every citation when n = 0."""
     if n == 0:
-        return tally.total()
-    acc = 0
+        return 1
+    return code if 0 <= code < n else n
+
+
+def x_increment_scaled(tally: DistanceTally, n: int) -> int:
+    """Year increment of the x-index, in units of 1/x_scale(n)."""
+    require_cap(tally, n)
+    acc = scaled_weight(INF_CODE, n) * (tally.infinite + tally.exceeds)
     for d, count in tally.finite.items():
-        acc += (d if d < n else n) * count
-    acc += n * (tally.infinite + tally.exceeds)
+        acc += scaled_weight(d, n) * count
     return acc
 
 
@@ -106,42 +121,11 @@ def x_increment(tally: DistanceTally, n: int) -> Fraction:
 
 
 def x_from_slices(slices: Iterable[tuple[int, DistanceTally]], n: int) -> Fraction:
-    """One-shot x over yearly slices; identical arithmetic to the replay."""
+    """One-shot x over yearly slices: the sum of their scaled increments."""
     total = 0
     for _, tally in slices:
         total += x_increment_scaled(tally, n)
     return Fraction(total, x_scale(n))
-
-
-class _StateFields(NamedTuple):
-    scholar: int | str
-    year: int
-    x: Fraction
-
-
-class ScholarIndexState(_StateFields):
-    """Running x-index for one scholar after the given year's batch."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.x < 0:
-            raise ValueError("x must be >= 0")
-        return self
-
-
-def update_x(state: ScholarIndexState, year: int, delta: Fraction) -> ScholarIndexState:
-    """Advance a scholar's state by one year: x grows by the year's
-    weighted citation count.  Years must be applied consecutively."""
-    if year != state.year + 1:
-        raise SequencingError(
-            f"state is at year {state.year}, cannot apply year {year}"
-        )
-    if delta < 0:
-        raise ValueError("yearly increment cannot be negative")
-    return ScholarIndexState(state.scholar, year, state.x + delta)
 
 
 # -- classic indices ---------------------------------------------------------

@@ -1,11 +1,13 @@
 """Year-by-year pipeline: network build, distance batch, x-index fold.
 
 For each year the pipeline builds the window network, distances every
-citation event of the year and credits the year's ledger.  A scholar's
-x is a sum over the yearly ledgers, so it is not carried from year to
-year: a run folds every planned ledger into one x snapshot, written
-after the last planned year.  An interrupted run resumes at the years
-whose ledger is missing and writes the same snapshot.
+citation event of the year and credits the year's ledger in one counted
+sweep, which also gives each credited scholar's x increment.  A
+scholar's x is a sum over the yearly ledgers, so it is not carried from
+year to year: a run adds the increments of every planned ledger into
+one x snapshot, written after the last planned year; a ledger computed
+before is read back and folded instead.  An interrupted run resumes at
+the years whose ledger is missing and writes the same snapshot.
 
 Since a year needs only its window, ``run --jobs N`` splits the years
 into contiguous blocks and computes all but the first in forked
@@ -41,7 +43,7 @@ from .workspace import Workspace
 if TYPE_CHECKING:
     from .collab import CollabNetwork
     from .corpus import CorpusStore
-    from .distances import DistanceTally, YearLedger
+    from .distances import CountedLedger, DistanceTally, YearLedger
     from .indices import IndexRecord
 
 _T = TypeVar("_T")
@@ -56,12 +58,14 @@ def workspace_years(ws: Workspace, cfg: Config) -> list[int]:
     return list(range(start, hi + 1))
 
 
-def year_ledger(store: CorpusStore, year: int, cfg: Config, net: CollabNetwork) -> YearLedger:
-    """Compute one year's ledger on ``net``, the year's window; a year
-    without citing papers gets the empty ledger."""
-    from .distances import batch_year_distances
+def year_ledger(store: CorpusStore, year: int, cfg: Config, net: CollabNetwork) -> CountedLedger:
+    """Compute one year's ledger on ``net``, the year's window, with the
+    x increments of its scholars; a year without citing papers gets the
+    empty ledger."""
+    from .distances import compute_event_distances, counted_ledger
 
-    return batch_year_distances(store, year, cfg, net)
+    cap = cfg.distance_cap
+    return counted_ledger(store, year, compute_event_distances(store, net, year, cap), cap, cfg.n)
 
 
 @contextmanager
@@ -100,8 +104,9 @@ def run_pipeline(ws: Workspace, cfg: Config,
     one stops the run before any year is computed).  The store is
     loaded, with the cyclic collector paused (``_cyclic_gc_paused``),
     only when there is a year to compute or a snapshot to write.  A
-    year's log line splits its time into the window build, the search,
-    credit and x fold ("compute"), and the ledger write.
+    year's log line splits its time into the window build, the search
+    and the counted credit with the x increments ("compute"), and the
+    ledger write.
 
     With ``jobs`` above 1, the years to compute are split into
     contiguous blocks of about equal citation count, at most ``jobs``,
@@ -136,11 +141,6 @@ def run_pipeline(ws: Workspace, cfg: Config,
     log = logging.getLogger("citedist")
     xs: dict[int, int] = {}
 
-    def fold(ledger: YearLedger, into: dict[int, int]) -> None:
-        for author, tally in ledger.scholars.items():
-            if delta := x_increment_scaled(tally, cfg.n):
-                into[author] = into.get(author, 0) + delta
-
     def compute(block: list[int], into: dict[int, int]) -> None:
         net: CollabNetwork | None = None
         for year in block:
@@ -148,13 +148,14 @@ def run_pipeline(ws: Workspace, cfg: Config,
             net = build_window(store, year, cfg.window_length, net)
             built = time.perf_counter()
             ledger = year_ledger(store, year, cfg, net)
-            fold(ledger, into)
+            for author, delta in ledger.increments.items():
+                into[author] = into.get(author, 0) + delta
             computed = time.perf_counter()
             ws.write_ledger(ledger, store, cfg_hash)
             log.info(
                 "year %d: %d citation events, %d scholars credited "
                 "(window %.2fs, compute %.2fs, write %.2fs)",
-                year, ledger.events.total(), len(ledger.scholars),
+                year, ledger.events.total(), ledger.credited,
                 built - started, computed - built, time.perf_counter() - computed,
             )
 
@@ -169,7 +170,9 @@ def run_pipeline(ws: Workspace, cfg: Config,
                             f"the year-{last} x snapshot needs the year-{year} ledger; "
                             f"run the preceding years first"
                         )
-                    fold(ledger, xs)
+                    for author, tally in ledger.scholars.items():
+                        if delta := x_increment_scaled(tally, cfg.n):
+                            xs[author] = xs.get(author, 0) + delta
         parts = 1 if jobs == 1 else min(jobs, len(os.sched_getaffinity(0)), len(todo))
         if parts > 1:
             from .workers import run_blocks, split_blocks

@@ -16,7 +16,8 @@ a stage with the same inputs produces byte-identical files.  A year is
 complete once its ledger is; the x snapshot stores x scaled by n as an
 exact integer.  ``citedist.codec`` owns the line format of ledgers,
 states and index snapshots, and each of the three is written through
-``_write_artifact``, which stamps it.
+``_write_artifact``, which stamps it: the record bytes are encoded once
+and hashed, and the header line is composed once.
 
 An index snapshot holds every scholar's indices at its year, as the
 first index report of that year under a config computed them, and lists
@@ -64,18 +65,18 @@ from .codec import (
     decode_indices,
     decode_ledger,
     decode_states,
-    encode_indices,
-    encode_ledger,
-    encode_states,
+    indices_artifact,
+    ledger_head,
     split_header,
     stamp,
+    states_artifact,
 )
 from .config import Config, config_span
 from .errors import CiteDistError, WorkspaceError
 
 if TYPE_CHECKING:
     from .corpus import CorpusStore
-    from .distances import YearLedger
+    from .distances import CountedLedger, YearLedger
     from .indices import IndexRecord
 
 
@@ -286,11 +287,11 @@ class Workspace:
         except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
             raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
 
-    def _write_artifact(self, path: Path, text: str) -> None:
-        """Write the encoded artifact ``text`` to ``path``, atomically,
-        with its header stamped for the ingested corpus (``stamp``)."""
-        data = stamp(text, self.corpus_hash())
-        _atomic_write(path, lambda fp: fp.write(data), binary=True)
+    def _write_artifact(self, path: Path, head: dict, records: str) -> None:
+        """Write the artifact of header ``head`` and record text ``records``
+        to ``path``, atomically, stamped for the ingested corpus (``stamp``)."""
+        lines = stamp(head, records, self.corpus_hash())
+        _atomic_write(path, lambda fp: fp.writelines(lines), binary=True)
 
     def year_complete(self, year: int, config_hash: str) -> bool:
         """Whether the year's ledger was written under ``config_hash``,
@@ -308,9 +309,10 @@ class Workspace:
     def ledger_path(self, year: int) -> Path:
         return self.ledger_dir / f"{year}.jsonl"
 
-    def write_ledger(self, ledger: YearLedger, store: CorpusStore, config_hash: str) -> None:
+    def write_ledger(self, ledger: CountedLedger, store: CorpusStore, config_hash: str) -> None:
+        """Write a computed year's ledger: its record lines as they are."""
         self._write_artifact(self.ledger_path(ledger.year),
-                             encode_ledger(ledger, store, config_hash))
+                             ledger_head(ledger.year, ledger.cap, config_hash), ledger.records)
 
     def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
@@ -341,7 +343,7 @@ class Workspace:
                      cfg: Config, config_hash: str) -> None:
         """Snapshot ``states``, each scholar's scaled x after ``year``."""
         self._write_artifact(self.state_path(year),
-                             encode_states(year, states, store, cfg.n, config_hash))
+                             *states_artifact(year, states, store, cfg.n, config_hash))
 
     def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
@@ -360,7 +362,7 @@ class Workspace:
         from .indices import x_scale
 
         self.index_dir.mkdir(exist_ok=True)
-        self._write_artifact(self.index_path(year), encode_indices(
+        self._write_artifact(self.index_path(year), *indices_artifact(
             records, year, x_scale(cfg.n), cfg.config_hash(), ledgers))
 
     def read_indices(self, year: int, cfg: Config, ledgers: list[str]) -> list[IndexRecord] | None:

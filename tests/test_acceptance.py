@@ -20,17 +20,12 @@ from citedist.collab import (
     build_window,
     shortest_distance,
 )
+from citedist.codec import decode_ledger
 from citedist.config import Config
 from citedist.corpus import parse_records
-from citedist.distances import DistanceTally, batch_year_distances
-from citedist.indices import (
-    ScholarIndexState,
-    c_index,
-    index_record,
-    update_x,
-    x_from_slices,
-    x_increment,
-)
+from citedist.distances import DistanceTally
+from citedist.indices import c_index, index_record, x_from_slices, x_increment, x_scale
+from citedist.pipeline import year_ledger
 from citedist.analytics import classify_closeness, rank
 
 from synthcorpus import (
@@ -144,22 +139,21 @@ def test_c05_incremental_equals_batch_fifty_corpora():
         cfg = Config(exact_distances=bool(trial % 2))
         lo, hi = store.year_span()
         years = range(lo, hi + 1)
-        ledgers = {y: batch_year_distances(store, y, cfg) for y in years}
-
-        # replay year by year through the incremental update
-        states: dict[int, ScholarIndexState] = {}
+        # year by year, as run adds each computed year's x increments
+        x: dict[int, int] = {}
+        ledgers = {}
         for year in years:
-            ledger = ledgers[year]
-            for scholar in range(store.num_authors):
-                state = states.get(scholar) or ScholarIndexState(scholar, lo - 1, Fraction(0))
-                tally = ledger.scholars.get(scholar, DistanceTally(cap=ledger.cap))
-                states[scholar] = update_x(state, year, x_increment(tally, cfg.n))
+            counted = year_ledger(store, year, cfg, build_window(store, year, cfg.window_length))
+            for scholar, delta in counted.increments.items():
+                x[scholar] = x.get(scholar, 0) + delta
+            ledgers[year] = decode_ledger(counted.records, store,
+                                          {"year": year, "cap": counted.cap})
 
         # one shot over each scholar's year slices
         for scholar in range(store.num_authors):
             slices = [(y, ledger.scholars[scholar]) for y, ledger in ledgers.items()
                       if scholar in ledger.scholars]
-            assert states[scholar].x == x_from_slices(slices, cfg.n)  # exact, same arithmetic
+            assert Fraction(x.get(scholar, 0), x_scale(cfg.n)) == x_from_slices(slices, cfg.n)
     ok(5, "yearly replay and one-shot batch agree exactly on 50 corpora")
 
 

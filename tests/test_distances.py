@@ -12,9 +12,10 @@ from citedist.codec import (
     decode_indices,
     decode_ledger,
     decode_states,
-    encode_indices,
-    encode_ledger,
-    encode_states,
+    indices_artifact,
+    json_line,
+    ledger_head,
+    states_artifact,
 )
 from citedist.config import Config
 from citedist.corpus import parse_records
@@ -26,15 +27,19 @@ from citedist.distances import (
     YearLedger,
     batch_year_distances,
     compute_event_distances,
+    counted_ledger,
     distance_histogram,
     ensure_contiguous,
 )
 from citedist.errors import IncompleteStateError
-from citedist.indices import IndexRecord, x_from_slices, x_increment
+from citedist.indices import IndexRecord, x_from_slices, x_increment, x_increment_scaled, x_scale
+from citedist.pipeline import run_pipeline
+from citedist.workspace import Workspace
 
 from synthcorpus import (
     expected_code,
     floyd_warshall,
+    oracle_index_run,
     oracle_set_distance,
     random_corpus_lines,
     record_line,
@@ -156,11 +161,7 @@ def test_ledger_conservation():
 
 
 def test_histogram_normalization():
-    ledger = YearLedger(2000, cap=None)
-    ledger.credit([1], 0)
-    ledger.credit([2], 0)
-    ledger.credit([3], 3)
-    ledger.credit([4], -1)
+    ledger = reference_ledger(2000, None, [([1], 0), ([2], 0), ([3], 3), ([4], -1)])
     result = distance_histogram({2000: ledger}, [2000], max_bin=12)
     hist = result.per_year[2000]
     assert dict(hist.bins) == {"0": 0.5, "3": 0.25, "INF": 0.25}
@@ -169,9 +170,7 @@ def test_histogram_normalization():
 
 
 def test_histogram_flat_and_notice():
-    ledger = YearLedger(1999, cap=None)
-    for d in range(26):
-        ledger.credit([d], d)
+    ledger = reference_ledger(1999, None, [([d], d) for d in range(26)])
     result = distance_histogram({1999: ledger}, [1999, 2001], max_bin=12)
     hist = result.per_year[1999]
     assert all(p == pytest.approx(1 / 26) for _, p in hist.bins)
@@ -192,12 +191,12 @@ def test_paper_tallies_match_scholar_ledgers():
     cfg = Config(exact_distances=True)
     lo, hi = store.year_span()
     ledgers = {}
-    by_paper = defaultdict(DistanceTally)  # every year's events, keyed by cited paper
+    by_paper = defaultdict(Counter)  # the codes of every year's events, by cited paper
     for year in range(lo, hi + 1):
         net = build_window(store, year, cfg.window_length)
         ledgers[year] = batch_year_distances(store, year, cfg, net)
         for cited, _citing, code in compute_event_distances(store, net, year):
-            by_paper[cited].add_code(code)
+            by_paper[cited][code] += 1
     for scholar in range(store.num_authors):
         slices = [(y, ledger.scholars[scholar]) for y, ledger in ledgers.items()
                   if scholar in ledger.scholars]
@@ -207,10 +206,11 @@ def test_paper_tallies_match_scholar_ledgers():
         merged = DistanceTally()
         for pid in store.author_papers[scholar]:
             if pid in by_paper:
-                merged.update(by_paper[pid])
+                merged.update(tally_of(by_paper[pid]))
         assert merged == pooled
         assert x_from_slices(slices, 6) == sum(
-            (x_increment(by_paper[p], 6) for p in store.author_papers[scholar] if p in by_paper),
+            (x_increment(tally_of(by_paper[p]), 6)
+             for p in store.author_papers[scholar] if p in by_paper),
             Fraction(0))
 
 
@@ -294,7 +294,7 @@ def test_series_coverage_check():
 
 
 def _dumps_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _tally_obj(kind, tally):
@@ -347,16 +347,15 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
     codes = [INF_CODE] + ([EXCEEDS_CODE] if cap else []) + list(range(25))
     seen_infinite = seen_exceeds = 0
     for trial in range(40):
-        ledger = YearLedger(2000, cap=cap)
+        events = []
         if trial == 1:  # keys 1, 10, 2 sort as strings
-            for code in (2, 10, 1, INF_CODE):
-                ledger.credit([0], code)
+            events = [(0, 0, code) for code in (2, 10, 1, INF_CODE)]
         for _ in range(0 if trial < 2 else rng.randint(1, 60)):
-            authors = rng.sample(range(len(ODD_LABELS)), rng.randint(1, 3))
-            ledger.credit(authors, rng.choice(codes))
+            events.append((rng.randrange(len(ODD_LABELS)), 0, rng.choice(codes)))
+        ledger = reference_ledger(2000, cap, event_credits(store, events))
         seen_infinite += ledger.events.infinite
         seen_exceeds += ledger.events.exceeds
-        text = encode_ledger(ledger, store, "cfg")
+        text = ledger_text(store, events, cap)
         assert text == reference_ledger_text(ledger, store, "cfg")
         back = decode_ledger(text, store)
         assert (back.year, back.cap) == (2000, cap)
@@ -364,28 +363,160 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
         if trial == 0:
             assert text.count("\n") == 2  # header and events, no scholars
         if trial == 1:
-            assert text.endswith('{"counts": {"1": 1, "10": 1, "2": 1}, "exceeds": 0, '
-                                 '"id": "plain", "infinite": 1, "kind": "scholar"}\n')
+            assert text.endswith('{"counts":{"1":1,"10":1,"2":1},"exceeds":0,'
+                                 '"id":"plain","infinite":1,"kind":"scholar"}\n')
 
         n = rng.choice([0, 1, 6])
         states = {a: rng.choice([0, 0, 1, 5, 123456789012]) for a in
                   rng.sample(range(len(ODD_LABELS)), rng.randint(0, len(ODD_LABELS)))}
-        text = encode_states(2000 + trial, states, store, n, "cfg")
+        text = joined(*states_artifact(2000 + trial, states, store, n, "cfg"))
         assert text == reference_states_text(2000 + trial, states, store, n, "cfg")
         assert decode_states(text, store) == {a: v for a, v in states.items() if v}
     assert seen_infinite and (seen_exceeds or cap is None)
 
 
+def event_credits(store, events):
+    """The (cited authors, code) pair of each (cited, citing, code) event."""
+    return [(store.paper_authors[cited], code) for cited, _citing, code in events]
+
+
+def reference_credit(credits):
+    """The codes of a year's events, and of each author's credits, counted
+    one event and one cited author at a time; ``credits`` holds each
+    event's (cited authors, code) pair."""
+    per_event = Counter()
+    per_author = defaultdict(Counter)
+    for authors, code in credits:
+        per_event[code] += 1
+        for author in authors:
+            per_author[author][code] += 1
+    return per_event, per_author
+
+
+def tally_codes(tally):
+    codes = Counter(tally.finite)
+    codes[INF_CODE] += tally.infinite
+    codes[EXCEEDS_CODE] += tally.exceeds
+    return +codes  # zero counts dropped
+
+
+def tally_of(codes, cap=None):
+    """The tally of a Counter of distance codes."""
+    return DistanceTally({d: c for d, c in codes.items() if d >= 0}, codes[INF_CODE],
+                         codes[EXCEEDS_CODE], cap)
+
+
+def reference_ledger(year, cap, credits):
+    """The ledger of ``credits`` (see ``reference_credit``)."""
+    per_event, per_author = reference_credit(credits)
+    ledger = YearLedger(year, cap)
+    ledger.events = tally_of(per_event, cap)
+    ledger.scholars = {a: tally_of(codes, cap) for a, codes in per_author.items()}
+    return ledger
+
+
+def joined(head, records):
+    """An unstamped artifact text: its header line, then its records."""
+    return json_line(head) + records
+
+
+def ledger_text(store, events, cap, n=6):
+    """The unstamped ledger text of ``events`` as ``run`` credits them."""
+    counted = counted_ledger(store, 2000, events, cap, n)
+    return joined(ledger_head(2000, cap, "cfg"), counted.records)
+
+
+def scaled_weight(code, n):
+    """The weight of one citation in units of 1/x_scale(n), by definition."""
+    if n == 0:
+        return 1
+    return min(code, n) if code >= 0 else n
+
+
+@pytest.mark.parametrize("window", [1, 5])
+@pytest.mark.parametrize("n", [0, 1, 6])
+@pytest.mark.parametrize("exact", [False, True], ids=["capped", "exact"])
+def test_counted_sweep_matches_event_by_event_credit(tmp_path, exact, n, window):
+    """Every ledger a run writes decodes to the credit of its year's events
+    made one event and one cited author at a time, and the run's x
+    snapshot holds the x of those credits, which is the x of the
+    end-to-end oracle (with cap = n, capped x is exact x)."""
+    lines = random_corpus_lines(random.Random(40 + 3 * n + window), 120, 30, 2000, 2007)
+    cfg = Config(n=n, window_length=window, exact_distances=exact)
+    store = parse_records(lines, cfg)
+    ws = Workspace(tmp_path / "ws")
+    ws.write_corpus(store, cfg)
+    years = run_pipeline(ws, cfg).years_processed
+    assert years == list(range(2000, 2008))
+    cfg_hash = cfg.config_hash()
+    x = Counter()
+    credits = 0
+    for year in years:
+        net = build_window(store, year, window)
+        per_event, per_author = reference_credit(event_credits(
+            store, compute_event_distances(store, net, year, cfg.distance_cap)))
+        ledger = ws.read_ledger(year, store, cfg_hash)
+        assert (ledger.year, ledger.cap) == (year, cfg.distance_cap)
+        assert tally_codes(ledger.events) == per_event
+        assert {a: tally_codes(t) for a, t in ledger.scholars.items()} == per_author
+        assert all(t.cap == cfg.distance_cap for t in ledger.scholars.values())
+        for author, codes in per_author.items():
+            x[author] += sum(scaled_weight(code, n) * count for code, count in codes.items())
+            credits += codes.total()
+    assert credits > 200
+    assert ws.read_states(years[-1], store, cfg_hash) == {a: v for a, v in x.items() if v}
+    csv, _ = oracle_index_run(lines, cfg)
+    oracle_x = {row.split(",", 1)[0]: row.rsplit(",", 1)[1] for row in csv.splitlines()[1:]}
+    mine = {store.author_labels[a]: f"{float(Fraction(v, x_scale(n))):.2f}" for a, v in x.items()}
+    assert mine.keys() <= oracle_x.keys()
+    assert {a: mine.get(a, "0.00") for a in oracle_x} == oracle_x
+
+
+def test_counted_sweep_refuses_distances_capped_below_n():
+    """Like ``x_increment_scaled``, the sweep refuses a citation that only
+    exceeds a cap below n, whose weight it cannot know."""
+    store = parse_records([record_line("p0", 2000, ["a", "b"])], Config())
+    events = [(0, 0, 1), (0, 0, EXCEEDS_CODE)]
+    with pytest.raises(ValueError, match="capped below n=6"):
+        counted_ledger(store, 2000, events, 4, 6)
+    with pytest.raises(ValueError, match="capped below n=6"):
+        x_increment_scaled(DistanceTally({1: 1}, 0, 1, 4), 6)
+    assert counted_ledger(store, 2000, events, 6, 6).increments == {0: 7, 1: 7}
+    assert counted_ledger(store, 2000, events[:1], 4, 6).increments == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("cap", [None, 30])
+def test_counted_sweep_writes_json_dumps_lines(cap):
+    """The record lines of the sweep, odd labels and distances of two
+    digits included, are those of ``json.dumps`` over the ledger credited
+    event by event."""
+    store = parse_records([record_line(f"p{k}", 2000, [label, ODD_LABELS[k - 1]])
+                           for k, label in enumerate(ODD_LABELS)], Config())
+    rng = random.Random(41)
+    codes = [INF_CODE] + ([EXCEEDS_CODE] if cap else []) + list(range(25))
+    for trial in range(30):
+        events = [(rng.randrange(len(ODD_LABELS)), 0, rng.choice(codes))
+                  for _ in range(rng.randint(0, 80))]
+        ledger = reference_ledger(2000, cap, event_credits(store, events))
+        counted = counted_ledger(store, 2000, events, cap, 6)
+        head = {"kind": "header", "year": 2000, "cap": cap, "config": "cfg"}
+        assert _dumps_line(head) + counted.records == reference_ledger_text(ledger, store, "cfg")
+        assert (counted.events, counted.credited) == (ledger.events, len(ledger.scholars))
+
+
 @pytest.mark.parametrize("exact", [False, True], ids=["capped", "exact"])
 def test_year_ledgers_round_trip(exact):
-    """Every year's ledger of a seeded corpus decodes to the ledger that
-    was encoded, tally by tally, the cap of every scholar tally too."""
+    """Every year's ledger of a seeded corpus, as ``batch_year_distances``
+    decodes it from the counted sweep's lines, is the ledger credited
+    event by event, tally by tally, the cap of every scholar tally too."""
     store = parse_records(random_corpus_lines(random.Random(3), 120, 40, 2000, 2008), Config())
     cfg = Config(n=2, exact_distances=exact)
     scholars = exceeds = 0
     for year in range(2000, 2009):
-        ledger = batch_year_distances(store, year, cfg)
-        back = decode_ledger(encode_ledger(ledger, store, "cfg"), store)
+        back = batch_year_distances(store, year, cfg)
+        net = build_window(store, year, cfg.window_length)
+        events = compute_event_distances(store, net, year, cfg.distance_cap)
+        ledger = reference_ledger(year, cfg.distance_cap, event_credits(store, events))
         assert (back.year, back.cap) == (year, cfg.distance_cap)
         assert back.events == ledger.events
         assert back.scholars.keys() == ledger.scholars.keys()
@@ -410,15 +541,15 @@ def test_codec_rejects_damaged_lines(damage):
     """Every artifact decoder (ledger, states, index snapshot) raises
     ValueError on the same table of damaged lines."""
     store = parse_records([record_line("p0", 2000, ["a", "b", "c"])], Config())
-    ledger = YearLedger(2000, cap=None)
-    ledger.credit([0, 1, 2], 3)
     states = {0: 1, 1: 2, 2: 3}
     records = [IndexRecord(label, 2000, 1, 1, 1, Fraction(1, 2), 0, Fraction(k, 6))
                for k, label in enumerate("abc", 1)]
     for text, decode in (
-        (encode_ledger(ledger, store, "cfg"), lambda t: decode_ledger(t, store)),
-        (encode_states(2000, states, store, 6, "cfg"), lambda t: decode_states(t, store)),
-        (encode_indices(records, 2000, 6, "cfg", ["l"]), lambda t: decode_indices(t, 1, ["l"])),
+        (ledger_text(store, [(0, 0, 3)], None), lambda t: decode_ledger(t, store)),
+        (joined(*states_artifact(2000, states, store, 6, "cfg")),
+         lambda t: decode_states(t, store)),
+        (joined(*indices_artifact(records, 2000, 6, "cfg", ["l"])),
+         lambda t: decode_indices(t, 1, ["l"])),
     ):
         decode(text)
         lines = text.split("\n")[:-1]
@@ -431,13 +562,11 @@ def test_decode_ledger_needs_its_events_line():
     store or without one (then a scholar line raises KeyError first);
     without a store, it decodes the first record line alone, which gives
     the events tally of the full decode and no scholars."""
-    store = parse_records([record_line("p0", 2000, ["a", "b", "c"])], Config())
+    store = parse_records([record_line("p0", 2000, ["a", "b"]), record_line("p1", 2000, ["c"]),
+                           record_line("p2", 2000, ["b"])], Config())
     for cap in (None, 6):
-        ledger = YearLedger(2000, cap=cap)
-        ledger.credit([0, 1], 3)
-        ledger.credit([2], INF_CODE)
-        ledger.credit([1], 0 if cap is None else EXCEEDS_CODE)
-        text = encode_ledger(ledger, store, "cfg")
+        text = ledger_text(store, [(0, 0, 3), (1, 0, INF_CODE),
+                                   (2, 0, 0 if cap is None else EXCEEDS_CODE)], cap)
         head, events, rest = text.split("\n", 2)
         full = decode_ledger(text, store)
         assert full.scholars

@@ -2,6 +2,7 @@
 serves against recomputed ones, what a hit reads, and when the snapshot
 is stale, foreign or damaged."""
 
+import hashlib
 import json
 import random
 import re
@@ -12,12 +13,13 @@ import pytest
 from citedist import corpus as corpus_module
 from citedist import workspace as workspace_module
 from citedist.cli import main
-from citedist.codec import decode_indices, encode_indices
+from citedist.codec import decode_indices, indices_artifact, json_line
 from citedist.config import load_config
 from citedist.pipeline import build_index_records, index_records, report_ledgers
 from citedist.workspace import Workspace
 
 from synthcorpus import random_corpus_lines, record_line
+from test_benchmark_hooks import load_perfbench
 
 INDEX_REPORTS = (
     ["index-table"],
@@ -95,22 +97,34 @@ def test_snapshot_hit_decodes_no_ledger_and_no_corpus(tmp_path, monkeypatch):
     assert report_outputs(ws, cfg, 2006) == expected
 
 
+def compact(line):
+    return json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
 def test_snapshot_codec_round_trips_c_types(tmp_path):
     """An int c stays an int and a Fraction stays a Fraction, even one
-    whose denominator is 1."""
+    whose denominator is 1.  Every artifact line, of the encoded snapshot
+    and of the ledgers, states and index snapshot in the workspace after
+    a run and an index report, is written in the compact style."""
     ws, cfg_path = ran_workspace(tmp_path, alpha="2/3")
     cfg = load_config(cfg_path)
     records = index_records(ws, cfg, 2006)
     types = {type(r.c).__name__ for r in records}
     assert types == {"int", "Fraction"}
     assert any(type(r.c).__name__ == "Fraction" and r.c.denominator == 1 for r in records)
-    text = encode_indices(records, 2006, 6, "cfg", ["a", "b"])
+    head, body = indices_artifact(records, 2006, 6, "cfg", ["a", "b"])
+    text = json_line(head) + body
     assert decode_indices(text, cfg.alpha, ["a", "b"]) == records
     assert decode_indices(text, cfg.alpha, ["a"]) is None
     assert [type(r.c) for r in decode_indices(text, cfg.alpha, ["a", "b"])] == [
         type(r.c) for r in records]
     for line in text.splitlines():
-        assert line == json.dumps(json.loads(line), sort_keys=True)
+        assert line == compact(line)
+    paths = [p for d in (ws.ledger_dir, ws.state_dir, ws.index_dir) for p in d.glob("*.jsonl")]
+    assert {p.parent.name for p in paths} == {"ledgers", "states", "indices"}
+    for path in paths:
+        for line in path.read_text().splitlines():
+            assert line == compact(line), path
 
 
 def test_snapshot_of_other_ledgers_is_rebuilt(tmp_path):
@@ -180,7 +194,7 @@ def _truncated(ws):
 def _digit(ws):
     path = ws.index_path(2006)
     text = path.read_text()
-    changed = re.sub(r'"q": (\d)', lambda m: f'"q": {int(m[1]) % 9 + 1}', text, count=1)
+    changed = re.sub(r'"q":(\d)', lambda m: f'"q":{int(m[1]) % 9 + 1}', text, count=1)
     assert changed != text
     path.write_text(changed)
 
@@ -219,3 +233,64 @@ def test_damaged_snapshot_exits_3_and_names_it(tmp_path, capsys, damage):
     assert f"deleting {ws.index_path(2006)} is safe" in err
     ws.index_path(2006).unlink()
     assert main(argv) == 0
+
+
+def respace(ws):
+    """Write every ledger, x snapshot and index snapshot of ``ws`` again in
+    the spaced style of ``json.dumps(obj, sort_keys=True)`` that older
+    versions wrote, each header with the digest of its new record lines,
+    and each index snapshot listing the new digests of its ledgers."""
+    renamed = {}
+    for directory in (ws.ledger_dir, ws.state_dir, ws.index_dir):  # ledgers first
+        for path in sorted(directory.glob("*.jsonl")):
+            head, *records = map(json.loads, path.read_text().splitlines())
+            body = "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in records).encode()
+            digest = hashlib.sha256(body).hexdigest()
+            renamed[head["records_sha256"]] = digest
+            head["records_sha256"] = digest
+            if "ledgers" in head:
+                head["ledgers"] = [renamed[d] for d in head["ledgers"]]
+            path.write_bytes(json.dumps(head, sort_keys=True).encode() + b"\n" + body)
+
+
+def test_workspace_of_spaced_artifacts_stays_valid(tmp_path, capsys):
+    """A workspace whose artifacts an older version wrote in the spaced
+    style resumes with every year complete and serves the same reports; a
+    deleted ledger is computed again, alone and in the compact style, and
+    leaves every x of the snapshot as it was."""
+    ws, cfg = ran_workspace(tmp_path)
+    common = ["--workspace", str(ws.root), "--config", str(cfg)]
+    histogram = ["report", "distance-histogram", *common]
+    expected = report_outputs(ws, cfg, 2006)
+    assert main(histogram) == 0
+    expected_histogram = (ws.report_dir / "distance-histogram.csv").read_bytes()
+    state = ws.state_path(2006)
+    xs = [json.loads(line) for line in state.read_text().splitlines()[1:]]
+    respace(ws)
+    artifacts = [p for d in (ws.ledger_dir, ws.state_dir, ws.index_dir) for p in d.glob("*.jsonl")]
+    spaced = {p: p.read_bytes() for p in artifacts}
+    assert all(b'": ' in data for data in spaced.values())
+
+    capsys.readouterr()
+    assert main(["run", *common]) == 0
+    assert "processed 0 years, skipped 7 already complete" in capsys.readouterr().out
+    assert report_outputs(ws, cfg, 2006) == expected
+    assert main(histogram) == 0
+    assert (ws.report_dir / "distance-histogram.csv").read_bytes() == expected_histogram
+    assert {p: p.read_bytes() for p in artifacts} == spaced  # the index snapshot was served
+    checks = load_perfbench("checks")
+    ops = checks.Ops()
+    checks.check_x_states(ops, ws.root, 6)
+    assert (ops.attempted, ops.failed) == (1, 0), ops.failures
+
+    ws.ledger_path(2003).unlink()
+    assert main(["run", *common]) == 0
+    assert "processed 1 years, skipped 6 already complete" in capsys.readouterr().out
+    for path in artifacts:
+        if path.parent == ws.ledger_dir and path.stem != "2003":
+            assert path.read_bytes() == spaced[path]
+    for path in (ws.ledger_path(2003), state):
+        lines = path.read_text().splitlines()
+        assert [compact(line) for line in lines] == lines
+    assert [json.loads(line) for line in state.read_text().splitlines()[1:]] == xs
+    assert report_outputs(ws, cfg, 2006) == expected

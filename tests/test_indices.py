@@ -7,24 +7,32 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from citedist.codec import decode_ledger
 from citedist.collab import Distance
 from citedist.config import Config
-from citedist.distances import DistanceTally, ensure_contiguous
-from citedist.errors import IncompleteStateError, SequencingError
+from citedist.corpus import parse_records
+from citedist.distances import (
+    EXCEEDS_CODE,
+    INF_CODE,
+    DistanceTally,
+    counted_ledger,
+    ensure_contiguous,
+)
+from citedist.errors import IncompleteStateError
 from citedist.indices import (
     IndexRecord,
-    ScholarIndexState,
     c_index,
     g_index,
     h_index,
     index_record,
-    update_x,
     weight,
     x_from_slices,
     x_increment,
+    x_increment_scaled,
+    x_scale,
 )
 
-from synthcorpus import fraction_c_oracle
+from synthcorpus import fraction_c_oracle, record_line
 
 # Citation-count-by-distance profiles published for the three ranking
 # experiments, with the scholar's total citations and the expected
@@ -113,38 +121,57 @@ class TestXIncrement:
 
 
 class TestUpdateX:
+    """The yearly x update of ``run``: each computed year adds the x
+    increments of its counted ledger (``distances.counted_ledger``)."""
+
+    STORE = parse_records([record_line(f"p{k}", 2000, [f"a{k}", f"a{k + 1}"])
+                           for k in range(8)], Config())
+
+    def counted(self, rng, year, n, codes):
+        events = [(rng.randrange(8), 0, rng.choice(codes)) for _ in range(rng.randint(1, 20))]
+        return counted_ledger(self.STORE, year, events, None, n)
+
     def test_additive(self):
-        state = ScholarIndexState("s", 2017, Fraction(100))
-        new = update_x(state, 2018, Fraction(47, 2))
-        assert new.x == Fraction(247, 2)
-        assert new.year == 2018
+        """A year adds to each credited scholar's x the scaled increment
+        of its tally in the year's ledger, capped ledgers included."""
+        rng = random.Random(6)
+        exceeded = 0
+        for n in range(9):
+            events = [(rng.randrange(8), 0, rng.choice([EXCEEDS_CODE, INF_CODE, *range(n + 1)]))
+                      for _ in range(30)]
+            counted = counted_ledger(self.STORE, 2000, events, n, n)
+            ledger = decode_ledger(counted.records, self.STORE, {"year": 2000, "cap": n})
+            assert counted.increments == {
+                a: delta for a, t in ledger.scholars.items() if (delta := x_increment_scaled(t, n))}
+            exceeded += ledger.events.exceeds
+        assert exceeded > 0
 
     def test_zero_delta_keeps_x(self):
-        state = ScholarIndexState("s", 2010, Fraction(5))
-        assert update_x(state, 2011, Fraction(0)).x == state.x
-
-    def test_out_of_order_year(self):
-        state = ScholarIndexState("s", 2010, Fraction(5))
-        with pytest.raises(SequencingError):
-            update_x(state, 2012, Fraction(1))
-        with pytest.raises(SequencingError):
-            update_x(state, 2010, Fraction(1))
+        """A scholar credited only at distance 0 gets no increment under
+        n > 0, and one per citation under n = 0, where every citation
+        weighs 1."""
+        rng = random.Random(5)
+        for n in (1, 6):
+            assert self.counted(rng, 2000, n, [0]).increments == {}
+        counted = self.counted(rng, 2000, 0, [0])
+        assert sum(counted.increments.values()) == counted.events.total() * 2 > 0
 
     def test_replay_equals_batch(self):
         rng = random.Random(4)
         for _ in range(30):
-            slices = []
-            state = ScholarIndexState("s", 1989, Fraction(0))
             n = rng.randint(0, 8)
+            x: dict[int, int] = {}
+            slices: dict[int, list] = {}
             for year in range(1990, 1990 + rng.randint(1, 12)):
-                tally = DistanceTally(
-                    finite={d: rng.randint(0, 5) for d in range(rng.randint(0, 9))},
-                    infinite=rng.randint(0, 4),
-                )
-                slices.append((year, tally))
-                state = update_x(state, year, x_increment(tally, n))
-            assert state.x == x_from_slices(slices, n)
-            assert state.x >= 0
+                counted = self.counted(rng, year, n, [INF_CODE, *range(12)])
+                for author, delta in counted.increments.items():
+                    x[author] = x.get(author, 0) + delta
+                ledger = decode_ledger(counted.records, self.STORE, {"year": year, "cap": None})
+                for author, tally in ledger.scholars.items():
+                    slices.setdefault(author, []).append((year, tally))
+            for author, series in slices.items():
+                assert Fraction(x.get(author, 0), x_scale(n)) == x_from_slices(series, n)
+            assert all(delta > 0 for delta in x.values())
 
 
 def tally_c(tally, alpha):

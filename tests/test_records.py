@@ -12,7 +12,7 @@ from citedist.collab import ComponentStats, Distance, NetworkStats
 from citedist.config import Config, ConfigError
 from citedist.corpus import PaperRecord, ValidationSummary
 from citedist.distances import DistanceTally, HistogramResult, YearHistogram
-from citedist.indices import IndexRecord, ScholarIndexState
+from citedist.indices import IndexRecord
 from citedist.pipeline import RunResult
 
 _RECORD = IndexRecord("s", 2001, 5, 2, 3, 2, 1, Fraction(7, 2))
@@ -25,7 +25,6 @@ RECORDS = [
                   exact_distances=True, strict_window=True),
      dict(year_start=1000, year_end=9999, window_length=5, n=6, alpha=Fraction(1),
           exact_distances=False, strict_window=False), True, True),
-    (ScholarIndexState, dict(scholar="s", year=2001, x=Fraction(3, 2)), {}, True, True),
     (IndexRecord, dict(scholar="s", year=2001, q=5, h=2, g=3, c=2, n_w=1, x=Fraction(7, 2),
                        alpha=Fraction(1, 2)), dict(alpha=Fraction(1)), True, True),
     (Distance, dict(hops=None, cap=4), dict(hops=None, cap=None), True, True),
@@ -115,17 +114,15 @@ def test_config_checks_raise_config_error(kwargs):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: ScholarIndexState("s", 2001, Fraction(-1)),
     lambda: IndexRecord("s", 2001, 3, 1, 1, 1, 0, Fraction(4)),  # x > Q
     lambda: IndexRecord("s", 2001, 3, 2, 1, 1, 0, Fraction(1)),  # h > g
     lambda: IndexRecord("s", 2001, 3, 1, 1, 1, 4, Fraction(1)),  # N_w > Q
     lambda: IndexRecord("s", 2001, 3, 1, 1, 4, 0, Fraction(1)),  # c > Q at alpha 1
     lambda: Distance(hops=1, cap=2), lambda: Distance(-1),
     lambda: _RECORD._replace(h=4),
-    lambda: ScholarIndexState("s", 2001, Fraction(1))._replace(x=Fraction(-1)),
     lambda: Distance.finite(2)._replace(cap=3),
-], ids=["state-x", "record-x", "record-h", "record-n_w", "record-c", "distance-both",
-        "distance-negative", "replace-record", "replace-state", "replace-distance"])
+], ids=["record-x", "record-h", "record-n_w", "record-c", "distance-both",
+        "distance-negative", "replace-record", "replace-distance"])
 def test_record_checks_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
