@@ -19,7 +19,7 @@ _SOURCES = {
                "shortest_distance"),
     "config": ("Config", "load_config", "parse_config_text"),
     "corpus": ("CorpusStore", "PaperRecord", "load_corpus", "parse_records", "yearly_counts"),
-    "distances": ("DistanceTally", "YearLedger", "batch_year_distances", "distance_histogram"),
+    "distances": ("YearLedger", "batch_year_distances", "distance_histogram"),
     "indices": ("IndexRecord", "c_index", "g_index", "h_index", "weight", "x_increment"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

@@ -300,7 +300,7 @@ def _rank(args, records):
     rows.extend(
         f"{r.position},{r.record.scholar},"
         f"{getattr(r.record, display) if display else r.value},{r.record.q}"
-        for r in rank(records, args.index)
+        for r in (rank(records, args.index) if records else ())  # none credited: header only
     )
     return rows, {"index": args.index}
 

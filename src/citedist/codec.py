@@ -22,6 +22,14 @@ Ledger::
     {"counts":{"1":3,"10":1,"2":5},"exceeds":0,"infinite":2,"kind":"events"}
     {"counts":{"0":1},"exceeds":0,"id":"<author>","infinite":0,"kind":"scholar"}
 
+In memory a tally is a dict from distance code to its nonzero count: a
+hop count (>= 0) is a member of a line's ``counts``, and the count of
+``INF_CODE`` (no path) and of ``EXCEEDS_CODE`` (a path longer than the
+ledger's cap) is its ``infinite`` and ``exceeds``, 0 when absent.  This
+module is the one that maps codes to those keys (``events_line``,
+``scholar_line`` and ``decode_ledger``).  The cap is the header's, not
+the tallies'.
+
 State, written once per run, after the last planned year (x folded from
 every ledger and scaled by ``scale``, scholars with x = 0 omitted)::
 
@@ -38,8 +46,9 @@ when it is a Fraction, ``[numerator, denominator]``)::
 
 Each artifact is built as its header object and its record text
 (``ledger_head`` with ``distances.counted_ledger``'s records,
-``states_artifact``, ``indices_artifact``).  A workspace writes each
-artifact through ``stamp``, which encodes the record text once, hashes
+``states_artifact`` and ``indices_artifact``, whose headers are
+``states_head`` and ``indices_head`` plus its ``ledgers``).  A workspace
+writes each artifact through ``stamp``, which encodes the record text once, hashes
 those bytes and composes the header line once, with two more keys:
 ``corpus_sha256``, the sha256 of the ingested corpus snapshot, and
 ``records_sha256``, the sha256 of every byte after the header line.
@@ -47,7 +56,8 @@ those bytes and composes the header line once, with two more keys:
 the offset of the record bytes, so a reader can check both stamps
 without copying or decoding a record; it then hands each decoder the
 parsed header with the record lines alone.  No decoder checks the
-config: the workspace checks every header first.
+config: the workspace first compares every header with the one its
+writer writes for the file's year and the config.
 
 Decoding raises ValueError, KeyError, TypeError, AttributeError or
 ZeroDivisionError on a damaged file, and KeyError on an author label the
@@ -72,11 +82,17 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .corpus import CorpusStore
-    from .distances import DistanceTally, YearLedger
+    from .distances import YearLedger
     from .indices import IndexRecord
 
 CORPUS_KEY = "corpus_sha256"
 RECORDS_KEY = "records_sha256"
+
+# The distance codes that the search returns and every tally counts, the
+# keys of a line's ``counts``, ``infinite`` and ``exceeds``: a hop count
+# is >= 0.
+INF_CODE = -1  # no path exists
+EXCEEDS_CODE = -2  # a path exists and is longer than the cap
 
 
 def json_line(obj) -> str:
@@ -84,28 +100,58 @@ def json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def tally_counts(finite: dict[int, int]) -> str:
-    """The members of a tally's ``counts`` object, as ``json_line`` writes
-    them: keys in string order ("1" < "10" < "2").  Sorting the formatted
-    '"<d>":<c>' entries gives that order, because the closing quote sorts
-    below every digit."""
-    return ",".join(sorted([f'"{d}":{c}' for d, c in finite.items()]))
+def _fields(tally: Mapping[int, int]) -> tuple[str, int, int]:
+    """The ``counts``, ``infinite`` and ``exceeds`` of a tally's line.
+    ``counts`` is the members of its object, the hop-count codes, in the
+    key order of ``json_line``: string order ("1" < "10" < "2").  Sorting
+    the formatted '"<d>":<c>' entries gives that order, because the
+    closing quote sorts below every digit."""
+    counts = []
+    infinite = exceeds = 0
+    for code, count in tally.items():
+        if code >= 0:
+            counts.append(f'"{code}":{count}')
+        elif code == INF_CODE:
+            infinite = count
+        else:
+            exceeds = count
+    if len(counts) > 1:
+        counts.sort()
+    return ",".join(counts), infinite, exceeds
 
 
-def events_line(events: DistanceTally) -> str:
-    return (f'{{"counts":{{{tally_counts(events.finite)}}},"exceeds":{events.exceeds},'
-            f'"infinite":{events.infinite},"kind":"events"}}\n')
+def events_line(tally: Mapping[int, int]) -> str:
+    """The events line of a ledger: ``tally`` counts each event once."""
+    counts, infinite, exceeds = _fields(tally)
+    return (f'{{"counts":{{{counts}}},"exceeds":{exceeds},'
+            f'"infinite":{infinite},"kind":"events"}}\n')
 
 
-def scholar_line(label: str, counts: str, infinite: int, exceeds: int) -> str:
+def scholar_line(label: str, tally: Mapping[int, int]) -> str:
     """One scholar line of a ledger: ``label`` is the JSON-escaped author
-    label and ``counts`` the members of its counts object."""
-    return (f'{{"counts":{{{counts}}},"exceeds":{exceeds},"id":{label},'
-            f'"infinite":{infinite},"kind":"scholar"}}\n')
+    label and ``tally`` the scholar's credits."""
+    counts, infinite, exceeds = _fields(tally)
+    return (f'{{"counts":{{{counts}}},"exceeds":{exceeds},'
+            f'"id":{label},"infinite":{infinite},"kind":"scholar"}}\n')
 
 
 def ledger_head(year: int, cap: int | None, config_hash: str) -> dict:
     return {"kind": "header", "year": year, "cap": cap, "config": config_hash}
+
+
+def x_scale(n: int) -> int:
+    """Denominator of every x value under threshold n (1 when n = 0): the
+    ``scale`` of the states and index snapshots."""
+    return n if n > 0 else 1
+
+
+def states_head(year: int, n: int, config_hash: str) -> dict:
+    return {"kind": "header", "year": year, "n": n, "scale": x_scale(n), "config": config_hash}
+
+
+def indices_head(year: int, scale: int, config_hash: str) -> dict:
+    """The header of an index snapshot but its ``ledgers``."""
+    return {"kind": "header", "year": year, "config": config_hash, "scale": scale}
 
 
 def states_artifact(year: int, states: Mapping[int, int], store: CorpusStore, n: int,
@@ -113,12 +159,10 @@ def states_artifact(year: int, states: Mapping[int, int], store: CorpusStore, n:
     """The header and record text of the x snapshot of ``states`` (scaled
     x by author id) after ``year``: one line per scholar in author-id
     order, those at x = 0 left out."""
-    from .indices import x_scale
-
-    head = {"kind": "header", "year": year, "n": n, "scale": x_scale(n), "config": config_hash}
     labels = store.json_labels
-    return head, "".join([f'{{"id":{labels[author]},"kind":"state","xn":{xn}}}\n'
-                          for author in sorted(states) if (xn := states[author])])
+    return states_head(year, n, config_hash), "".join([
+        f'{{"id":{labels[author]},"kind":"state","xn":{xn}}}\n'
+        for author in sorted(states) if (xn := states[author])])
 
 
 def stamp(head: dict, records: str, corpus_sha256: str) -> tuple[bytes, bytes]:
@@ -178,24 +222,23 @@ def decode_ledger(text: str, store: CorpusStore | None, head: dict | None = None
     ledger has no scholars; that line must be the events line, since no
     author label resolves without a store (a scholar line raises KeyError).
     """
-    from .distances import DistanceTally, YearLedger
+    from .distances import YearLedger
 
     head, body = read_header(text) if head is None else (head, text)
     if store is None:  # decode the first line alone
         end = body.find("\n")
         body = body if end < 0 else body[:end]
-    cap = head["cap"]
-    ledger = YearLedger(year=head["year"], cap=cap)
+    ledger = YearLedger(year=head["year"], cap=head["cap"])
     ledger.records_sha256 = head.get(RECORDS_KEY)
     index = {} if store is None else store.author_index
     scholars = ledger.scholars
     events = None
     for obj in json_lines(body):
-        counts = obj["counts"].items()
-        tally = DistanceTally(
-            {int(k): v for k, v in counts} if counts else {},
-            obj["infinite"], obj["exceeds"], cap,
-        )
+        tally = {int(d): c for d, c in obj["counts"].items()}
+        if infinite := obj["infinite"]:
+            tally[INF_CODE] = infinite
+        if exceeds := obj["exceeds"]:
+            tally[EXCEEDS_CODE] = exceeds
         if obj["kind"] == "events":
             ledger.events = events = tally
         else:
@@ -218,8 +261,7 @@ def indices_artifact(records: Iterable[IndexRecord], year: int, scale: int,
     """The header and record text of the index snapshot of ``records`` (x
     in units of ``1/scale``), folded from the ledgers whose record
     digests ``ledgers`` lists."""
-    head = {"kind": "header", "year": year, "config": config_hash, "scale": scale,
-            "ledgers": list(ledgers)}
+    head = {**indices_head(year, scale, config_hash), "ledgers": list(ledgers)}
     lines = []
     for r in records:
         c, x = r.c, r.x

@@ -7,18 +7,21 @@ makes it a self-citation at distance 0.  Full counting applies: every
 coauthor of the cited paper is credited the whole citation at the event
 distance.
 
-Ledgers store, per scholar and per year, how many credited citations
-fell at each finite distance, how many had no path at all (the infinite
-bucket), and, for capped runs, how many had a path longer than the
-cap.  A capped run (cap = n) is sufficient for the x-index,
-whose weights saturate at n; exact runs are required for the c-index,
-N_w, and the maximum finite distance.
+Ledgers store, per scholar and per year, a tally: a plain dict from
+distance code to its nonzero count of credited citations.  A code is a
+hop count (>= 0), INF_CODE for a citation with no path at all (the
+infinite bucket) or, in capped runs, EXCEEDS_CODE for one with a path
+longer than the cap.  The cap is a property of the ledger, not of its
+tallies.  A capped run (cap = n) is sufficient for the x-index, whose
+weights saturate at n; exact runs are required for the c-index, N_w,
+and the maximum finite distance.
 
-A year is credited in one pass (``counted_ledger``): one ``Counter`` over
-collision-free (scholar, distance code) keys, then one sweep over its
-sorted keys, which gives each scholar's ledger line and x increment.
-``run`` writes those lines as they are; ``batch_year_distances`` decodes
-them into a ``YearLedger``.
+A year is credited in one pass (``counted_ledger``), which builds each
+credited scholar's tally, then one sweep in author-id order gives each
+scholar's ledger line and x increment.  ``run`` writes those lines as
+they are; ``batch_year_distances`` decodes them into a ``YearLedger``.
+The codes are defined in ``codec``, the one module that maps them to
+the ``counts``, ``infinite`` and ``exceeds`` keys of a ledger line.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  The tallies, ledgers and histograms
@@ -29,9 +32,9 @@ they are called, and ``collab`` takes the distance codes from here.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import groupby
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
 
+from .codec import EXCEEDS_CODE, INF_CODE
 from .config import Config
 from .errors import IncompleteStateError
 
@@ -39,56 +42,13 @@ if TYPE_CHECKING:
     from .collab import CollabNetwork
     from .corpus import CorpusStore
 
-# Integer distance codes, as the search returns and the ledgers tally
-# them: hop counts are >= 0.
-INF_CODE = -1  # no path exists
-EXCEEDS_CODE = -2  # a path exists and is longer than the cap
-
-
-class DistanceTally:
-    """Distance-count vector for one scholar (or one event stream)."""
-
-    __slots__ = ("finite", "infinite", "exceeds", "cap")
-
-    def __init__(self, finite: dict[int, int] | None = None, infinite: int = 0,
-                 exceeds: int = 0, cap: int | None = None):
-        self.finite = {} if finite is None else finite
-        self.infinite = infinite
-        self.exceeds = exceeds
-        self.cap = cap
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    def __repr__(self) -> str:
-        return f"DistanceTally({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
-
-    def copy(self) -> "DistanceTally":
-        return DistanceTally(dict(self.finite), self.infinite, self.exceeds, self.cap)
-
-    def update(self, other: "DistanceTally") -> None:
-        for d, c in other.finite.items():
-            self.finite[d] = self.finite.get(d, 0) + c
-        self.infinite += other.infinite
-        self.exceeds += other.exceeds
-        if other.cap is not None:
-            self.cap = other.cap if self.cap is None else min(self.cap, other.cap)
-
-    def total(self) -> int:
-        return sum(self.finite.values()) + self.infinite + self.exceeds
-
-    def is_exact(self) -> bool:
-        return self.exceeds == 0
-
-
 class YearLedger:
     """Distance counts for one citing year.
 
     ``scholars`` maps interned author id -> credited tally; ``events``
     tallies each citation event exactly once (used for distance
     distributions, where coauthor multiplicity must not inflate bins).
+    Each tally maps a distance code to its nonzero count.
     ``records_sha256`` is the record digest of the artifact a ledger was
     decoded from, None for one computed or read from an unstamped text.
     """
@@ -97,20 +57,21 @@ class YearLedger:
         self.year = year
         self.cap = cap
         self.records_sha256: str | None = None
-        self.scholars: dict[int, DistanceTally] = {}
-        self.events = DistanceTally(cap=cap)
+        self.scholars: dict[int, dict[int, int]] = {}
+        self.events: dict[int, int] = {}
 
 
-
-def pool_into(pooled: dict[int, DistanceTally], tallies: Mapping[int, DistanceTally]) -> None:
+def pool_into(pooled: dict[int, dict[int, int]],
+              tallies: Mapping[int, Mapping[int, int]]) -> None:
     """Add each tally of ``tallies`` to the tally of its key in ``pooled``,
     which holds a copy of it for a key it lacked."""
     for key, tally in tallies.items():
         mine = pooled.get(key)
         if mine is None:
-            pooled[key] = tally.copy()
+            pooled[key] = dict(tally)
         else:
-            mine.update(tally)
+            for code, count in tally.items():
+                mine[code] = mine.get(code, 0) + count
 
 
 def ensure_contiguous(years: Collection[int], through: int) -> None:
@@ -160,7 +121,7 @@ class CountedLedger(NamedTuple):
 
     year: int
     cap: int | None
-    events: DistanceTally
+    events: dict[int, int]  # the tally of the year's events
     credited: int  # how many scholars were credited
     records: str  # the record lines: the events line, then one per scholar
     increments: dict[int, int]  # author id -> x increment in units of 1/x_scale(n), if not 0
@@ -169,49 +130,37 @@ class CountedLedger(NamedTuple):
 def counted_ledger(store: CorpusStore, year: int, events: list[tuple[int, int, int]],
                    cap: int | None, n: int) -> CountedLedger:
     """Credit ``events``, the year's (cited, citing, code) triples, to
-    every author of each cited paper.
-
-    One ``Counter`` counts the key ``author * stride + code + 2`` of every
-    credit, where ``stride`` exceeds the largest ``code + 2``, so each
-    key names one (scholar, code).  The sorted keys run by author id,
-    and one sweep over them gives each scholar's ledger line
-    (``codec.scholar_line``) and x increment, each count weighed by
-    ``indices.scaled_weight``.  Raises ValueError, as
-    ``indices.x_increment_scaled`` does, when a distance is capped below n.
+    every author of each cited paper: one pass builds each credited
+    scholar's tally, and one sweep in author-id order gives each its
+    ledger line (``codec.scholar_line``) and x increment
+    (``indices.x_increment_scaled``).  Raises ValueError when a distance
+    is capped below n, since its weight is then unknown.
     """
     from .codec import events_line, scholar_line
-    from .indices import require_cap, scaled_weight
+    from .indices import x_increment_scaled
 
     codes = Counter([code for _cited, _citing, code in events])
-    unreached, exceeded = codes.pop(INF_CODE, 0), codes.pop(EXCEEDS_CODE, 0)
-    tally = DistanceTally(dict(codes), unreached, exceeded, cap)
-    require_cap(tally, n)  # every scholar's tally exceeds only where this one does
-    stride = max(codes, default=0) + 3
+    if EXCEEDS_CODE in codes and (cap is None or cap < n):
+        raise ValueError(f"distances capped below n={n} have no known weight; "
+                         f"recompute with cap >= n or exact")
     paper_authors = store.paper_authors
-    credits = Counter(author * stride + code + 2
-                      for cited, _citing, code in events for author in paper_authors[cited])
-    labels = store.json_labels
-    lines = [events_line(tally)]
-    increments: dict[int, int] = {}
-    for author, keys in groupby(sorted(credits), stride.__rfloordiv__):
-        base = author * stride + 2
-        counts = []
-        infinite = exceeds = xn = 0
-        for key in keys:
-            count, code = credits[key], key - base
-            xn += scaled_weight(code, n) * count
-            if code >= 0:
-                counts.append(f'"{code}":{count}')
-            elif code == INF_CODE:
-                infinite = count
+    tallies: dict[int, dict[int, int]] = {}
+    for cited, _citing, code in events:
+        for author in paper_authors[cited]:
+            tally = tallies.get(author)
+            if tally is None:
+                tallies[author] = {code: 1}
             else:
-                exceeds = count
-        if code >= 10:  # the keys sort as strings: "10" < "2" (``codec.tally_counts``)
-            counts.sort()
-        lines.append(scholar_line(labels[author], ",".join(counts), infinite, exceeds))
-        if xn:
+                tally[code] = tally.get(code, 0) + 1
+    labels = store.json_labels
+    lines = [events_line(codes)]
+    increments: dict[int, int] = {}
+    for author in sorted(tallies):
+        tally = tallies[author]
+        lines.append(scholar_line(labels[author], tally))
+        if xn := x_increment_scaled(tally, n):
             increments[author] = xn
-    return CountedLedger(year, cap, tally, len(lines) - 1, "".join(lines), increments)
+    return CountedLedger(year, cap, codes, len(tallies), "".join(lines), increments)
 
 
 def batch_year_distances(store: CorpusStore, year: int, cfg: Config,
@@ -271,23 +220,23 @@ def distance_histogram(ledgers: Mapping[int, YearLedger],
     notices: list[str] = []
     for year in years:
         ledger = ledgers.get(year)
-        total = ledger.events.total() if ledger is not None else 0
+        tally = {} if ledger is None else ledger.events
+        total = sum(tally.values())
         if total == 0:
             notices.append(f"year {year}: no citations; omitted")
             continue
-        tally = ledger.events
         bins: list[tuple[str, float]] = []
         within = 0
-        for d in sorted(tally.finite):
-            count = tally.finite[d]
+        for d in sorted(d for d in tally if d >= 0):
+            count = tally[d]
             if count:
                 bins.append((str(d), count / total))
                 if d <= max_bin:
                     within += count
-        if tally.exceeds:
-            bins.append((f">{tally.cap}", tally.exceeds / total))
-        if tally.infinite:
-            bins.append(("INF", tally.infinite / total))
+        if exceeds := tally.get(EXCEEDS_CODE):
+            bins.append((f">{ledger.cap}", exceeds / total))
+        if infinite := tally.get(INF_CODE):
+            bins.append(("INF", infinite / total))
         per_year[year] = YearHistogram(
             year=year,
             bins=tuple(bins),

@@ -8,19 +8,22 @@ year y-1 plus the weighted count of year y's citations, so it is a sum
 over the yearly ledgers.
 
 Every weight is a multiple of 1/n, so x is kept as an exact integer in
-units of 1/x_scale(n) (``x_increment_scaled``).  That count is linear in
-the distance counts, so the x that ``run`` folds from the ledgers into
-its snapshot and the x an index report takes from a scholar's pooled
-counts agree to the last bit.  ``distances.counted_ledger`` weighs
-each (scholar, distance) count of a computed year by the same
-``scaled_weight``.
-``fractions.Fraction`` appears only where a value leaves as an
-:class:`IndexRecord` (and in the per-citation :func:`weight`).  Reports
-render x with 2 decimals.
+units of 1/x_scale(n).  ``scaled_weight`` is the one statement of that
+rule, per distance code; ``x_increment_scaled`` sums it over a tally,
+a dict from distance code (a hop count, ``codec.INF_CODE`` or
+``codec.EXCEEDS_CODE``) to count, and :func:`weight` divides it by
+x_scale(n).  The sum is linear in the counts, so the x that ``run``
+folds from the ledgers into its snapshot, the x that
+``distances.counted_ledger`` gives each credited scholar of a computed
+year, and the x an index report takes from a scholar's pooled tally
+agree to the last bit.  ``fractions.Fraction`` appears only where a
+value leaves as an :class:`IndexRecord` (and in :func:`weight`).
+Reports render x with 2 decimals.
 
 The c-index sorts a scholar's citation distances in decreasing order
 (unreachable counts as larger than every finite distance) and takes
-max over ranks v of min(alpha * v, d_v), comparing in integers.
+max over ranks v of min(alpha * v, d_v), comparing in integers; it
+reads the tally's ``INF_CODE`` count as the unreachable ones.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``), and none of ``distances`` either, so
@@ -31,33 +34,24 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .distances import INF_CODE
+from .codec import EXCEEDS_CODE, INF_CODE, x_scale
 from .errors import IncompleteStateError
 
 if TYPE_CHECKING:
     from .config import Config
-    from .distances import DistanceTally
 
 
-def x_scale(n: int) -> int:
-    """Denominator of every x value under threshold n (1 when n = 0)."""
-    return n if n > 0 else 1
-
-
-def _as_hops(d) -> float:
-    """Normalize a distance argument to an int hop count or math.inf."""
+def _as_code(d) -> int:
+    """The distance code of a distance argument: an int hop count, or
+    ``math.inf`` or a :class:`Distance`."""
     from .collab import Distance
 
     if isinstance(d, Distance):
-        if d.is_finite:
-            return d.hops
-        if d.is_infinite:
-            return math.inf
-        raise ValueError("distance exceeding a cap has no exact value")
+        return d.hops if d.is_finite else INF_CODE if d.is_infinite else EXCEEDS_CODE
     if d == math.inf:
-        return math.inf
+        return INF_CODE
     if isinstance(d, bool) or not isinstance(d, int):
         raise TypeError(f"distance must be an int, math.inf, or Distance, got {d!r}")
     if d < 0:
@@ -72,29 +66,12 @@ def weight(d, n: int) -> Fraction:
     Distance is acceptable only when its cap is >= n (the weight is then
     known to be 1).
     """
-    from .collab import Distance
-
     if n < 0:
         raise ValueError("n must be >= 0")
-    if isinstance(d, Distance) and d.exceeds_cap:
-        if d.cap >= n:
-            return Fraction(1)
+    code = _as_code(d)
+    if code == EXCEEDS_CODE and d.cap < n:
         raise ValueError(f"distance only known to exceed {d.cap}; weight under n={n} undetermined")
-    hops = _as_hops(d)
-    if n == 0:
-        return Fraction(1)  # 0/0 = 1: every citation counts fully
-    if hops >= n:
-        return Fraction(1)
-    return Fraction(int(hops), n)
-
-
-def require_cap(tally: DistanceTally, n: int) -> None:
-    """Raise ValueError when ``tally`` holds a citation known only to
-    exceed a cap below n, whose weight is then unknown."""
-    if tally.exceeds and (tally.cap is None or tally.cap < n):
-        raise ValueError(
-            f"tally holds distances capped below n={n}; recompute with cap >= n or exact"
-        )
+    return Fraction(scaled_weight(code, n), x_scale(n))
 
 
 def scaled_weight(code: int, n: int) -> int:
@@ -106,26 +83,23 @@ def scaled_weight(code: int, n: int) -> int:
     return code if 0 <= code < n else n
 
 
-def x_increment_scaled(tally: DistanceTally, n: int) -> int:
-    """Year increment of the x-index, in units of 1/x_scale(n)."""
-    require_cap(tally, n)
-    acc = scaled_weight(INF_CODE, n) * (tally.infinite + tally.exceeds)
-    for d, count in tally.finite.items():
-        acc += scaled_weight(d, n) * count
+def x_increment_scaled(tally: Mapping[int, int], n: int) -> int:
+    """Year increment of the x-index, in units of 1/x_scale(n), of a
+    tally (distance code -> count) whose capped codes have cap >= n."""
+    acc = 0
+    for code, count in tally.items():
+        acc += scaled_weight(code, n) * count
     return acc
 
 
-def x_increment(tally: DistanceTally, n: int) -> Fraction:
+def x_increment(tally: Mapping[int, int], n: int) -> Fraction:
     """Weighted citation count of one year slice for one scholar."""
     return Fraction(x_increment_scaled(tally, n), x_scale(n))
 
 
-def x_from_slices(slices: Iterable[tuple[int, DistanceTally]], n: int) -> Fraction:
+def x_from_slices(slices: Iterable[tuple[int, Mapping[int, int]]], n: int) -> Fraction:
     """One-shot x over yearly slices: the sum of their scaled increments."""
-    total = 0
-    for _, tally in slices:
-        total += x_increment_scaled(tally, n)
-    return Fraction(total, x_scale(n))
+    return Fraction(sum(x_increment_scaled(tally, n) for _, tally in slices), x_scale(n))
 
 
 # -- classic indices ---------------------------------------------------------
@@ -156,8 +130,9 @@ def g_index(citation_counts: Iterable[int]) -> int:
     return g
 
 
-def _c_from_counts(finite: dict[int, int], infinite: int, alpha) -> Fraction | int | float:
-    """max over ranks v of min(alpha * v, d_v), compared in integers.
+def _c_from_counts(tally: Mapping[int, int], alpha) -> Fraction | int | float:
+    """max over ranks v of min(alpha * v, d_v) of an exact tally,
+    compared in integers.
 
     With alpha = p/q, alpha * v <= d exactly when p * v <= d * q.  Walking
     the distances downwards, alpha * v grows while d_v falls, so the
@@ -166,9 +141,9 @@ def _c_from_counts(finite: dict[int, int], infinite: int, alpha) -> Fraction | i
     that side wins or ties, else the int distance; 0 when empty.
     """
     p, q = alpha.as_integer_ratio()
-    v = best_v = infinite  # min(alpha * v, INFINITE) = alpha * v
-    for d in sorted((d for d, c in finite.items() if c), reverse=True):
-        v += finite[d]
+    v = best_v = tally.get(INF_CODE, 0)  # min(alpha * v, INFINITE) = alpha * v
+    for d in sorted((d for d, c in tally.items() if d >= 0 and c), reverse=True):
+        v += tally[d]
         if p * v <= d * q:
             best_v = v
         elif d * q > p * best_v:
@@ -186,15 +161,13 @@ def c_index(distances: Iterable, alpha=1):
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    finite: dict[int, int] = {}
-    infinite = 0
+    tally: dict[int, int] = {}
     for d in distances:
-        hops = _as_hops(d)
-        if hops == math.inf:
-            infinite += 1
-        else:
-            finite[hops] = finite.get(hops, 0) + 1
-    return _c_from_counts(finite, infinite, alpha)
+        code = _as_code(d)
+        if code == EXCEEDS_CODE:
+            raise ValueError("distance exceeding a cap has no exact value")
+        tally[code] = tally.get(code, 0) + 1
+    return _c_from_counts(tally, alpha)
 
 
 # -- snapshots ---------------------------------------------------------------
@@ -264,25 +237,25 @@ class IndexRecord(_RecordFields):
         )
 
 
-def index_record(label: str, year: int, pooled: DistanceTally,
+def index_record(label: str, year: int, pooled: Mapping[int, int],
                  per_paper_counts: Sequence[int], cfg: Config) -> IndexRecord:
-    """Q, h, g, c, N_w and x of one scholar from the exact distance
-    counts ``pooled`` over all years through ``year``, with ``cfg``'s
+    """Q, h, g, c, N_w and x of one scholar from the exact tally
+    ``pooled`` over all years through ``year``, with ``cfg``'s
     threshold n and c-index slope alpha.  x is the scaled
     increment of the pooled counts, which equals the sum over the year
     slices because the increment is linear in the counts."""
-    if not pooled.is_exact():
+    if EXCEEDS_CODE in pooled:
         raise IncompleteStateError(
             "snapshot needs exact distances; ledgers were computed with a cap"
         )
     return IndexRecord(
         scholar=label,
         year=year,
-        q=pooled.total(),
+        q=sum(pooled.values()),
         h=h_index(per_paper_counts),
         g=g_index(per_paper_counts),
-        c=_c_from_counts(pooled.finite, pooled.infinite, cfg.alpha),
-        n_w=pooled.infinite,
+        c=_c_from_counts(pooled, cfg.alpha),
+        n_w=pooled.get(INF_CODE, 0),
         x=Fraction(x_increment_scaled(pooled, cfg.n), x_scale(cfg.n)),
         alpha=Fraction(cfg.alpha),
     )

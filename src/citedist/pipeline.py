@@ -43,7 +43,7 @@ from .workspace import Workspace
 if TYPE_CHECKING:
     from .collab import CollabNetwork
     from .corpus import CorpusStore
-    from .distances import CountedLedger, DistanceTally, YearLedger
+    from .distances import CountedLedger, YearLedger
     from .indices import IndexRecord
 
 _T = TypeVar("_T")
@@ -118,7 +118,6 @@ def run_pipeline(ws: Workspace, cfg: Config,
     With ``jobs`` 1 the years are computed in this process, in order."""
     planned = workspace_years(ws, cfg)
     ws.ensure_dirs()
-    cfg_hash = cfg.config_hash()
     years = planned
     if year_range is not None:
         lo, hi = year_range
@@ -126,10 +125,10 @@ def run_pipeline(ws: Workspace, cfg: Config,
     if not years:
         return RunResult([], [])
 
-    todo = [y for y in years if not ws.year_complete(y, cfg_hash)]
+    todo = [y for y in years if not ws.year_complete(y, cfg)]
     skipped = [y for y in years if y not in todo]
     last = planned[-1]
-    write_x = years[-1] == last and bool(todo or not ws.states_complete(last, cfg_hash))
+    write_x = years[-1] == last and bool(todo or not ws.states_complete(last, cfg))
     if not write_x and not todo:
         return RunResult([], skipped)
 
@@ -151,11 +150,11 @@ def run_pipeline(ws: Workspace, cfg: Config,
             for author, delta in ledger.increments.items():
                 into[author] = into.get(author, 0) + delta
             computed = time.perf_counter()
-            ws.write_ledger(ledger, store, cfg_hash)
+            ws.write_ledger(ledger, store, cfg)
             log.info(
                 "year %d: %d citation events, %d scholars credited "
                 "(window %.2fs, compute %.2fs, write %.2fs)",
-                year, ledger.events.total(), ledger.credited,
+                year, sum(ledger.events.values()), ledger.credited,
                 built - started, computed - built, time.perf_counter() - computed,
             )
 
@@ -164,7 +163,7 @@ def run_pipeline(ws: Workspace, cfg: Config,
         if write_x:
             for year in planned:
                 if year not in todo:
-                    ledger = ws.read_ledger(year, store, cfg_hash)
+                    ledger = ws.read_ledger(year, store, cfg)
                     if ledger is None:
                         raise WorkspaceError(
                             f"the year-{last} x snapshot needs the year-{year} ledger; "
@@ -183,7 +182,7 @@ def run_pipeline(ws: Workspace, cfg: Config,
         else:
             compute(todo, xs)
         if write_x:
-            ws.write_states(last, xs, store, cfg, cfg_hash)
+            ws.write_states(last, xs, store, cfg)
     return RunResult(todo, skipped)
 
 
@@ -217,9 +216,8 @@ def report_ledgers(ws: Workspace, store: CorpusStore, cfg: Config, up_to_year: i
     """The ledgers of :func:`report_years`, verified against the config,
     read one at a time in year order as the caller asks for them.  The
     ``records_sha256`` of each is appended to ``digests`` when given."""
-    cfg_hash = cfg.config_hash()
     for year in report_years(ws, cfg, up_to_year):
-        ledger = _verified(ws.read_ledger(year, store, cfg_hash), year)
+        ledger = _verified(ws.read_ledger(year, store, cfg), year)
         if digests is not None:
             digests.append(ledger.records_sha256)
         yield ledger
@@ -230,14 +228,13 @@ def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int
     """The ledgers of :func:`report_years` in ``[lo, hi]``, verified
     against the config, with their events tallies only (what
     ``distance_histogram`` bins)."""
-    cfg_hash = cfg.config_hash()
     return {
-        year: _verified(ws.read_ledger_events(year, cfg_hash), year)
+        year: _verified(ws.read_ledger_events(year, cfg), year)
         for year in report_years(ws, cfg, hi) if year >= lo
     }
 
 
-def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, DistanceTally]:
+def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, dict[int, int]]:
     """Each scholar's distance counts summed over the ledgers through
     ``year``, reading each ledger once and dropping it before the next.
     After a capped ledger the rest are still read, so that a damaged one
@@ -245,7 +242,7 @@ def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, Distanc
     years is an error once a scholar has counts."""
     from .distances import ensure_contiguous, pool_into
 
-    pooled: dict[int, DistanceTally] = {}
+    pooled: dict[int, dict[int, int]] = {}
     years: set[int] = set()
     capped = False
     for ledger in ledgers:
@@ -302,8 +299,7 @@ def index_records(ws: Workspace, cfg: Config, year: int) -> list[IndexRecord]:
     if planned and year > planned[-1]:
         raise WorkspaceError(f"year {year} is after the last planned year, {planned[-1]}")
     if ws.index_path(year).exists():
-        cfg_hash = cfg.config_hash()
-        digests = [_verified(ws.ledger_digest(y, cfg_hash), y)
+        digests = [_verified(ws.ledger_digest(y, cfg), y)
                    for y in report_years(ws, cfg, year)]
         with _cyclic_gc_paused():
             records = ws.read_indices(year, cfg, digests)

@@ -26,7 +26,9 @@ one of another config, or folded from other ledgers, reads as absent and
 is written again, and deleting it is always safe.
 
 The meta lists ``paper_years``, the distinct years of the snapshot's
-papers, so the years a config plans come from the meta alone.  A step
+papers, so the years a config plans come from the meta alone; a meta
+that is not an object with a ``corpus_sha256`` string, or whose
+``paper_years`` is not a list of ints, is damaged.  A step
 that needs the store hashes the snapshot and checks the digest against
 the ``corpus_sha256`` of the meta; a mismatch raises a WorkspaceError
 that names ``corpus.jsonl``.  The checked lines are
@@ -35,10 +37,13 @@ span must match the one the meta gives, else the meta is damaged.
 
 Each artifact header records the hash of the configuration that
 produced it, the sha256 of the ingested corpus, and the sha256 of its
-record lines.  Every read checks the header first: an artifact of
-another configuration reads as absent; one stamped for another corpus,
-or whose record lines do not match their digest, raises a
-WorkspaceError that names the file.  ``year_complete`` and
+record lines.  Every read takes the config and checks the header first:
+an artifact of another configuration reads as absent; one whose header
+differs in any other key from the one its writer writes for its year
+and that config (such as the cap of a ledger, or the year or scale of
+an index snapshot), one stamped for another corpus, or one whose record
+lines do not match their digest, raises a WorkspaceError that names
+the file.  ``year_complete`` and
 ``states_complete`` stop there, so the resume check decodes no record;
 ``read_ledger_events`` checks the whole ledger too but decodes only
 its events line (``decode_ledger`` without a store).
@@ -66,10 +71,13 @@ from .codec import (
     decode_ledger,
     decode_states,
     indices_artifact,
+    indices_head,
     ledger_head,
     split_header,
     stamp,
     states_artifact,
+    states_head,
+    x_scale,
 )
 from .config import Config, config_span
 from .errors import CiteDistError, WorkspaceError
@@ -93,6 +101,20 @@ def _atomic_write(path: Path, writer, binary: bool = False) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# Header keys that ``Workspace._artifact`` does not compare with the
+# header of the artifact's year and config: the two stamps, and the
+# ledger digests of an index snapshot, which its decoder compares.
+_UNCHECKED = frozenset({CORPUS_KEY, RECORDS_KEY, "ledgers"})
+
+
+def _ledger_head(year: int, cfg: Config) -> dict:
+    return ledger_head(year, cfg.distance_cap, cfg.config_hash())
+
+
+def _states_head(year: int, cfg: Config) -> dict:
+    return states_head(year, cfg.n, cfg.config_hash())
 
 
 class _HashedFile:
@@ -173,12 +195,20 @@ class Workspace:
         return meta
 
     def load_meta(self) -> dict:
-        """The content of ``corpus.meta.json``, read once."""
+        """The content of ``corpus.meta.json``, read once: an object with
+        the ``corpus_sha256`` string and, unless an older ingest wrote
+        it, ``paper_years``, a list of ints."""
         if self._meta is None:
             if not self.meta_path.exists():
                 raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first")
             try:
-                self._meta = json.loads(self.meta_path.read_text(encoding="utf-8"))
+                meta = json.loads(self.meta_path.read_text(encoding="utf-8"))
+                if not isinstance(meta, dict) or not isinstance(meta.get(CORPUS_KEY), str):
+                    raise ValueError(f"not an object with a {CORPUS_KEY} string")
+                years = meta.get("paper_years", [])
+                if not isinstance(years, list) or any(type(y) is not int for y in years):
+                    raise ValueError("paper_years is not a list of years")
+                self._meta = meta
             except ValueError as exc:
                 raise WorkspaceError(
                     f"cannot read {self.meta_path}: damaged ({exc!r}); run 'ingest' again"
@@ -238,13 +268,16 @@ class Workspace:
 
     # -- artifacts ---------------------------------------------------------
 
-    def _artifact(self, path: Path, config_hash: str) -> tuple[dict, bytes, int] | None:
+    def _artifact(self, path: Path, expected: dict) -> tuple[dict, bytes, int] | None:
         """The header, bytes and record offset of an artifact; None when it
-        is absent or its header records another config.  Raises a
-        WorkspaceError naming the file when it is empty, has no header, is
-        stamped for another corpus or its record lines do not match the
-        digest in its header.  The record bytes are hashed in place, not
-        copied, and no record is decoded."""
+        is absent or its header records another config than ``expected``,
+        the header that the writer writes for the path's year and the
+        reader's config.  Raises a WorkspaceError naming the file when it
+        is empty, has no header, has a header that differs from
+        ``expected`` in any key but the two stamps and an index
+        snapshot's ``ledgers``, is stamped for another corpus or its
+        record lines do not match the digest in its header.  The record
+        bytes are hashed in place, not copied, and no record is decoded."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -255,8 +288,13 @@ class Workspace:
             head, start = split_header(data)
         except ValueError as exc:
             raise WorkspaceError(f"cannot read {path}: damaged ({exc!r})") from exc
-        if head.get("config") != config_hash:
+        if head.get("config") != expected["config"]:
             return None
+        if {k: v for k, v in head.items() if k not in _UNCHECKED} != expected:
+            raise WorkspaceError(
+                f"cannot read {path}: damaged (its header does not match its year "
+                f"and config)"
+            )
         if head.get(CORPUS_KEY) != self.corpus_hash():
             raise WorkspaceError(
                 f"cannot read {path}: it was not written for the ingested corpus; "
@@ -270,13 +308,13 @@ class Workspace:
             )
         return head, data, start
 
-    def _read(self, path: Path, config_hash: str, decode, first_line: bool = False):
+    def _read(self, path: Path, expected: dict, decode, first_line: bool = False):
         """``decode(body, head)`` of a checked artifact (see ``_artifact``),
         where ``body`` is the text of its record lines, or of the first
         alone when ``first_line``; None when it is absent or of another
         config.  A file that fails to decode raises a WorkspaceError
         naming it."""
-        checked = self._artifact(path, config_hash)
+        checked = self._artifact(path, expected)
         if checked is None:
             return None
         head, data, start = checked
@@ -293,45 +331,45 @@ class Workspace:
         lines = stamp(head, records, self.corpus_hash())
         _atomic_write(path, lambda fp: fp.writelines(lines), binary=True)
 
-    def year_complete(self, year: int, config_hash: str) -> bool:
-        """Whether the year's ledger was written under ``config_hash``,
-        judged from its header and record digest alone; raises as
-        ``_artifact`` does."""
-        return self._artifact(self.ledger_path(year), config_hash) is not None
+    def year_complete(self, year: int, cfg: Config) -> bool:
+        """Whether the year's ledger was written under ``cfg``, judged
+        from its header and record digest alone; raises as ``_artifact``
+        does."""
+        return self._artifact(self.ledger_path(year), _ledger_head(year, cfg)) is not None
 
-    def states_complete(self, last: int, config_hash: str) -> bool:
+    def states_complete(self, last: int, cfg: Config) -> bool:
         """Whether the x snapshot after ``last`` was written under
-        ``config_hash``, checked as ``year_complete`` checks a ledger."""
-        return self._artifact(self.state_path(last), config_hash) is not None
+        ``cfg``, checked as ``year_complete`` checks a ledger."""
+        return self._artifact(self.state_path(last), _states_head(last, cfg)) is not None
 
     # -- ledgers ---------------------------------------------------------
 
     def ledger_path(self, year: int) -> Path:
         return self.ledger_dir / f"{year}.jsonl"
 
-    def write_ledger(self, ledger: CountedLedger, store: CorpusStore, config_hash: str) -> None:
+    def write_ledger(self, ledger: CountedLedger, store: CorpusStore, cfg: Config) -> None:
         """Write a computed year's ledger: its record lines as they are."""
-        self._write_artifact(self.ledger_path(ledger.year),
-                             ledger_head(ledger.year, ledger.cap, config_hash), ledger.records)
+        self._write_artifact(self.ledger_path(ledger.year), _ledger_head(ledger.year, cfg),
+                             ledger.records)
 
-    def read_ledger(self, year: int, store: CorpusStore, config_hash: str) -> YearLedger | None:
+    def read_ledger(self, year: int, store: CorpusStore, cfg: Config) -> YearLedger | None:
         """The year's ledger, or None when absent or built by another config."""
-        return self._read(self.ledger_path(year), config_hash,
+        return self._read(self.ledger_path(year), _ledger_head(year, cfg),
                           lambda body, head: decode_ledger(body, store, head))
 
-    def ledger_digest(self, year: int, config_hash: str) -> str | None:
+    def ledger_digest(self, year: int, cfg: Config) -> str | None:
         """The ``records_sha256`` of the year's ledger, checked whole as
         ``_artifact`` does but not decoded; None when absent or built by
         another config."""
-        checked = self._artifact(self.ledger_path(year), config_hash)
+        checked = self._artifact(self.ledger_path(year), _ledger_head(year, cfg))
         return None if checked is None else checked[0][RECORDS_KEY]
 
-    def read_ledger_events(self, year: int, config_hash: str) -> YearLedger | None:
+    def read_ledger_events(self, year: int, cfg: Config) -> YearLedger | None:
         """The year's ledger with its events tally and no scholars, checked
         whole as ``read_ledger`` checks it but decoded without a store (the
         header and events lines alone).  None when absent or built by
         another config."""
-        return self._read(self.ledger_path(year), config_hash,
+        return self._read(self.ledger_path(year), _ledger_head(year, cfg),
                           lambda body, head: decode_ledger(body, None, head), first_line=True)
 
     # -- x-index states ---------------------------------------------------
@@ -340,14 +378,14 @@ class Workspace:
         return self.state_dir / f"{year}.jsonl"
 
     def write_states(self, year: int, states: Mapping[int, int], store: CorpusStore,
-                     cfg: Config, config_hash: str) -> None:
+                     cfg: Config) -> None:
         """Snapshot ``states``, each scholar's scaled x after ``year``."""
         self._write_artifact(self.state_path(year),
-                             *states_artifact(year, states, store, cfg.n, config_hash))
+                             *states_artifact(year, states, store, cfg.n, cfg.config_hash()))
 
-    def read_states(self, year: int, store: CorpusStore, config_hash: str) -> dict[int, int] | None:
+    def read_states(self, year: int, store: CorpusStore, cfg: Config) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
-        return self._read(self.state_path(year), config_hash,
+        return self._read(self.state_path(year), _states_head(year, cfg),
                           lambda body, head: decode_states(body, store, head))
 
     # -- index snapshots ---------------------------------------------------
@@ -359,8 +397,6 @@ class Workspace:
                       ledgers: list[str]) -> None:
         """Snapshot ``records``, the indices at ``year`` folded from the
         ledgers whose record digests ``ledgers`` lists in year order."""
-        from .indices import x_scale
-
         self.index_dir.mkdir(exist_ok=True)
         self._write_artifact(self.index_path(year), *indices_artifact(
             records, year, x_scale(cfg.n), cfg.config_hash(), ledgers))
@@ -372,7 +408,7 @@ class Workspace:
         raises a WorkspaceError that names it and says it may be deleted."""
         path = self.index_path(year)
         try:
-            return self._read(path, cfg.config_hash(),
+            return self._read(path, indices_head(year, x_scale(cfg.n), cfg.config_hash()),
                               lambda body, head: decode_indices(body, cfg.alpha, ledgers, head))
         except WorkspaceError as exc:
             raise WorkspaceError(

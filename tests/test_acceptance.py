@@ -23,7 +23,6 @@ from citedist.collab import (
 from citedist.codec import decode_ledger
 from citedist.config import Config
 from citedist.corpus import parse_records
-from citedist.distances import DistanceTally
 from citedist.indices import c_index, index_record, x_from_slices, x_increment, x_scale
 from citedist.pipeline import year_ledger
 from citedist.analytics import classify_closeness, rank
@@ -39,7 +38,7 @@ from synthcorpus import (
     write_scale_corpus,
 )
 from test_analytics import COHORT_I, cohort_records
-from test_indices import EXPERIMENT_PROFILES, pooled_tally, series_for
+from test_indices import EXPERIMENT_PROFILES, pooled_tally, series_for, tally_of
 
 
 def ok(criterion: int, message: str) -> None:
@@ -59,8 +58,8 @@ def test_c02_x_index_golden_suite():
     }
     seen = set()
     for exp, scholar, counts, q, x2dp in EXPERIMENT_PROFILES:
-        tally = DistanceTally(finite=dict(counts))
-        assert tally.total() == q, f"Q mismatch for {exp}/{scholar}"
+        tally = tally_of(counts)
+        assert sum(tally.values()) == q, f"Q mismatch for {exp}/{scholar}"
         x = x_increment(tally, 6)
         assert abs(x - Fraction(x2dp)) < Fraction(5, 1000), f"x mismatch for {exp}/{scholar}"
         seen.add((exp, scholar))
@@ -222,7 +221,7 @@ def test_c09_bound_suite():
             for year in range(2000, 2000 + rng.randint(1, 5))
         }
         pooled = pooled_tally(series_for(profiles))
-        q = pooled.total()
+        q = sum(pooled.values())
         papers = []
         remaining = q
         while remaining:

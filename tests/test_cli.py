@@ -77,7 +77,7 @@ def test_ingest_and_run_table1(table1_file, tmp_path, capsys):
     # no citations anywhere: the one x snapshot, after 2018, is empty
     store = parse_records(table1_lines(), Config())
     assert [p.name for p in (ws / "states").iterdir()] == ["2018.jsonl"]
-    assert Workspace(ws).read_states(2018, store, Config().config_hash()) == {}
+    assert Workspace(ws).read_states(2018, store, Config()) == {}
 
 
 def test_ingest_malformed_line_exits_2(tmp_path, capsys):
@@ -180,7 +180,7 @@ def test_two_paper_pipeline_hand_computed(tmp_path):
     assert main(["ingest", str(src), "--workspace", str(ws)]) == 0
     assert main(["run", "--workspace", str(ws)]) == 0
     store = parse_records(lines, Config())
-    states = Workspace(ws).read_states(2002, store, Config().config_hash())
+    states = Workspace(ws).read_states(2002, store, Config())
     a = store.author_index
     # citing author b: d(b, a) = 2 (b-c, c-a), d(b, c) = 1 -> event distance 1
     # each coauthor of p0 is credited weight 1/6 (scaled by n = 6 -> 1)
@@ -200,7 +200,7 @@ def test_disconnected_citation_gives_full_weight(tmp_path):
     main(["ingest", str(src), "--workspace", str(ws)])
     main(["run", "--workspace", str(ws)])
     store = parse_records(lines, Config())
-    states = Workspace(ws).read_states(2001, store, Config().config_hash())
+    states = Workspace(ws).read_states(2001, store, Config())
     # no path between a and b: weight 1, stored scaled by n = 6
     assert states[store.author_index["a"]] == 6
 
@@ -419,19 +419,83 @@ def _meta_paper_years(ws, src):
     return [["run"], ["report", "network-stats"]], "corpus.meta.json"
 
 
+def _meta_edit(edit):
+    """A damage that replaces the meta object by ``edit(meta)``; the file
+    stays valid JSON."""
+
+    def damage(ws, src):
+        path = ws / "corpus.meta.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return [["run"], ["report", "distance-histogram"]], "corpus.meta.json"
+
+    return damage
+
+
+def _edit_header(path, old, new):
+    """Replace ``old`` by ``new`` in the header line of ``path``, which the
+    record digest does not cover."""
+    head, rest = path.read_text().split("\n", 1)
+    assert old in head
+    path.write_text(f"{head.replace(old, new)}\n{rest}")
+
+
+def _exact_run(ws, src, *years):
+    """Run the workspace again under exact distances and make the index
+    snapshot of each of ``years``; the options of that config."""
+    cfg = ["--config", str(write_config(src.parent, exact_distances=True))]
+    assert main(["run", "--workspace", str(ws), *cfg]) == 0
+    for year in years:
+        report = ["report", "index-table", "--year", str(year)]
+        assert main([*report, "--workspace", str(ws), *cfg]) == 0
+    return cfg
+
+
+def _index_header_scale(ws, src):
+    cfg = _exact_run(ws, src, 2003)
+    _edit_header(ws / "indices" / "2003.jsonl", '"scale":6', '"scale":3')
+    return [["report", "index-table", *cfg]], "2003.jsonl"
+
+
+def _index_header_year(ws, src):
+    cfg = _exact_run(ws, src, 2002)
+    _edit_header(ws / "indices" / "2002.jsonl", '"year":2002', '"year":2003')
+    return [["report", "index-table", "--year", "2002", *cfg]], "2002.jsonl"
+
+
+def _ledger_header_cap(ws, src):
+    cfg = _exact_run(ws, src)
+    _edit_header(ws / "ledgers" / "2002.jsonl", '"cap":null', '"cap":6')
+    return [["run", *cfg], ["report", "distance-histogram", *cfg],
+            ["report", "index-table", *cfg]], "2002.jsonl"
+
+
+def _ledger_header_year(ws, src):
+    _edit_header(ws / "ledgers" / "2002.jsonl", '"year":2002', '"year":2001')
+    return [["run"], ["report", "distance-histogram"]], "2002.jsonl"
+
+
 @pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus,
                                     _truncated_ledger, _blank_line_in_state,
                                     _ledger_trailing_garbage, _header_only_ledger,
                                     _ledger_count_digit, _state_xn_digit,
                                     _ledger_events_line_dropped,
                                     _snapshot_truncated_line, _snapshot_digit,
-                                    _meta_truncated, _meta_paper_years],
+                                    _meta_truncated, _meta_paper_years,
+                                    _meta_edit(lambda meta: [1]),
+                                    _meta_edit(lambda meta: {k: v for k, v in meta.items()
+                                                             if k != "corpus_sha256"}),
+                                    _meta_edit(lambda meta: {**meta, "paper_years": ["x"]}),
+                                    _index_header_scale, _index_header_year,
+                                    _ledger_header_cap, _ledger_header_year],
                          ids=["empty-ledger", "truncated-state", "foreign-corpus",
                               "truncated-ledger", "blank-line-in-state",
                               "ledger-trailing-garbage", "header-only-ledger",
                               "ledger-count-digit", "state-xn-digit",
                               "ledger-events-line-dropped", "snapshot-truncated-line",
-                              "snapshot-digit", "meta-truncated", "meta-paper-years"])
+                              "snapshot-digit", "meta-truncated", "meta-paper-years",
+                              "meta-not-object", "meta-no-corpus-hash", "meta-year-not-int",
+                              "index-header-scale", "index-header-year",
+                              "ledger-header-cap", "ledger-header-year"])
 def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
     ws = _ran_workspace(tmp_path)
     commands, file_name = damage(ws, tmp_path / "c.jsonl")
@@ -455,6 +519,29 @@ def test_workspace_of_an_older_ingest_exits_3(tmp_path, capsys):
                     ["report", "network-stats", "--year", "2003"]):
         assert main([*command, "--workspace", str(ws)]) == 3
         assert "run 'ingest' again" in capsys.readouterr().err
+
+
+def test_every_report_of_a_citationless_workspace_exits_cleanly(tmp_path, capsys):
+    """Two papers without references, run exact: every report exits 0,
+    or 2 or 3 with one error line, and none raises.  The index reports
+    that list scholars write their header alone, since none is credited."""
+    src = tmp_path / "c.jsonl"
+    src.write_text(record_line("p0", 2000, ["a"]) + "\n" + record_line("p1", 2001, ["b"]) + "\n")
+    ws = tmp_path / "ws"
+    common = ["--workspace", str(ws), "--config", str(write_config(tmp_path, exact_distances=True))]
+    assert main(["ingest", str(src), *common]) == 0
+    assert main(["run", *common]) == 0
+    headers = {"index-table": "scholar,year,Q,h,g,c,N_w,x", "rank": "rank,scholar,x,Q",
+               "scatter": "Q,x"}
+    for name in REPORT_NAMES:
+        capsys.readouterr()
+        code = main(["report", name, *common])
+        err = capsys.readouterr().err
+        assert code == 0 or (code in (2, 3) and err.startswith("error: ")
+                             and err.count("\n") == 1), (name, code, err)
+        if name in headers:
+            assert code == 0
+            assert (ws / "reports" / f"{name}.csv").read_text() == headers[name] + "\n"
 
 
 def test_config_without_papers_exits_2(tmp_path, capsys):
@@ -887,8 +974,8 @@ def test_pipeline_states_match_index_records(tmp_path):
     store = parse_records(lines, cfg)
     ws.write_corpus(store, cfg)
     run_pipeline(ws, cfg)
-    states = ws.read_states(2006, store, cfg.config_hash())
-    assert ws.read_states(2006, store, Config().config_hash()) is None  # another config
+    states = ws.read_states(2006, store, cfg)
+    assert ws.read_states(2006, store, Config()) is None  # another config
     records = build_index_records(store, report_ledgers(ws, store, cfg, 2006), 2006, cfg)
     by_label = {r.scholar: r for r in records}
     for author, scaled in states.items():
@@ -942,7 +1029,6 @@ def test_run_ledgers_match_fresh_windows(tmp_path, cfg):
     lines = [json.dumps(record) for record in records]
     store = parse_records(lines, cfg)
     assert store.papers_in_year(2003)
-    cfg_hash = cfg.config_hash()
     for name, ranges in (("whole", [None]), ("resumed", [(2000, 2003), None])):
         ws = Workspace(tmp_path / name)
         ws.write_corpus(store, cfg)
@@ -952,9 +1038,9 @@ def test_run_ledgers_match_fresh_windows(tmp_path, cfg):
         for year in ws.completed_years():
             fresh = batch_year_distances(store, year, cfg,
                                          build_window(store, year, cfg.window_length))
-            ledger = ws.read_ledger(year, store, cfg_hash)
+            ledger = ws.read_ledger(year, store, cfg)
             assert (ledger.events, ledger.scholars) == (fresh.events, fresh.scholars)
-        assert ws.read_ledger(2003, store, cfg_hash).events.total() == 0
+        assert ws.read_ledger(2003, store, cfg).events == {}
 
 
 def tree_digest(root, subdirs):
@@ -1113,10 +1199,10 @@ def test_failed_worker_fails_the_run_after_reaping_it(tmp_path, monkeypatch, cap
     assert main(["run", "--workspace", str(ws), "--config", cfg, "--jobs", "2"]) == 3
     assert "error: cannot write the year-2005 ledger\n" in capsys.readouterr().err
     _assert_no_worker_or_temp_file_left(ws)
-    cfg_hash = Config(exact_distances=False).config_hash()
     written = Workspace(ws).completed_years()
     assert 2000 in written and 2005 not in written
-    assert all(Workspace(ws).year_complete(year, cfg_hash) for year in written)
+    assert all(Workspace(ws).year_complete(year, Config(exact_distances=False))
+               for year in written)
     assert not list((ws / "states").iterdir())
 
     monkeypatch.undo()

@@ -23,7 +23,6 @@ from citedist.collab import Distance, build_window, connected_components, shorte
 from citedist.distances import (
     EXCEEDS_CODE,
     INF_CODE,
-    DistanceTally,
     YearLedger,
     batch_year_distances,
     compute_event_distances,
@@ -78,7 +77,7 @@ def test_batch_empty_year():
     store = table1_store()
     ledger = batch_year_distances(store, 2018, Config())
     assert ledger.scholars == {}
-    assert ledger.events.total() == 0
+    assert ledger.events == {}
 
 
 def test_batch_self_citing_pair_credits_every_coauthor():
@@ -88,15 +87,9 @@ def test_batch_self_citing_pair_credits_every_coauthor():
     ]
     store = parse_records(lines, Config())
     ledger = batch_year_distances(store, 2001, Config())
-    assert ledger.events.finite == {0: 1}
+    assert ledger.events == {0: 1}
     for label in ("a", "b", "c"):
-        tally = ledger.scholars[store.author_index[label]]
-        assert tally.finite == {0: 1}
-
-
-def tally_codes(tally):
-    """An exact tally as a Counter of distance codes."""
-    return +Counter({**tally.finite, INF_CODE: tally.infinite})
+        assert ledger.scholars[store.author_index[label]] == {0: 1}
 
 
 def test_batch_matches_per_event_recomputation():
@@ -131,14 +124,15 @@ def test_batch_capped_consistent_with_exact():
     for year in range(lo, hi + 1):
         exact = batch_year_distances(store, year, exact_cfg)
         capped = batch_year_distances(store, year, capped_cfg)
-        assert capped.events.total() == exact.events.total()
-        for d, count in capped.events.finite.items():
-            assert d <= 3
-            assert exact.events.finite.get(d) == count
+        assert sum(capped.events.values()) == sum(exact.events.values())
+        for d, count in capped.events.items():
+            if d >= 0:
+                assert d <= 3
+                assert exact.events.get(d) == count
         # everything beyond the cap is either far or infinite
-        far_exact = sum(c for d, c in exact.events.finite.items() if d > 3) + exact.events.infinite
-        assert capped.events.exceeds + capped.events.infinite == far_exact
-        assert capped.events.infinite <= exact.events.infinite
+        far_exact = sum(c for d, c in exact.events.items() if d > 3) + exact.events.get(INF_CODE, 0)
+        assert capped.events.get(EXCEEDS_CODE, 0) + capped.events.get(INF_CODE, 0) == far_exact
+        assert capped.events.get(INF_CODE, 0) <= exact.events.get(INF_CODE, 0)
 
 
 def test_ledger_conservation():
@@ -150,8 +144,8 @@ def test_ledger_conservation():
     total_events = 0
     for year in range(lo, hi + 1):
         ledger = batch_year_distances(store, year, cfg)
-        total_events += ledger.events.total()
-        total_credited += sum(t.total() for t in ledger.scholars.values())
+        total_events += sum(ledger.events.values())
+        total_credited += sum(sum(t.values()) for t in ledger.scholars.values())
     assert total_events == store.summary.citations
     # every author of a cited paper is credited each citation of it
     expected_credit = sum(
@@ -200,13 +194,13 @@ def test_paper_tallies_match_scholar_ledgers():
     for scholar in range(store.num_authors):
         slices = [(y, ledger.scholars[scholar]) for y, ledger in ledgers.items()
                   if scholar in ledger.scholars]
-        pooled = DistanceTally()
+        pooled = Counter()
         for _, tally in slices:
             pooled.update(tally)
-        merged = DistanceTally()
+        merged = Counter()
         for pid in store.author_papers[scholar]:
             if pid in by_paper:
-                merged.update(tally_of(by_paper[pid]))
+                merged.update(by_paper[pid])
         assert merged == pooled
         assert x_from_slices(slices, 6) == sum(
             (x_increment(tally_of(by_paper[p]), 6)
@@ -300,9 +294,9 @@ def _dumps_line(obj) -> str:
 def _tally_obj(kind, tally):
     return {
         "kind": kind,
-        "counts": {str(d): c for d, c in sorted(tally.finite.items())},
-        "infinite": tally.infinite,
-        "exceeds": tally.exceeds,
+        "counts": {str(d): c for d, c in sorted(tally.items()) if d >= 0},
+        "infinite": tally.get(INF_CODE, 0),
+        "exceeds": tally.get(EXCEEDS_CODE, 0),
     }
 
 
@@ -353,8 +347,8 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
         for _ in range(0 if trial < 2 else rng.randint(1, 60)):
             events.append((rng.randrange(len(ODD_LABELS)), 0, rng.choice(codes)))
         ledger = reference_ledger(2000, cap, event_credits(store, events))
-        seen_infinite += ledger.events.infinite
-        seen_exceeds += ledger.events.exceeds
+        seen_infinite += ledger.events.get(INF_CODE, 0)
+        seen_exceeds += ledger.events.get(EXCEEDS_CODE, 0)
         text = ledger_text(store, events, cap)
         assert text == reference_ledger_text(ledger, store, "cfg")
         back = decode_ledger(text, store)
@@ -394,24 +388,21 @@ def reference_credit(credits):
 
 
 def tally_codes(tally):
-    codes = Counter(tally.finite)
-    codes[INF_CODE] += tally.infinite
-    codes[EXCEEDS_CODE] += tally.exceeds
-    return +codes  # zero counts dropped
+    """A tally as a Counter of distance codes."""
+    return Counter(tally)
 
 
-def tally_of(codes, cap=None):
-    """The tally of a Counter of distance codes."""
-    return DistanceTally({d: c for d, c in codes.items() if d >= 0}, codes[INF_CODE],
-                         codes[EXCEEDS_CODE], cap)
+def tally_of(codes):
+    """The tally of a Counter of distance codes: a dict, zero counts dropped."""
+    return {d: c for d, c in codes.items() if c}
 
 
 def reference_ledger(year, cap, credits):
     """The ledger of ``credits`` (see ``reference_credit``)."""
     per_event, per_author = reference_credit(credits)
     ledger = YearLedger(year, cap)
-    ledger.events = tally_of(per_event, cap)
-    ledger.scholars = {a: tally_of(codes, cap) for a, codes in per_author.items()}
+    ledger.events = tally_of(per_event)
+    ledger.scholars = {a: tally_of(codes) for a, codes in per_author.items()}
     return ledger
 
 
@@ -448,23 +439,21 @@ def test_counted_sweep_matches_event_by_event_credit(tmp_path, exact, n, window)
     ws.write_corpus(store, cfg)
     years = run_pipeline(ws, cfg).years_processed
     assert years == list(range(2000, 2008))
-    cfg_hash = cfg.config_hash()
     x = Counter()
     credits = 0
     for year in years:
         net = build_window(store, year, window)
         per_event, per_author = reference_credit(event_credits(
             store, compute_event_distances(store, net, year, cfg.distance_cap)))
-        ledger = ws.read_ledger(year, store, cfg_hash)
+        ledger = ws.read_ledger(year, store, cfg)
         assert (ledger.year, ledger.cap) == (year, cfg.distance_cap)
         assert tally_codes(ledger.events) == per_event
         assert {a: tally_codes(t) for a, t in ledger.scholars.items()} == per_author
-        assert all(t.cap == cfg.distance_cap for t in ledger.scholars.values())
         for author, codes in per_author.items():
             x[author] += sum(scaled_weight(code, n) * count for code, count in codes.items())
             credits += codes.total()
     assert credits > 200
-    assert ws.read_states(years[-1], store, cfg_hash) == {a: v for a, v in x.items() if v}
+    assert ws.read_states(years[-1], store, cfg) == {a: v for a, v in x.items() if v}
     csv, _ = oracle_index_run(lines, cfg)
     oracle_x = {row.split(",", 1)[0]: row.rsplit(",", 1)[1] for row in csv.splitlines()[1:]}
     mine = {store.author_labels[a]: f"{float(Fraction(v, x_scale(n))):.2f}" for a, v in x.items()}
@@ -473,14 +462,14 @@ def test_counted_sweep_matches_event_by_event_credit(tmp_path, exact, n, window)
 
 
 def test_counted_sweep_refuses_distances_capped_below_n():
-    """Like ``x_increment_scaled``, the sweep refuses a citation that only
-    exceeds a cap below n, whose weight it cannot know."""
+    """The sweep refuses a citation that only exceeds a cap below n,
+    whose weight it cannot know; a tally carries no cap, so
+    ``x_increment_scaled`` weighs each capped citation n."""
     store = parse_records([record_line("p0", 2000, ["a", "b"])], Config())
     events = [(0, 0, 1), (0, 0, EXCEEDS_CODE)]
     with pytest.raises(ValueError, match="capped below n=6"):
         counted_ledger(store, 2000, events, 4, 6)
-    with pytest.raises(ValueError, match="capped below n=6"):
-        x_increment_scaled(DistanceTally({1: 1}, 0, 1, 4), 6)
+    assert x_increment_scaled({1: 1, EXCEEDS_CODE: 1}, 6) == 7
     assert counted_ledger(store, 2000, events, 6, 6).increments == {0: 7, 1: 7}
     assert counted_ledger(store, 2000, events[:1], 4, 6).increments == {0: 1, 1: 1}
 
@@ -508,7 +497,7 @@ def test_counted_sweep_writes_json_dumps_lines(cap):
 def test_year_ledgers_round_trip(exact):
     """Every year's ledger of a seeded corpus, as ``batch_year_distances``
     decodes it from the counted sweep's lines, is the ledger credited
-    event by event, tally by tally, the cap of every scholar tally too."""
+    event by event, tally by tally, with the config's cap."""
     store = parse_records(random_corpus_lines(random.Random(3), 120, 40, 2000, 2008), Config())
     cfg = Config(n=2, exact_distances=exact)
     scholars = exceeds = 0
@@ -523,7 +512,7 @@ def test_year_ledgers_round_trip(exact):
         for author, tally in ledger.scholars.items():
             assert back.scholars[author] == tally, (year, author)
         scholars += len(ledger.scholars)
-        exceeds += ledger.events.exceeds
+        exceeds += ledger.events.get(EXCEEDS_CODE, 0)
     assert scholars > 100 and (exceeds > 0) != exact
 
 

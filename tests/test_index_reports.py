@@ -12,7 +12,7 @@ import pytest
 from citedist.cli import main
 from citedist.config import Config
 from citedist.corpus import parse_records
-from citedist.distances import pool_into
+from citedist.distances import INF_CODE, pool_into
 from citedist.errors import IncompleteStateError
 from citedist.indices import IndexRecord, x_from_slices
 from citedist.pipeline import build_index_records, report_ledgers, run_pipeline
@@ -67,7 +67,8 @@ def test_fold_matches_per_scholar_snapshots(tmp_path, seed):
                 for got in streamed:
                     author = store.author_index[got.scholar]
                     tally = pooled[author]
-                    oracle_c = fraction_c_oracle(tally.finite, tally.infinite, alpha)
+                    oracle_c = fraction_c_oracle({d: c for d, c in tally.items() if d >= 0},
+                                                 tally.get(INF_CODE, 0), alpha)
                     assert got.c == oracle_c and type(got.c) is type(oracle_c)
                     slices = [(ledger.year, ledger.scholars[author]) for ledger in held
                               if author in ledger.scholars]

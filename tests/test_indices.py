@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from citedist.corpus import parse_records
 from citedist.distances import (
     EXCEEDS_CODE,
     INF_CODE,
-    DistanceTally,
     counted_ledger,
     ensure_contiguous,
 )
@@ -95,29 +95,31 @@ class TestWeight:
 class TestXIncrement:
     @pytest.mark.parametrize("exp, scholar, counts, q, x2dp", EXPERIMENT_PROFILES)
     def test_published_profiles(self, exp, scholar, counts, q, x2dp):
-        tally = DistanceTally(finite=dict(counts))
-        assert tally.total() == q
+        tally = tally_of(counts)
+        assert sum(tally.values()) == q
         x = x_increment(tally, 6)
         assert abs(x - Fraction(x2dp)) < Fraction(5, 1000)
         assert f"{float(x):.2f}" == x2dp
 
     def test_zero_counts(self):
-        assert x_increment(DistanceTally(), 6) == 0
+        assert x_increment({}, 6) == 0
 
     def test_infinite_bucket_weighs_one(self):
-        tally = DistanceTally(finite={0: 3}, infinite=4)
+        tally = tally_of({0: 3}, 4)
         assert x_increment(tally, 6) == 4
 
     def test_n_zero_reduces_to_q(self):
-        tally = DistanceTally(finite={0: 5, 2: 3}, infinite=2)
-        assert x_increment(tally, 0) == 10 == tally.total()
+        tally = tally_of({0: 5, 2: 3}, 2)
+        assert x_increment(tally, 0) == 10 == sum(tally.values())
 
     def test_capped_tally_needs_cap_at_least_n(self):
-        ok = DistanceTally(finite={1: 2}, exceeds=3, cap=6)
-        assert x_increment(ok, 6) == Fraction(2, 6) + 3
-        bad = DistanceTally(finite={1: 2}, exceeds=3, cap=4)
+        """A capped citation weighs 1; a tally carries no cap, so the
+        credit refuses a year capped below n."""
+        assert x_increment({1: 2, EXCEEDS_CODE: 3}, 6) == Fraction(2, 6) + 3
+        events = [(0, 0, 1)] + [(0, 0, EXCEEDS_CODE)] * 3
+        assert counted_ledger(TestUpdateX.STORE, 2000, events, 6, 6).increments == {0: 19, 1: 19}
         with pytest.raises(ValueError):
-            x_increment(bad, 6)
+            counted_ledger(TestUpdateX.STORE, 2000, events, 4, 6)
 
 
 class TestUpdateX:
@@ -143,7 +145,7 @@ class TestUpdateX:
             ledger = decode_ledger(counted.records, self.STORE, {"year": 2000, "cap": n})
             assert counted.increments == {
                 a: delta for a, t in ledger.scholars.items() if (delta := x_increment_scaled(t, n))}
-            exceeded += ledger.events.exceeds
+            exceeded += ledger.events.get(EXCEEDS_CODE, 0)
         assert exceeded > 0
 
     def test_zero_delta_keeps_x(self):
@@ -154,7 +156,7 @@ class TestUpdateX:
         for n in (1, 6):
             assert self.counted(rng, 2000, n, [0]).increments == {}
         counted = self.counted(rng, 2000, 0, [0])
-        assert sum(counted.increments.values()) == counted.events.total() * 2 > 0
+        assert sum(counted.increments.values()) == sum(counted.events.values()) * 2 > 0
 
     def test_replay_equals_batch(self):
         rng = random.Random(4)
@@ -172,6 +174,15 @@ class TestUpdateX:
             for author, series in slices.items():
                 assert Fraction(x.get(author, 0), x_scale(n)) == x_from_slices(series, n)
             assert all(delta > 0 for delta in x.values())
+
+
+def tally_of(counts, infinite=0):
+    """The tally of {distance code: count} and ``infinite`` unreachable
+    citations, zero counts dropped."""
+    tally = {d: c for d, c in counts.items() if c}
+    if infinite:
+        tally[INF_CODE] = infinite
+    return tally
 
 
 def tally_c(tally, alpha):
@@ -242,15 +253,15 @@ class TestCIndex:
                 expected = fraction_c_oracle(finite, infinite, alpha)
                 got = c_index(multiset, alpha)
                 assert got == expected and type(got) is type(expected), (finite, infinite, alpha)
-                from_tally = tally_c(DistanceTally(finite=dict(finite), infinite=infinite), alpha)
+                from_tally = tally_c(tally_of(finite, infinite), alpha)
                 assert from_tally == expected and type(from_tally) is type(expected)
 
     def test_from_tally_matches_multiset(self):
-        tally = DistanceTally(finite={0: 3, 4: 2, 9: 1}, infinite=2)
+        tally = tally_of({0: 3, 4: 2, 9: 1}, 2)
         multiset = [0, 0, 0, 4, 4, 9, math.inf, math.inf]
         assert tally_c(tally, 1) == c_index(multiset, 1)
         with pytest.raises(IncompleteStateError):
-            tally_c(DistanceTally(exceeds=1, cap=6), 1)
+            tally_c({EXCEEDS_CODE: 1}, 1)
 
 
 class TestHG:
@@ -292,22 +303,18 @@ class TestHG:
             assert g_index(counts) == best
 
 
-def series_for(profiles_by_year, cap=None):
-    """One scholar's yearly tallies, from {distance: count} profiles
-    where distance -1 counts unreachable citations."""
-    return {
-        year: DistanceTally(finite={d: c for d, c in counts.items() if d >= 0},
-                            infinite=counts.get(-1, 0), cap=cap)
-        for year, counts in profiles_by_year.items()
-    }
+def series_for(profiles_by_year):
+    """One scholar's yearly tallies, from {distance code: count} profiles
+    (code -1 counts unreachable citations), zero counts dropped."""
+    return {year: tally_of(counts) for year, counts in profiles_by_year.items()}
 
 
 def pooled_tally(series):
     """The sum of the yearly tallies, as the index fold pools them."""
-    pooled = DistanceTally()
+    pooled = Counter()
     for tally in series.values():
         pooled.update(tally)
-    return pooled
+    return dict(pooled)
 
 
 class TestSnapshot:
@@ -323,7 +330,7 @@ class TestSnapshot:
         assert sum(per_paper) == rec.q
 
     def test_zero_citation_scholar(self):
-        rec = index_record("nobody", 2000, DistanceTally(), [0, 0], Config())
+        rec = index_record("nobody", 2000, {}, [0, 0], Config())
         assert (rec.q, rec.h, rec.g, rec.c, rec.n_w) == (0, 0, 0, 0, 0)
         assert rec.x == 0
 
@@ -338,7 +345,7 @@ class TestSnapshot:
             series = series_for(profiles)
             last = max(profiles)
             pooled = pooled_tally(series)
-            q = pooled.total()
+            q = sum(pooled.values())
             papers = []
             remaining = q
             while remaining > 0:
@@ -347,17 +354,16 @@ class TestSnapshot:
                 remaining -= take
             rec = index_record("s", last, pooled, papers, Config())
             assert rec.q == q == sum(papers)
-            multiset = [d for d, c in pooled.finite.items() for _ in range(c)]
-            multiset += [math.inf] * pooled.infinite
+            multiset = [d for d, c in pooled.items() if d >= 0 for _ in range(c)]
+            multiset += [math.inf] * pooled.get(INF_CODE, 0)
             assert rec.c == c_index(multiset, 1)
-            assert rec.n_w == pooled.infinite
+            assert rec.n_w == pooled.get(INF_CODE, 0)
             assert rec.h == h_index(papers) and rec.g == g_index(papers)
             assert rec.x == x_from_slices(series.items(), 6)
             assert 0 <= rec.x <= rec.q
 
     def test_requires_exact_ledgers(self):
-        series = series_for({2000: {2: 1}}, cap=6)
-        series[2000].exceeds = 2
+        series = series_for({2000: {2: 1, EXCEEDS_CODE: 2}})
         with pytest.raises(IncompleteStateError):
             index_record("s", 2000, pooled_tally(series), [3], Config())
 

@@ -11,7 +11,7 @@ from citedist.analytics import (ClosenessResult, CohortSelection, DegeneracyRow,
 from citedist.collab import ComponentStats, Distance, NetworkStats
 from citedist.config import Config, ConfigError
 from citedist.corpus import PaperRecord, ValidationSummary
-from citedist.distances import DistanceTally, HistogramResult, YearHistogram
+from citedist.distances import HistogramResult, YearHistogram
 from citedist.indices import IndexRecord
 from citedist.pipeline import RunResult
 
@@ -39,8 +39,6 @@ RECORDS = [
                              duplicates=0, skipped_lines=1, skipped_reasons={"bad_json": 1}),
      dict(papers=0, authors=0, citations=0, dangling_references=0, duplicates=0,
           skipped_lines=0, skipped_reasons={}), False, False),
-    (DistanceTally, dict(finite={1: 2}, infinite=1, exceeds=0, cap=6),
-     dict(finite={}, infinite=0, exceeds=0, cap=None), False, False),
     (YearHistogram, dict(year=2001, bins=(("1", 1.0),), within_max=1.0, max_bin=12, total=4),
      {}, True, True),
     (HistogramResult, dict(per_year={}, notices=["year 2000: no citations; omitted"]),
@@ -89,15 +87,6 @@ def test_record_semantics(cls, values, defaults, frozen, hashable):
     for name, value in defaults.items():  # no instance shares a mutable default
         if isinstance(value, dict):
             assert getattr(cls(**required), name) is not getattr(bare, name), name
-
-
-def test_mutable_tally_takes_assignment():
-    tally = DistanceTally(cap=6)
-    tally.exceeds = 2
-    tally.finite[1] = 3
-    assert tally == DistanceTally({1: 3}, 0, 2, 6)
-    assert tally != DistanceTally({1: 3}, 0, 2, None)
-    assert DistanceTally().__eq__((None, 0, 0, None)) is NotImplemented
 
 
 @pytest.mark.parametrize("kwargs", [dict(year_start=2001, year_end=2000),
