@@ -230,7 +230,7 @@ def _edges(args, ws: Workspace, cfg: Config, span, year: int):
     store = ws.load_store(cfg)
     net = build_window(store, year, cfg.window_length)
     labels = store.author_labels
-    pairs = sorted((labels[u], labels[v]) for u, v in net.edges())
+    pairs = sorted(sorted((labels[u], labels[v])) for u, v in net.edges())
     return ["author_a,author_b", *(f"{a},{b}" for a, b in pairs)], {"year": year}
 
 

@@ -9,12 +9,12 @@ compact style of ``corpus.jsonl``.  The encoders format the record
 lines directly from the store's cached JSON-escaped author labels and
 from integers; a computed year's scholar lines come from the credit
 sweep of ``distances.counted_ledger``, through ``scholar_line``.  Each
-decoder splits off the header with ``read_header``, unless given it,
-and parses all record lines of a file with one ``json.loads``
-(``json_lines``, which also decodes the corpus snapshot in blocks of
-lines).  The decoders parse any JSON spacing, so the spaced lines of
-``json.dumps(obj, sort_keys=True)`` that older versions wrote decode
-to the same objects.
+decoder takes the record lines and the header that the workspace has
+already parsed and checked, and parses all record lines with one
+``json.loads`` (``json_lines``, which also decodes the corpus snapshot
+in blocks of lines).  The decoders parse any JSON spacing, so the
+spaced lines of ``json.dumps(obj, sort_keys=True)`` that older versions
+wrote decode to the same objects.
 
 Ledger::
 
@@ -60,10 +60,10 @@ config: the workspace first compares every header with the one its
 writer writes for the file's year and the config.
 
 Decoding raises ValueError, KeyError, TypeError, AttributeError or
-ZeroDivisionError on a damaged file, and KeyError on an author label the
-store lacks.  A text whose first line is not a header object, and a
-ledger without an events line, raise ValueError.
-``decode_ledger`` without a store decodes the header and events line
+ZeroDivisionError on damaged lines, and KeyError on an author label the
+store lacks.  A header line that is not a header object
+(``split_header``), and a ledger without an events line, raise
+ValueError.  ``decode_ledger`` without a store takes the events line
 alone, the first record line, for the reports that bin events only.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
@@ -187,13 +187,6 @@ def split_header(data: bytes | str) -> tuple[dict, int]:
     return head, end + 1
 
 
-def read_header(data: bytes | str) -> tuple[dict, bytes | str]:
-    """The header object of an artifact and its record lines (all after
-    the header line), of the type of ``data``; raises as ``split_header``."""
-    head, start = split_header(data)
-    return head, data[start:]
-
-
 def json_lines(text: str) -> list:
     """The JSON value of each line of ``text``, decoded with one
     ``json.loads`` over the joined lines.
@@ -213,21 +206,16 @@ def json_lines(text: str) -> list:
     return values
 
 
-def decode_ledger(text: str, store: CorpusStore | None, head: dict | None = None) -> YearLedger:
-    """The ledger in ``text``, or in the record lines ``text`` when
-    ``head`` is its parsed header.  Raises ValueError when it has no
-    header or no events line.
+def decode_ledger(body: str, store: CorpusStore | None, head: dict) -> YearLedger:
+    """The ledger of header ``head`` and record lines ``body``.  Raises
+    ValueError when it has no events line.
 
-    With ``store=None`` only the first record line is decoded and the
-    ledger has no scholars; that line must be the events line, since no
-    author label resolves without a store (a scholar line raises KeyError).
+    With ``store=None``, ``body`` is the events line alone and the
+    ledger has no scholars: no author label resolves without a store
+    (a scholar line raises KeyError).
     """
     from .distances import YearLedger
 
-    head, body = read_header(text) if head is None else (head, text)
-    if store is None:  # decode the first line alone
-        end = body.find("\n")
-        body = body if end < 0 else body[:end]
     ledger = YearLedger(year=head["year"], cap=head["cap"])
     ledger.records_sha256 = head.get(RECORDS_KEY)
     index = {} if store is None else store.author_index
@@ -248,10 +236,8 @@ def decode_ledger(text: str, store: CorpusStore | None, head: dict | None = None
     return ledger
 
 
-def decode_states(text: str, store: CorpusStore, head: dict | None = None) -> dict[int, int]:
-    """The x states in ``text``, or in the record lines ``text`` when
-    ``head`` is given; raises ValueError without a header."""
-    body = read_header(text)[1] if head is None else text
+def decode_states(body: str, store: CorpusStore) -> dict[int, int]:
+    """The x states in the record lines ``body``."""
     index = store.author_index
     return {index[obj["id"]]: obj["xn"] for obj in json_lines(body)}
 
@@ -277,16 +263,14 @@ def indices_artifact(records: Iterable[IndexRecord], year: int, scale: int,
     return head, "".join(lines)
 
 
-def decode_indices(text: str, alpha: Fraction, ledgers: Sequence[str],
-                   head: dict | None = None) -> list[IndexRecord] | None:
-    """The records of the index snapshot in ``text``, or in the record
-    lines ``text`` when ``head`` is its parsed header, computed at slope
-    ``alpha``; None when its header lists other ledgers than ``ledgers``
-    (it was folded from other ledgers and is stale).  Raises ValueError
-    without a header."""
+def decode_indices(body: str, alpha: Fraction, ledgers: Sequence[str],
+                   head: dict) -> list[IndexRecord] | None:
+    """The records of the index snapshot of header ``head`` and record
+    lines ``body``, computed at slope ``alpha``; None when its header
+    lists other ledgers than ``ledgers`` (it was folded from other
+    ledgers and is stale)."""
     from .indices import IndexRecord
 
-    head, body = read_header(text) if head is None else (head, text)
     if head["ledgers"] != list(ledgers):
         return None
     year, scale, alpha = head["year"], head["scale"], Fraction(alpha)

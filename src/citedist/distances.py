@@ -22,6 +22,8 @@ scholar's ledger line and x increment.  ``run`` writes those lines as
 they are; ``batch_year_distances`` decodes them into a ``YearLedger``.
 The codes are defined in ``codec``, the one module that maps them to
 the ``counts``, ``infinite`` and ``exceeds`` keys of a ledger line.
+The pooling and the histogram take the ledgers they are given:
+``pipeline.report_years`` checks that a report's years are all there.
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  The tallies, ledgers and histograms
@@ -32,11 +34,10 @@ they are called, and ``collab`` takes the distance codes from here.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .codec import EXCEEDS_CODE, INF_CODE
 from .config import Config
-from .errors import IncompleteStateError
 
 if TYPE_CHECKING:
     from .collab import CollabNetwork
@@ -72,16 +73,6 @@ def pool_into(pooled: dict[int, dict[int, int]],
         else:
             for code, count in tally.items():
                 mine[code] = mine.get(code, 0) + count
-
-
-def ensure_contiguous(years: Collection[int], through: int) -> None:
-    """Raise IncompleteStateError unless ``years`` holds every year from
-    its first through ``through``."""
-    if not years:
-        raise IncompleteStateError("no ledger years available")
-    missing = [y for y in range(min(years), through + 1) if y not in years]
-    if missing:
-        raise IncompleteStateError(f"missing ledger years: {missing}")
 
 
 # -- distance computation ----------------------------------------------------

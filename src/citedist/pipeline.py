@@ -15,6 +15,10 @@ workers, each pinned to its own CPU; a worker writes its own ledgers
 and sends back only its block's x increments, which the run process
 adds before it writes the snapshot.
 
+A report reads the ledgers of ``report_years``, every planned year
+through the report year, and stops before it reads one, naming the
+missing years, unless each has a ledger; the folds take what they get.
+
 The run's year loop and the index folds allocate many objects and make
 no reference cycles, so each runs inside one guard,
 ``_cyclic_gc_paused``, that keeps the cyclic collector off until it
@@ -189,18 +193,24 @@ def run_pipeline(ws: Workspace, cfg: Config,
 # -- report assembly ---------------------------------------------------------
 
 
-def report_years(ws: Workspace, cfg: Config, up_to_year: int) -> list[int]:
-    """The config's planned years up to a year that have a completed
-    ledger; ledgers that a run under another config left outside them
-    are not read."""
+def report_years(ws: Workspace, cfg: Config, up_to_year: int,
+                 lo: int | None = None) -> list[int]:
+    """The config's planned years from ``lo`` (default: the first planned
+    year) through ``up_to_year``, the ledgers a report reads.  A fold of
+    only some of them would be wrong, so IncompleteStateError names every
+    one without a ledger.  Ledgers that a run under another config left
+    outside the plan are not read."""
     done = set(ws.completed_years())
-    years = [y for y in workspace_years(ws, cfg) if y in done]
-    if not years:
+    planned = workspace_years(ws, cfg)
+    if done.isdisjoint(planned):
         raise WorkspaceError("no ledgers in workspace; run the pipeline first")
-    if years[0] > up_to_year:
+    if planned[0] > up_to_year:
         raise WorkspaceError(
-            f"no ledger for year {up_to_year} or earlier; the ledgers start at {years[0]}")
-    return [y for y in years if y <= up_to_year]
+            f"no ledger for year {up_to_year} or earlier; the ledgers start at {planned[0]}")
+    years = [y for y in planned if (lo is None or lo <= y) and y <= up_to_year]
+    if missing := [y for y in years if y not in done]:
+        raise IncompleteStateError(f"missing ledger years: {missing}")
+    return years
 
 
 def _verified(ledger: _T | None, year: int) -> _T:
@@ -225,28 +235,23 @@ def report_ledgers(ws: Workspace, store: CorpusStore, cfg: Config, up_to_year: i
 
 
 def load_event_ledgers(ws: Workspace, cfg: Config, lo: int, hi: int) -> dict[int, YearLedger]:
-    """The ledgers of :func:`report_years` in ``[lo, hi]``, verified
-    against the config, with their events tallies only (what
+    """The ledgers of :func:`report_years` from ``lo`` through ``hi``,
+    verified against the config, with their events tallies only (what
     ``distance_histogram`` bins)."""
-    return {
-        year: _verified(ws.read_ledger_events(year, cfg), year)
-        for year in report_years(ws, cfg, hi) if year >= lo
-    }
+    return {year: _verified(ws.read_ledger_events(year, cfg), year)
+            for year in report_years(ws, cfg, hi, lo)}
 
 
 def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, dict[int, int]]:
     """Each scholar's distance counts summed over the ledgers through
     ``year``, reading each ledger once and dropping it before the next.
     After a capped ledger the rest are still read, so that a damaged one
-    is reported first, as when the ledgers are read whole; a gap in the
-    years is an error once a scholar has counts."""
-    from .distances import ensure_contiguous, pool_into
+    is reported first, as when the ledgers are read whole."""
+    from .distances import pool_into
 
     pooled: dict[int, dict[int, int]] = {}
-    years: set[int] = set()
     capped = False
     for ledger in ledgers:
-        years.add(ledger.year)
         capped = capped or ledger.cap is not None
         if not capped and ledger.year <= year:
             pool_into(pooled, ledger.scholars)
@@ -255,8 +260,6 @@ def _pool_tallies(ledgers: Iterable[YearLedger], year: int) -> dict[int, dict[in
         raise IncompleteStateError(
             "index reports need exact distances; re-run with exact_distances = true"
         )
-    if pooled:
-        ensure_contiguous(years, year)
     return pooled
 
 
@@ -268,7 +271,8 @@ def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year:
 
     ``ledgers`` is any iterable of year ledgers, such as the stream of
     :func:`report_ledgers`, which holds one decoded ledger at a time.
-    x, Q, c and N_w come from each scholar's pooled counts."""
+    x, Q, c and N_w come from each scholar's pooled counts.  It folds what
+    it is given: :func:`report_ledgers` guarantees that no year is missing."""
     from .indices import index_record
 
     with _cyclic_gc_paused():
@@ -294,7 +298,7 @@ def index_records(ws: Workspace, cfg: Config, year: int) -> list[IndexRecord]:
     records are returned and neither the store nor any ledger is decoded.
     Otherwise the records are folded from the store and the ledgers, each
     read once and checked whole as it is read, and the snapshot is
-    written with the digests of those reads."""
+    written with the digests of those reads.  A missing year raises first."""
     planned = workspace_years(ws, cfg)
     if planned and year > planned[-1]:
         raise WorkspaceError(f"year {year} is after the last planned year, {planned[-1]}")

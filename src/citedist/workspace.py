@@ -157,13 +157,17 @@ class Workspace:
         stage that writes artifacts, so two stages never write them at
         once, or ``shared`` for one that only reads them, so that no
         stage replaces them mid-read.  Raises WorkspaceError when another
-        process holds a lock that excludes this one."""
+        process holds a lock that excludes this one, or when the lock file
+        cannot be opened (a directory in its place, say)."""
         try:
             fp = open(self.root / ".lock", "a")
         except FileNotFoundError:
             raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first") from None
         except NotADirectoryError:
             raise WorkspaceError(f"workspace {self.root} is not a directory") from None
+        except OSError as exc:
+            raise WorkspaceError(
+                f"cannot open {self.root / '.lock'}: {exc.strerror or exc}") from exc
         with fp:  # closing the file releases the lock
             try:
                 fcntl.flock(fp, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
@@ -209,6 +213,9 @@ class Workspace:
                 if not isinstance(years, list) or any(type(y) is not int for y in years):
                     raise ValueError("paper_years is not a list of years")
                 self._meta = meta
+            except OSError as exc:
+                raise WorkspaceError(
+                    f"cannot read {self.meta_path}: {exc.strerror or exc}") from exc
             except ValueError as exc:
                 raise WorkspaceError(
                     f"cannot read {self.meta_path}: damaged ({exc!r}); run 'ingest' again"
@@ -248,6 +255,8 @@ class Workspace:
             fp = open(self.corpus_path, "rb")
         except FileNotFoundError:
             raise WorkspaceError(f"no ingested corpus in {self.root}; run 'ingest' first") from None
+        except OSError as exc:
+            raise WorkspaceError(f"cannot read {self.corpus_path}: {exc.strerror or exc}") from exc
         with fp:
             digest = hashlib.sha256()
             while chunk := fp.read(io.DEFAULT_BUFFER_SIZE):
@@ -273,15 +282,18 @@ class Workspace:
         is absent or its header records another config than ``expected``,
         the header that the writer writes for the path's year and the
         reader's config.  Raises a WorkspaceError naming the file when it
-        is empty, has no header, has a header that differs from
-        ``expected`` in any key but the two stamps and an index
-        snapshot's ``ledgers``, is stamped for another corpus or its
-        record lines do not match the digest in its header.  The record
+        cannot be read (a directory in its place, say), is empty, has no
+        header, has a header that differs from ``expected`` in any key
+        but the two stamps and an index snapshot's ``ledgers``, is
+        stamped for another corpus or its record lines do not match the
+        digest in its header.  The record
         bytes are hashed in place, not copied, and no record is decoded."""
         try:
             data = path.read_bytes()
         except FileNotFoundError:
             return None
+        except OSError as exc:
+            raise WorkspaceError(f"cannot read {path}: {exc.strerror or exc}") from exc
         if not data:
             raise WorkspaceError(f"cannot read {path}: the file is empty")
         try:
@@ -386,7 +398,7 @@ class Workspace:
     def read_states(self, year: int, store: CorpusStore, cfg: Config) -> dict[int, int] | None:
         """The year's x states, or None when absent or built by another config."""
         return self._read(self.state_path(year), _states_head(year, cfg),
-                          lambda body, head: decode_states(body, store, head))
+                          lambda body, head: decode_states(body, store))
 
     # -- index snapshots ---------------------------------------------------
 

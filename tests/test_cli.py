@@ -474,6 +474,38 @@ def _ledger_header_year(ws, src):
     return [["run"], ["report", "distance-histogram"]], "2002.jsonl"
 
 
+def _directory_in_place(path):
+    """Replace the file at ``path`` by an empty directory of its name."""
+    path.unlink()
+    path.mkdir()
+
+
+def _ledger_directory(ws, src):
+    _directory_in_place(ws / "ledgers" / "2003.jsonl")
+    return [["run"], ["report", "index-table"]], "2003.jsonl"
+
+
+def _state_directory(ws, src):
+    _directory_in_place(ws / "states" / "2003.jsonl")
+    return [["run"]], "2003.jsonl"
+
+
+def _index_directory(ws, src):
+    cfg = _exact_run(ws, src, 2003)
+    _directory_in_place(ws / "indices" / "2003.jsonl")
+    return [["report", "index-table", *cfg]], "2003.jsonl"
+
+
+def _snapshot_directory(ws, src):
+    _directory_in_place(ws / "corpus.jsonl")
+    return [["report", "network-stats"]], "corpus.jsonl"
+
+
+def _meta_directory(ws, src):
+    _directory_in_place(ws / "corpus.meta.json")
+    return [["run"]], "corpus.meta.json"
+
+
 @pytest.mark.parametrize("damage", [_empty_ledger, _truncated_state, _foreign_corpus,
                                     _truncated_ledger, _blank_line_in_state,
                                     _ledger_trailing_garbage, _header_only_ledger,
@@ -486,7 +518,9 @@ def _ledger_header_year(ws, src):
                                                              if k != "corpus_sha256"}),
                                     _meta_edit(lambda meta: {**meta, "paper_years": ["x"]}),
                                     _index_header_scale, _index_header_year,
-                                    _ledger_header_cap, _ledger_header_year],
+                                    _ledger_header_cap, _ledger_header_year,
+                                    _ledger_directory, _state_directory, _index_directory,
+                                    _snapshot_directory, _meta_directory],
                          ids=["empty-ledger", "truncated-state", "foreign-corpus",
                               "truncated-ledger", "blank-line-in-state",
                               "ledger-trailing-garbage", "header-only-ledger",
@@ -495,7 +529,9 @@ def _ledger_header_year(ws, src):
                               "snapshot-digit", "meta-truncated", "meta-paper-years",
                               "meta-not-object", "meta-no-corpus-hash", "meta-year-not-int",
                               "index-header-scale", "index-header-year",
-                              "ledger-header-cap", "ledger-header-year"])
+                              "ledger-header-cap", "ledger-header-year",
+                              "ledger-directory", "state-directory", "index-directory",
+                              "snapshot-directory", "meta-directory"])
 def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
     ws = _ran_workspace(tmp_path)
     commands, file_name = damage(ws, tmp_path / "c.jsonl")
@@ -504,6 +540,15 @@ def test_damaged_or_foreign_artifact_exits_3(tmp_path, capsys, damage):
         assert main([*command, "--workspace", str(ws)]) == 3
         err = capsys.readouterr().err
         assert "error: cannot read " in err and file_name in err
+
+
+def test_directory_in_place_of_the_lock_exits_3(tmp_path, capsys):
+    ws = _ran_workspace(tmp_path)
+    _directory_in_place(ws / ".lock")
+    capsys.readouterr()
+    for command in (["ingest", str(tmp_path / "c.jsonl")], ["run"], ["report", "index-table"]):
+        assert main([*command, "--workspace", str(ws)]) == 3
+        assert f"error: cannot open {ws / '.lock'}: " in capsys.readouterr().err
 
 
 def test_workspace_of_an_older_ingest_exits_3(tmp_path, capsys):
@@ -772,6 +817,34 @@ def test_report_year_before_every_ledger_names_it(tmp_path, capsys):
     assert main(["report", "distance-histogram", "--workspace", str(ws),
                  "--years", "1900:1950", *cfg]) == 3
     assert "no ledger for year 1950 or earlier" in capsys.readouterr().err
+
+
+def test_reports_need_every_planned_ledger_through_their_year(tmp_path, capsys):
+    """After a run of 2003-2004 alone, the index and histogram reports of
+    2004 exit 3 naming the years before and cache nothing, while the
+    histogram of the computed years writes the bytes of a full
+    workspace's; a deleted middle ledger makes the histogram exit 3
+    naming it, not omit it as a year without citations."""
+    src = tmp_path / "c.jsonl"
+    src.write_text("\n".join(random_corpus_lines(random.Random(5), 200, 30, 2000, 2005)) + "\n")
+    cfg = ["--config", str(write_config(tmp_path, exact_distances=True))]
+    partial, full = tmp_path / "partial", tmp_path / "full"
+    for ws, years in ((partial, ["--years", "2003:2004"]), (full, [])):
+        assert main(["ingest", str(src), "--workspace", str(ws), *cfg]) == 0
+        assert main(["run", "--workspace", str(ws), *years, *cfg]) == 0
+    capsys.readouterr()
+    for report in ("index-table", "distance-histogram"):
+        assert main(["report", report, "--year", "2004", "--workspace", str(partial), *cfg]) == 3
+        assert capsys.readouterr().err == "error: missing ledger years: [2000, 2001, 2002]\n"
+    assert not (partial / "indices").exists() and not tree_bytes(partial / "reports")
+    for ws in (partial, full):
+        assert main(["report", "distance-histogram", "--years", "2003:2004",
+                     "--workspace", str(ws), *cfg]) == 0
+    assert tree_bytes(partial / "reports") == tree_bytes(full / "reports")
+    (full / "ledgers" / "2003.jsonl").unlink()
+    capsys.readouterr()
+    assert main(["report", "distance-histogram", "--workspace", str(full), *cfg]) == 3
+    assert capsys.readouterr().err == "error: missing ledger years: [2003]\n"
 
 
 def test_report_year_after_the_plan_names_the_last_year(tmp_path, capsys):

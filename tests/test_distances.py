@@ -15,6 +15,7 @@ from citedist.codec import (
     indices_artifact,
     json_line,
     ledger_head,
+    split_header,
     states_artifact,
 )
 from citedist.config import Config
@@ -28,9 +29,7 @@ from citedist.distances import (
     compute_event_distances,
     counted_ledger,
     distance_histogram,
-    ensure_contiguous,
 )
-from citedist.errors import IncompleteStateError
 from citedist.indices import IndexRecord, x_from_slices, x_increment, x_increment_scaled, x_scale
 from citedist.pipeline import run_pipeline
 from citedist.workspace import Workspace
@@ -278,12 +277,6 @@ def test_event_distances_on_giant_components():
     assert giant >= 30 and deep > 100 and exceeds > 1000, (giant, deep, exceeds)
 
 
-def test_series_coverage_check():
-    with pytest.raises(IncompleteStateError, match=r"missing ledger years: \[2001\]"):
-        ensure_contiguous({2000, 2002}, 2002)
-    ensure_contiguous({2000, 2001}, 2001)
-
-
 # -- artifact line codec -------------------------------------------------------
 
 
@@ -351,7 +344,8 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
         seen_exceeds += ledger.events.get(EXCEEDS_CODE, 0)
         text = ledger_text(store, events, cap)
         assert text == reference_ledger_text(ledger, store, "cfg")
-        back = decode_ledger(text, store)
+        body, head = records_of(text)
+        back = decode_ledger(body, store, head)
         assert (back.year, back.cap) == (2000, cap)
         assert back.events == ledger.events and back.scholars == ledger.scholars
         if trial == 0:
@@ -365,7 +359,8 @@ def test_codec_matches_json_dumps_and_round_trips(cap):
                   rng.sample(range(len(ODD_LABELS)), rng.randint(0, len(ODD_LABELS)))}
         text = joined(*states_artifact(2000 + trial, states, store, n, "cfg"))
         assert text == reference_states_text(2000 + trial, states, store, n, "cfg")
-        assert decode_states(text, store) == {a: v for a, v in states.items() if v}
+        assert decode_states(records_of(text)[0], store) == {
+            a: v for a, v in states.items() if v}
     assert seen_infinite and (seen_exceeds or cap is None)
 
 
@@ -409,6 +404,13 @@ def reference_ledger(year, cap, credits):
 def joined(head, records):
     """An unstamped artifact text: its header line, then its records."""
     return json_line(head) + records
+
+
+def records_of(text):
+    """The record lines and the parsed header of an artifact text, as
+    ``Workspace._read`` hands them to a decoder."""
+    head, start = split_header(text)
+    return text[start:], head
 
 
 def ledger_text(store, events, cap, n=6):
@@ -534,36 +536,39 @@ def test_codec_rejects_damaged_lines(damage):
     records = [IndexRecord(label, 2000, 1, 1, 1, Fraction(1, 2), 0, Fraction(k, 6))
                for k, label in enumerate("abc", 1)]
     for text, decode in (
-        (ledger_text(store, [(0, 0, 3)], None), lambda t: decode_ledger(t, store)),
+        (ledger_text(store, [(0, 0, 3)], None),
+         lambda body, head: decode_ledger(body, store, head)),
         (joined(*states_artifact(2000, states, store, 6, "cfg")),
-         lambda t: decode_states(t, store)),
+         lambda body, head: decode_states(body, store)),
         (joined(*indices_artifact(records, 2000, 6, "cfg", ["l"])),
-         lambda t: decode_indices(t, 1, ["l"])),
+         lambda body, head: decode_indices(body, 1, ["l"], head)),
     ):
-        decode(text)
+        decode(*records_of(text))
         lines = text.split("\n")[:-1]
         with pytest.raises(ValueError):
-            decode("\n".join(damage(lines)) + "\n")
+            decode(*records_of("\n".join(damage(lines)) + "\n"))
 
 
 def test_decode_ledger_needs_its_events_line():
-    """``decode_ledger`` raises on a text without an events line, with a
-    store or without one (then a scholar line raises KeyError first);
-    without a store, it decodes the first record line alone, which gives
-    the events tally of the full decode and no scholars."""
+    """``decode_ledger`` raises on record lines without an events line,
+    with a store or without one (then a scholar line raises KeyError
+    first); without a store, given the first record line alone, as
+    ``Workspace.read_ledger_events`` reads it, it gives the events tally
+    of the full decode and no scholars."""
     store = parse_records([record_line("p0", 2000, ["a", "b"]), record_line("p1", 2000, ["c"]),
                            record_line("p2", 2000, ["b"])], Config())
     for cap in (None, 6):
         text = ledger_text(store, [(0, 0, 3), (1, 0, INF_CODE),
                                    (2, 0, 0 if cap is None else EXCEEDS_CODE)], cap)
-        head, events, rest = text.split("\n", 2)
-        full = decode_ledger(text, store)
+        body, head = records_of(text)
+        events, rest = body.split("\n", 1)
+        full = decode_ledger(body, store, head)
         assert full.scholars
-        for part in (decode_ledger(text, None), decode_ledger(f"{head}\n{events}\n", None)):
-            assert (part.year, part.cap) == (2000, cap)
-            assert part.events == full.events and not part.scholars
-        for dropped, without_store in ((f"{head}\n{rest}", KeyError), (f"{head}\n", ValueError)):
+        part = decode_ledger(events, None, head)
+        assert (part.year, part.cap) == (2000, cap)
+        assert part.events == full.events and not part.scholars
+        for dropped, without_store in ((rest, KeyError), ("", ValueError)):
             with pytest.raises(ValueError, match="events line"):
-                decode_ledger(dropped, store)
+                decode_ledger(dropped, store, head)
             with pytest.raises(without_store):
-                decode_ledger(dropped, None)
+                decode_ledger(dropped.split("\n", 1)[0], None, head)

@@ -13,7 +13,7 @@ import pytest
 from citedist import corpus as corpus_module
 from citedist import workspace as workspace_module
 from citedist.cli import main
-from citedist.codec import decode_indices, indices_artifact, json_line
+from citedist.codec import decode_indices, indices_artifact, json_line, split_header
 from citedist.config import load_config
 from citedist.pipeline import build_index_records, index_records, report_ledgers
 from citedist.workspace import Workspace
@@ -114,10 +114,11 @@ def test_snapshot_codec_round_trips_c_types(tmp_path):
     assert any(type(r.c).__name__ == "Fraction" and r.c.denominator == 1 for r in records)
     head, body = indices_artifact(records, 2006, 6, "cfg", ["a", "b"])
     text = json_line(head) + body
-    assert decode_indices(text, cfg.alpha, ["a", "b"]) == records
-    assert decode_indices(text, cfg.alpha, ["a"]) is None
-    assert [type(r.c) for r in decode_indices(text, cfg.alpha, ["a", "b"])] == [
-        type(r.c) for r in records]
+    parsed, start = split_header(text)
+    decoded = decode_indices(text[start:], cfg.alpha, ["a", "b"], parsed)
+    assert decoded == records
+    assert decode_indices(text[start:], cfg.alpha, ["a"], parsed) is None
+    assert [type(r.c) for r in decoded] == [type(r.c) for r in records]
     for line in text.splitlines():
         assert line == compact(line)
     paths = [p for d in (ws.ledger_dir, ws.state_dir, ws.index_dir) for p in d.glob("*.jsonl")]
@@ -140,15 +141,22 @@ def test_snapshot_of_other_ledgers_is_rebuilt(tmp_path):
     assert path.read_bytes() == good
 
 
-def test_snapshot_does_not_hide_a_deleted_year(tmp_path, capsys):
+def test_snapshot_does_not_hide_a_deleted_year(tmp_path, capsys, monkeypatch):
     """A middle year's ledger deleted: the reports fail with the gap
-    error as without a snapshot; once ``run`` restores the year, they
-    serve the same bytes again."""
+    error as without a snapshot, before they load the store; once ``run``
+    restores the year, they serve the same bytes again."""
     ws, cfg = ran_workspace(tmp_path)
     expected = report_outputs(ws, cfg, 2006)
     ws.ledger_path(2003).unlink()
     capsys.readouterr()
-    assert [code for code, _, _ in report_outputs(ws, cfg, 2006)] == [3] * len(INDEX_REPORTS)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a report loaded the store of a workspace with a gap")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Workspace, "load_store", forbidden)
+        codes = [code for code, _, _ in report_outputs(ws, cfg, 2006)]
+    assert codes == [3] * len(INDEX_REPORTS)
     assert "missing ledger years: [2003]" in capsys.readouterr().err
     assert main(["run", "--workspace", str(ws.root), "--config", str(cfg)]) == 0
     assert report_outputs(ws, cfg, 2006) == expected

@@ -16,7 +16,6 @@ from citedist.distances import (
     EXCEEDS_CODE,
     INF_CODE,
     counted_ledger,
-    ensure_contiguous,
 )
 from citedist.errors import IncompleteStateError
 from citedist.indices import (
@@ -366,10 +365,6 @@ class TestSnapshot:
         series = series_for({2000: {2: 1, EXCEEDS_CODE: 2}})
         with pytest.raises(IncompleteStateError):
             index_record("s", 2000, pooled_tally(series), [3], Config())
-
-    def test_missing_years_raise(self):
-        with pytest.raises(IncompleteStateError):
-            ensure_contiguous(series_for({2000: {}, 2003: {}}), 2003)
 
 
 class TestIndexRecord:
