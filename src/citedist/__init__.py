@@ -14,9 +14,9 @@ loaded on first use (PEP 562).
 import importlib
 
 _SOURCES = {
-    "collab": ("INFINITE", "CollabNetwork", "Distance", "NetworkStats", "assortativity",
-               "avg_clustering", "build_window", "connected_components", "network_report",
-               "shortest_distance"),
+    "codec": ("EXCEEDS_CODE", "INF_CODE"),
+    "collab": ("CollabNetwork", "NetworkStats", "assortativity", "avg_clustering",
+               "build_window", "connected_components", "network_report", "shortest_distance"),
     "config": ("Config", "load_config", "parse_config_text"),
     "corpus": ("CorpusStore", "PaperRecord", "load_corpus", "parse_records", "yearly_counts"),
     "distances": ("YearLedger", "batch_year_distances", "distance_histogram"),

@@ -23,15 +23,16 @@ year's build, so it slides through every year it computes.
 Each network labels its connected components once, on first use.  The
 distance kernel, :meth:`BFSSearcher.distances_from`, measures one
 author set against many target sets: targets outside every source's
-component are dropped, so a set with no path answers INFINITE without
+component are dropped, so a set with no path answers INF_CODE without
 searching; every other set is searched against one ball around the
 sources that the whole call shares and grows only as far as some set
-needs, meeting each set's own search from the targets' side.  Hop
-distances come in three flavours: a finite count, INFINITE (no path
-exists, proven by the component labels or by the search), or "exceeds
-cap" (a path exists and is longer than the cap).  ``run`` makes one
-such call per citing paper, with its references' author tuples, and
-the repeated-citation heatmap one per scholar, with its partners.
+needs, meeting each set's own search from the targets' side.  A
+distance is an int code (see ``codec``): a hop count, INF_CODE (no
+path exists, proven by the component labels or by the search), or
+EXCEEDS_CODE (a path exists and is longer than the cap the call was
+given).  ``run`` makes one such call per citing paper, with its
+references' author tuples, and the repeated-citation heatmap one per
+scholar, with its partners.
 :meth:`BFSSearcher.pair_distance` is a call with one target set, and
 :meth:`BFSSearcher.distances_to` is the one-to-many kernel behind
 ``diameter`` alone.
@@ -45,54 +46,6 @@ from .distances import EXCEEDS_CODE, INF_CODE
 
 if TYPE_CHECKING:
     from .corpus import CorpusStore
-
-
-class _DistanceFields(NamedTuple):
-    hops: int | None = None
-    cap: int | None = None
-
-
-class Distance(_DistanceFields):
-    """Result of a shortest-path query.
-
-    ``hops`` is set for finite results.  ``cap`` is set when a path
-    exists but is longer than the cap.  Neither set means INFINITE: no
-    path exists.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.hops is not None and self.cap is not None:
-            raise ValueError("a distance is finite or capped, not both")
-        if self.hops is not None and self.hops < 0:
-            raise ValueError("hop count must be >= 0")
-        return self
-
-    @classmethod
-    def finite(cls, hops: int) -> "Distance":
-        return cls(hops=hops)
-
-    @classmethod
-    def exceeds(cls, cap: int) -> "Distance":
-        return cls(cap=cap)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.hops is not None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.hops is None and self.cap is None
-
-    @property
-    def exceeds_cap(self) -> bool:
-        return self.cap is not None
-
-
-INFINITE = Distance()
 
 
 def _check_id(author: int, num_slots: int) -> None:
@@ -295,7 +248,10 @@ class BFSSearcher:
         whole level of the side whose frontier has the smaller total
         degree (ties go to the ball), until they meet.  Returns hop
         counts, or EXCEEDS_CODE once the levels of the two sides add up
-        to ``cap`` before meeting (a path exists, longer than cap).
+        to ``cap`` before meeting (a path exists, longer than cap).  A
+        side whose next level is empty before the two meet ends the
+        search as INF_CODE, so the search ends even when the component
+        labels and the adjacency disagree.
 
         Every id must lie in ``[0, net.num_slots)``.  This kernel does not
         check it: a negative id would silently read another author's slot.
@@ -387,6 +343,9 @@ class BFSSearcher:
                         if met:
                             break
                     back = nxt
+                if not nxt and not met:  # that side is exhausted: no path
+                    codes[i] = INF_CODE
+                    break
             else:
                 codes[i] = radius + level
         return codes
@@ -444,13 +403,15 @@ class BFSSearcher:
 
 
 def shortest_distance(net: CollabNetwork, source_set: Iterable[int],
-                      target_set: Iterable[int], cap: int | None = None) -> Distance:
+                      target_set: Iterable[int], cap: int | None = None) -> int:
     """Minimum collaboration distance between two author sets.
 
     0 when the sets share an author (an author is at distance 0 from
     themself, network membership notwithstanding); authors absent from
-    the window behave as isolated nodes.  A thin wrapper over
-    :meth:`BFSSearcher.pair_distance`.
+    the window behave as isolated nodes.  Returns the code of
+    :meth:`BFSSearcher.pair_distance`, after checking that both sets
+    are non-empty and every id is in range: a hop count, INF_CODE, or
+    EXCEEDS_CODE when a path exists and is longer than ``cap``.
     """
     sources = set(source_set)
     targets = set(target_set)
@@ -458,10 +419,7 @@ def shortest_distance(net: CollabNetwork, source_set: Iterable[int],
         raise ValueError("author sets must be non-empty")
     for a in sources | targets:
         _check_id(a, net.num_slots)
-    code = BFSSearcher(net).pair_distance(sources, targets, cap)
-    if code >= 0:
-        return Distance.finite(code)
-    return INFINITE if code == INF_CODE else Distance.exceeds(cap)
+    return BFSSearcher(net).pair_distance(sources, targets, cap)
 
 
 # -- network statistics ----------------------------------------------------

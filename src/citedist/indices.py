@@ -25,9 +25,10 @@ The c-index sorts a scholar's citation distances in decreasing order
 max over ranks v of min(alpha * v, d_v), comparing in integers; it
 reads the tally's ``INF_CODE`` count as the unreachable ones.
 
-Light layer: no module-level import of ``collab``, ``corpus`` or
-``analytics`` (see ``citedist``), and none of ``distances`` either, so
-that an index report served from a snapshot compiles neither.
+Light layer: no import of ``collab``, ``corpus``, ``analytics`` or
+``distances``, not even inside a function (see ``citedist``), so that
+an index report served from a snapshot compiles none of them.  Every
+distance these functions take is a ``codec`` code or ``math.inf``.
 """
 
 from __future__ import annotations
@@ -44,34 +45,26 @@ if TYPE_CHECKING:
 
 
 def _as_code(d) -> int:
-    """The distance code of a distance argument: an int hop count, or
-    ``math.inf`` or a :class:`Distance`."""
-    from .collab import Distance
-
-    if isinstance(d, Distance):
-        return d.hops if d.is_finite else INF_CODE if d.is_infinite else EXCEEDS_CODE
+    """The distance code of a distance argument: an int hop count,
+    ``INF_CODE`` or ``math.inf`` (no path).  ``EXCEEDS_CODE`` raises
+    ValueError: a distance known only to exceed a cap has no value of
+    its own (``distances.counted_ledger`` weighs it under the ledger's
+    cap)."""
     if d == math.inf:
         return INF_CODE
     if isinstance(d, bool) or not isinstance(d, int):
-        raise TypeError(f"distance must be an int, math.inf, or Distance, got {d!r}")
-    if d < 0:
-        raise ValueError("distance must be >= 0")
+        raise TypeError(f"distance must be an int or math.inf, got {d!r}")
+    if d < 0 and d != INF_CODE:
+        raise ValueError(f"distance must be >= 0 or INF_CODE, got {d}")
     return d
 
 
 def weight(d, n: int) -> Fraction:
-    """Weight of one citation at distance ``d`` under threshold ``n``.
-
-    ``d`` may be an int, ``math.inf``, or a :class:`Distance`.  A capped
-    Distance is acceptable only when its cap is >= n (the weight is then
-    known to be 1).
-    """
+    """Weight of one citation at distance ``d`` under threshold ``n``:
+    ``d`` is a hop count, ``INF_CODE`` or ``math.inf``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    code = _as_code(d)
-    if code == EXCEEDS_CODE and d.cap < n:
-        raise ValueError(f"distance only known to exceed {d.cap}; weight under n={n} undetermined")
-    return Fraction(scaled_weight(code, n), x_scale(n))
+    return Fraction(scaled_weight(_as_code(d), n), x_scale(n))
 
 
 def scaled_weight(code: int, n: int) -> int:
@@ -141,7 +134,7 @@ def _c_from_counts(tally: Mapping[int, int], alpha) -> Fraction | int | float:
     that side wins or ties, else the int distance; 0 when empty.
     """
     p, q = alpha.as_integer_ratio()
-    v = best_v = tally.get(INF_CODE, 0)  # min(alpha * v, INFINITE) = alpha * v
+    v = best_v = tally.get(INF_CODE, 0)  # min(alpha * v, inf) = alpha * v
     for d in sorted((d for d, c in tally.items() if d >= 0 and c), reverse=True):
         v += tally[d]
         if p * v <= d * q:
@@ -156,16 +149,14 @@ def _c_from_counts(tally: Mapping[int, int], alpha) -> Fraction | int | float:
 def c_index(distances: Iterable, alpha=1):
     """c-index of a citation-distance multiset at slope ``alpha``.
 
-    Accepts ints, ``math.inf``, and :class:`Distance` values in any
-    order; 0 for the empty multiset.
+    Accepts hop counts, ``INF_CODE`` and ``math.inf`` in any order; 0
+    for the empty multiset.
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     tally: dict[int, int] = {}
     for d in distances:
         code = _as_code(d)
-        if code == EXCEEDS_CODE:
-            raise ValueError("distance exceeding a cap has no exact value")
         tally[code] = tally.get(code, 0) + 1
     return _c_from_counts(tally, alpha)
 

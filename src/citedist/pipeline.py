@@ -271,18 +271,23 @@ def build_index_records(store: CorpusStore, ledgers: Iterable[YearLedger], year:
 
     ``ledgers`` is any iterable of year ledgers, such as the stream of
     :func:`report_ledgers`, which holds one decoded ledger at a time.
-    x, Q, c and N_w come from each scholar's pooled counts.  It folds what
-    it is given: :func:`report_ledgers` guarantees that no year is missing."""
+    x, Q, c and N_w come from each scholar's pooled counts; h and g from
+    the citations through ``year`` of the scholar's papers published
+    through ``year``, so that a later paper does not count as one more
+    paper.  It folds what it is given: :func:`report_ledgers` guarantees
+    that no year is missing."""
     from .indices import index_record
 
     with _cyclic_gc_paused():
         pooled = _pool_tallies(ledgers, year)
         paper_counts = store.paper_citation_counts(year)
+        paper_year = store.paper_year
         author_papers = store.author_papers
         labels = store.author_labels
         records = [
             index_record(labels[scholar], year, tally,
-                         [paper_counts[p] for p in author_papers[scholar]], cfg)
+                         [paper_counts[p] for p in author_papers[scholar]
+                          if paper_year[p] <= year], cfg)
             for scholar, tally in pooled.items()
         ]
     records.sort(key=lambda r: r.scholar)

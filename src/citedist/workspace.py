@@ -46,7 +46,9 @@ lines do not match their digest, raises a WorkspaceError that names
 the file.  ``year_complete`` and
 ``states_complete`` stop there, so the resume check decodes no record;
 ``read_ledger_events`` checks the whole ledger too but decodes only
-its events line (``decode_ledger`` without a store).
+its events line (``decode_ledger`` without a store).  An OSError on a
+workspace file, a directory in its place say, is a WorkspaceError that
+names the file: "cannot read" or "cannot write".
 
 Light layer: no module-level import of ``collab``, ``corpus`` or
 ``analytics`` (see ``citedist``).  ``load_store`` imports the snapshot
@@ -88,18 +90,23 @@ if TYPE_CHECKING:
     from .indices import IndexRecord
 
 
-def _atomic_write(path: Path, writer, binary: bool = False) -> None:
+def _atomic_write(path: Path, writer, binary: bool = False,
+                  error: type[CiteDistError] = WorkspaceError) -> None:
     """Run ``writer(fp)`` on a temp file of this process, then rename it
     over ``path``; on any failure the temp file is removed and ``path``
-    keeps its previous content.  ``fp`` takes str, or bytes if ``binary``."""
+    keeps its previous content.  ``fp`` takes str, or bytes if ``binary``.
+    An OSError (a directory at ``path``, a full disk) is raised as
+    ``error`` "cannot write <path>"."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with (open(tmp, "wb") if binary
               else open(tmp, "w", encoding="utf-8", newline="\n")) as fp:
             writer(fp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise error(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -445,12 +452,8 @@ class Workspace:
         beside it; an unwritable path raises a CiteDistError naming it."""
         self.ensure_dirs()
         path = Path(out) if out else self.report_dir / f"{name}.csv"
-        try:
-            _atomic_write(path, lambda fp: fp.write("\n".join(rows) + "\n"))
-            _atomic_write(
-                path.with_suffix(".manifest.json"),
-                lambda fp: fp.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
-            )
-        except OSError as exc:
-            raise CiteDistError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        _atomic_write(path, lambda fp: fp.write("\n".join(rows) + "\n"), error=CiteDistError)
+        _atomic_write(path.with_suffix(".manifest.json"),
+                      lambda fp: fp.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+                      error=CiteDistError)
         return path

@@ -244,7 +244,7 @@ def oracle_index_run(lines, cfg: Config,
     crediting by cited paper instead must give each scholar the sum over
     their papers.  At the report year, per scholar credited in a planned
     year up to it: Q; h and g over the citations from every year up to
-    it; c = max_v min(alpha v, d_v) over the distances in decreasing
+    it of their papers published up to it; c = max_v min(alpha v, d_v) over the distances in decreasing
     order (INF first); N_w = #INF; and x = sum of min(d, n) / n (INF, and
     every citation when n = 0, weigh 1), printed as
     ``IndexRecord.csv_row`` does and sorted by label.
@@ -293,7 +293,8 @@ def oracle_index_run(lines, cfg: Config,
     rows = ["scholar,year,Q,h,g,c,N_w,x"]
     for a in sorted(by_scholar):
         ds = sorted(by_scholar[a].elements(), reverse=True)
-        counts = sorted((cites[p] for p in papers_of[a]), reverse=True)
+        counts = sorted((cites[p] for p in papers_of[a] if published[p] <= report_year),
+                        reverse=True)
         h = max(k for k in range(len(counts) + 1) if sum(c >= k for c in counts) >= k)
         g = max(k for k in range(len(counts) + 1) if sum(counts[:k]) >= k * k)
         c = max((min(alpha * v, d) for v, d in enumerate(ds, 1)), default=0)

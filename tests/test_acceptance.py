@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from citedist.collab import (
+    INF_CODE,
     CollabNetwork,
-    Distance,
     assortativity,
     avg_clustering,
     build_window,
@@ -30,6 +30,7 @@ from citedist.analytics import classify_closeness, rank
 from synthcorpus import (
     assortativity_oracle,
     clustering_oracle,
+    expected_code,
     floyd_warshall,
     oracle_set_distance,
     random_corpus_lines,
@@ -107,22 +108,14 @@ def test_c04_bfs_oracle_hundred_graphs():
             targets = set(rng.sample(nodes, rng.randint(1, min(3, n))))
             expected = oracle_set_distance(dist, sources, targets)
             got = shortest_distance(net, sources, targets)
-            if expected == math.inf:
-                assert got.is_infinite
-                infinite_seen += 1
-            else:
-                assert got == Distance.finite(int(expected))
+            assert got == expected_code(expected, None)
+            infinite_seen += got == INF_CODE
             cap = rng.randint(0, 8)
             capped = shortest_distance(net, sources, targets, cap=cap)
-            if expected <= cap:
-                assert capped == Distance.finite(int(expected))
-            elif capped.exceeds_cap:  # a path exists, longer than the cap
-                assert capped.cap == cap and cap < expected < math.inf
-            else:
-                assert capped.is_infinite and expected == math.inf
-    assert infinite_seen > 50  # sparse graphs must have exercised the INFINITE path
+            assert capped == expected_code(expected, cap)  # EXCEEDS_CODE: a path longer than cap
+    assert infinite_seen > 50  # sparse graphs must have exercised the no-path answer
     ok(4, "set-to-set distances equal the all-pairs oracle on 100 random graphs, "
-          "including INFINITE and cap soundness")
+          "including no-path answers and cap soundness")
 
 
 def test_c05_incremental_equals_batch_fifty_corpora():

@@ -14,6 +14,7 @@ from citedist.analytics import (
     select_cohort,
     x_vs_q_scatter,
 )
+from citedist.codec import INF_CODE
 from citedist.collab import build_window, connected_components, shortest_distance
 from citedist.config import Config
 from citedist.corpus import parse_records
@@ -273,12 +274,12 @@ class TestRepeatedCitations:
         cells = [[0] * len(matrix.distance_labels) for _ in matrix.repeat_labels]
         for (a, b), total in pair_totals.items():
             d = shortest_distance(net, {a}, {b})
-            if d.is_infinite:
+            if d == INF_CODE:
                 col = len(matrix.distance_labels) - 1
-            elif d.hops > 12:
+            elif d > 12:
                 col = len(matrix.distance_labels) - 2
             else:
-                col = d.hops
+                col = d
             cells[min(total - 1, 10)][col] += 1
         assert [list(row) for row in matrix.cells] == cells
 

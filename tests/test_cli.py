@@ -551,6 +551,26 @@ def test_directory_in_place_of_the_lock_exits_3(tmp_path, capsys):
         assert f"error: cannot open {ws / '.lock'}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["states/2003.jsonl", "corpus.jsonl"])
+def test_directory_at_a_written_path_exits_3(tmp_path, capsys, target):
+    """A directory where ``run`` writes the x snapshot (after a deleted
+    ledger makes it recompute), or where a second ``ingest`` writes the
+    corpus snapshot, stops the command with one error line that names
+    the path, and leaves no temp file."""
+    ws = _ran_workspace(tmp_path)
+    _directory_in_place(ws / target)
+    if target.startswith("states"):
+        (ws / "ledgers" / "2001.jsonl").unlink()
+        command = ["run"]
+    else:
+        command = ["ingest", str(tmp_path / "c.jsonl")]
+    capsys.readouterr()
+    assert main([*command, "--workspace", str(ws)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {ws / target}: ") and err.count("\n") == 1
+    assert not [p.name for p in ws.rglob("*.tmp")]
+
+
 def test_workspace_of_an_older_ingest_exits_3(tmp_path, capsys):
     """A meta without ``paper_years`` asks for a new ingest; nothing
     falls back to parsing the snapshot for its years."""
@@ -935,7 +955,8 @@ def test_package_names_resolve_to_their_defining_modules():
     listed = dir(citedist)
     for name in citedist.__all__:
         value = getattr(citedist, name)
-        assert value is getattr(importlib.import_module(value.__module__), name), name
+        home = getattr(value, "__module__", "citedist.codec")  # the int distance codes
+        assert value is getattr(importlib.import_module(home), name), name
         assert namespace[name] is value, name
         assert name in listed, name
     with pytest.raises(AttributeError):

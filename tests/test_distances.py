@@ -20,7 +20,7 @@ from citedist.codec import (
 )
 from citedist.config import Config
 from citedist.corpus import parse_records
-from citedist.collab import Distance, build_window, connected_components, shortest_distance
+from citedist.collab import build_window, connected_components, shortest_distance
 from citedist.distances import (
     EXCEEDS_CODE,
     INF_CODE,
@@ -56,20 +56,20 @@ def test_citation_distance_on_2018_window():
     store = table1_store()
     net = build_window(store, 2018, 5)
     # cited by {5}, citing by {9, 2}: min(d(9,5)=4, d(2,5)=3) = 3
-    assert event_distance(store, net, ["9", "2"], ["5"]) == Distance.finite(3)
+    assert event_distance(store, net, ["9", "2"], ["5"]) == 3
 
 
 def test_self_citation_is_zero_even_off_network():
     store = table1_store()
     net = build_window(store, 2018, 5)
     # author 8 is not in the window
-    assert event_distance(store, net, ["3", "8"], ["2", "3"]) == Distance.finite(0)
+    assert event_distance(store, net, ["3", "8"], ["2", "3"]) == 0
 
 
 def test_disconnected_event_is_infinite():
     store = table1_store()
     net = build_window(store, 2016, 5)
-    assert event_distance(store, net, ["7"], ["1"]).is_infinite
+    assert event_distance(store, net, ["7"], ["1"]) == INF_CODE
 
 
 def test_batch_empty_year():
@@ -105,8 +105,7 @@ def test_batch_matches_per_event_recomputation():
         credit = defaultdict(Counter)
         for pid in store.papers_in_year(year):
             for ref in store.paper_refs[pid]:
-                d = shortest_distance(net, paper_authors[pid], paper_authors[ref])
-                code = d.hops if d.is_finite else INF_CODE
+                code = shortest_distance(net, paper_authors[pid], paper_authors[ref])
                 events[code] += 1
                 for author in paper_authors[ref]:
                     credit[author][code] += 1

@@ -18,7 +18,8 @@ from citedist.indices import IndexRecord, x_from_slices
 from citedist.pipeline import build_index_records, report_ledgers, run_pipeline
 from citedist.workspace import Workspace
 
-from synthcorpus import fraction_c_oracle, oracle_index_run, random_corpus_lines, table1_lines
+from synthcorpus import (fraction_c_oracle, oracle_index_run, random_corpus_lines, record_line,
+                         table1_lines)
 
 INDEX_REPORTS = (
     ["index-table"],
@@ -35,6 +36,21 @@ def make_workspace(root, lines, cfg):
     ws.write_corpus(store, cfg)
     run_pipeline(ws, cfg)
     return ws, store
+
+
+def test_h_and_g_count_only_papers_published_by_the_report_year(tmp_path):
+    """Scholar a's one paper of 2000 is cited 4 times in 2001, and a
+    writes a second paper in 2003: at 2001 a has one paper, so g = 1
+    (the later paper would make it 2), and at 2003 g = 2."""
+    lines = [record_line("p0", 2000, ["a"]),
+             *(record_line(f"c{i}", 2001, [f"b{i}"], ["p0"]) for i in range(4)),
+             record_line("p1", 2003, ["a"])]
+    cfg = Config(exact_distances=True)
+    ws, store = make_workspace(tmp_path / "ws", lines, cfg)
+    for year, g in ((2001, 1), (2003, 2)):
+        records = build_index_records(store, report_ledgers(ws, store, cfg, year), year, cfg)
+        assert [(r.scholar, r.q, r.h, r.g) for r in records] == [("a", 4, 1, g)]
+        assert oracle_index_run(lines, cfg, year)[0].splitlines()[1].split(",")[4] == str(g)
 
 
 @pytest.mark.parametrize("seed", [3, 71])

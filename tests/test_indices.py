@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from citedist.codec import decode_ledger
-from citedist.collab import Distance
 from citedist.config import Config
 from citedist.corpus import parse_records
 from citedist.distances import (
@@ -72,14 +71,23 @@ class TestWeight:
         assert weight(3, 6) == Fraction(1, 2)
         assert weight(0, 0) == 1  # 0/0 = 1 convention
         assert weight(math.inf, 6) == 1
-        assert weight(Distance.finite(2), 6) == Fraction(1, 3)
-        assert weight(Distance(), 6) == 1
+        assert weight(2, 6) == Fraction(1, 3)
+        assert weight(INF_CODE, 6) == 1
 
     def test_exceeds_cap(self):
-        assert weight(Distance.exceeds(6), 6) == 1
-        assert weight(Distance.exceeds(9), 6) == 1
+        """A distance known only to exceed some cap has no weight of its
+        own: ``counted_ledger`` weighs it under the ledger's cap."""
         with pytest.raises(ValueError):
-            weight(Distance.exceeds(3), 6)
+            weight(EXCEEDS_CODE, 6)
+
+    @pytest.mark.parametrize("d, error", [
+        (True, TypeError), (-1.0, TypeError), (2.5, TypeError), ("3", TypeError),
+        (-3, ValueError), (EXCEEDS_CODE, ValueError)])
+    def test_rejects_what_is_not_a_distance(self, d, error):
+        with pytest.raises(error):
+            weight(d, 6)
+        with pytest.raises(error):
+            c_index([1, d], 1)
 
     @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 12))
     def test_monotone_and_bounded(self, d1, d2, n):
@@ -210,7 +218,7 @@ class TestCIndex:
         assert c_index(ten_at_ten, 1) == 10
 
     def test_accepts_distance_objects(self):
-        assert c_index([Distance.finite(5), Distance(), Distance.finite(1)], 1) == 2
+        assert c_index([5, INF_CODE, 1], 1) == c_index([5, math.inf, 1], 1) == 2
 
     def test_non_integer_alpha(self):
         assert c_index([10, 10, 10], Fraction(1, 2)) == Fraction(3, 2)

@@ -1,8 +1,9 @@
 """Metamorphic relations at a size the oracles cannot reach (Chen, Cheung
 and Yiu, "Metamorphic testing", 1998): two ways to build the same
-workspace from a team-assembly corpus of 2,000 papers must give the
-same bytes.  The corpus comes from the benchmark's generator, loaded
-read-only by path."""
+workspace from a team-assembly corpus of 2,000 papers, or a corpus and
+its extension by later papers up to the last year they leave alone,
+must give the same bytes.  The corpus comes from the benchmark's
+generator, loaded read-only by path."""
 
 import json
 import random
@@ -127,3 +128,43 @@ def test_permuted_corpus_lines_give_the_same_reports(tmp_path):
         outputs.append(reports_of(ws, cfg, REPORTS))
     assert outputs[0] == outputs[1]
     assert all(code == 0 for code, _, _ in outputs[0])
+
+
+def later_papers(lines, after, last, count, seed):
+    """``count`` new papers dated in ``(after, last]``, each citing up to
+    five papers of earlier years, with teams of the corpus's authors and
+    newcomers: corpus lines to append."""
+    rng = random.Random(seed)
+    records = [json.loads(line) for line in lines]
+    authors = sorted({a for r in records for a in r["authors"]})
+    new = []
+    for k in range(count):
+        year = rng.randint(after + 1, last)
+        earlier = [r["id"] for r in records + new if r["year"] < year]
+        team = {rng.choice(authors) if rng.random() < 0.7 else f"new{k}-{i}"
+                for i in range(rng.randint(2, 5))}
+        new.append({"id": f"late{k}", "year": year, "authors": sorted(team),
+                    "references": rng.sample(earlier, min(5, len(earlier)))})
+    return [json.dumps(r, separators=(",", ":")) for r in new]
+
+
+def test_papers_after_a_year_leave_its_ledgers_and_indices(tmp_path):
+    """Appending papers dated after year Y (2016) to the corpus, some in
+    its later years and some past its end, leaves the record lines of
+    every ledger through Y and the ``index-table --year Y`` CSV
+    byte-identical: a citation of year Y and the window it is measured
+    on hold papers of years <= Y alone."""
+    year = 2016
+    lines = corpus_lines(37)
+    cfg = write_config(tmp_path, exact_distances=True)
+    outputs = []
+    for name, corpus in (("base", lines),
+                         ("appended", lines + later_papers(lines, year, PLANNED[-1] + 2, 300, 37))):
+        ws = ingested(tmp_path / name, corpus, cfg)
+        assert main(["run", "--workspace", str(ws), "--config", str(cfg)]) == 0
+        ledgers = {y: (ws / "ledgers" / f"{y}.jsonl").read_bytes().split(b"\n", 1)[1]
+                   for y in range(PLANNED[0], year + 1)}
+        outputs.append((ledgers, reports_of(ws, cfg, [["index-table", "--year", str(year)]])))
+    assert Workspace(tmp_path / "appended").completed_years()[-1] == PLANNED[-1] + 2
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1][0][0] == 0  # the index-table exit code

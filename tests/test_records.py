@@ -8,7 +8,7 @@ import pytest
 
 from citedist.analytics import (ClosenessResult, CohortSelection, DegeneracyRow,
                                 PairCloseness, RankedRecord, RepeatMatrix)
-from citedist.collab import ComponentStats, Distance, NetworkStats
+from citedist.collab import ComponentStats, NetworkStats
 from citedist.config import Config, ConfigError
 from citedist.corpus import PaperRecord, ValidationSummary
 from citedist.distances import HistogramResult, YearHistogram
@@ -27,7 +27,6 @@ RECORDS = [
           exact_distances=False, strict_window=False), True, True),
     (IndexRecord, dict(scholar="s", year=2001, q=5, h=2, g=3, c=2, n_w=1, x=Fraction(7, 2),
                        alpha=Fraction(1, 2)), dict(alpha=Fraction(1)), True, True),
-    (Distance, dict(hops=None, cap=4), dict(hops=None, cap=None), True, True),
     (ComponentStats, dict(members=frozenset({1, 2}), node_count=2, edge_count=1,
                           node_pct=50.0, edge_pct=100.0), {}, True, True),
     (NetworkStats, dict(node_count=2, edge_count=1, average_degree=1.0, assortativity=None,
@@ -107,11 +106,8 @@ def test_config_checks_raise_config_error(kwargs):
     lambda: IndexRecord("s", 2001, 3, 2, 1, 1, 0, Fraction(1)),  # h > g
     lambda: IndexRecord("s", 2001, 3, 1, 1, 1, 4, Fraction(1)),  # N_w > Q
     lambda: IndexRecord("s", 2001, 3, 1, 1, 4, 0, Fraction(1)),  # c > Q at alpha 1
-    lambda: Distance(hops=1, cap=2), lambda: Distance(-1),
     lambda: _RECORD._replace(h=4),
-    lambda: Distance.finite(2)._replace(cap=3),
-], ids=["record-x", "record-h", "record-n_w", "record-c", "distance-both",
-        "distance-negative", "replace-record", "replace-distance"])
+], ids=["record-x", "record-h", "record-n_w", "record-c", "replace-record"])
 def test_record_checks_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
